@@ -70,7 +70,7 @@ def reset_event_ids() -> None:
     _event_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IOEvent:
     """One captured control-plane input or output.
 

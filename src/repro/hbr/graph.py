@@ -26,7 +26,7 @@ class HbgError(ValueError):
     """Raised for invalid HBG operations (unknown vertex, cycle...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeEvidence:
     """Provenance of one inferred HBR edge."""
 
@@ -39,7 +39,7 @@ class EdgeEvidence:
             raise HbgError(f"confidence out of range: {self.confidence}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A directed happens-before edge: cause -> effect."""
 
@@ -228,18 +228,26 @@ class HappensBeforeGraph:
         (above the confidence bar).  If the event itself has no
         parents it is its own root cause.
         """
-        ancestors = self.ancestors(event_id, min_confidence)
-        if not ancestors:
-            return [self.event(event_id)]
-        leaves = [
+        return self.leaves_of(
+            self.ancestors(event_id, min_confidence), min_confidence
+        ) or [self.event(event_id)]
+
+    def leaves_of(
+        self, event_ids: Set[int], min_confidence: float = 0.0
+    ) -> List[IOEvent]:
+        """Those of ``event_ids`` with no parents above the bar, by id.
+
+        Of an ancestor set these are the root causes — for a caller
+        that already walked :meth:`ancestors` and need not walk again.
+        """
+        return [
             self._events[a]
-            for a in sorted(ancestors)
+            for a in sorted(event_ids)
             if not any(
                 ev.confidence >= min_confidence
                 for ev in self._in.get(a, {}).values()
             )
         ]
-        return leaves
 
     def causal_chain(
         self, from_id: int, to_id: int, min_confidence: float = 0.0

@@ -215,8 +215,9 @@ class PrefixTrie:
             node = node.children[prefix.bit(index)]
         return node
 
-    def insert(self, prefix: Prefix, value: V) -> None:
-        """Insert or replace the value for ``prefix``."""
+    def insert(self, prefix: Prefix, value: V) -> bool:
+        """Insert or replace the value for ``prefix``; returns True if
+        the key was new (mirrors :meth:`delete`)."""
         node = self._root
         for index in range(prefix.length):
             bit = prefix.bit(index)
@@ -225,10 +226,12 @@ class PrefixTrie:
                 child = _TrieNode()
                 node.children[bit] = child
             node = child
-        if not node.has_value:
+        added = not node.has_value
+        if added:
             self._size += 1
         node.value = value
         node.has_value = True
+        return added
 
     def get(self, prefix: Prefix) -> Optional[V]:
         """Exact-match lookup; None when absent."""

@@ -93,7 +93,9 @@ class ProvenanceTracer:
             watch = registry.stopwatch()
         target = self.graph.event(event_id)
         ancestry = self.graph.ancestors(event_id, self.min_confidence)
-        roots = self.graph.root_causes(event_id, self.min_confidence)
+        roots = self.graph.leaves_of(ancestry, self.min_confidence) or [
+            target
+        ]
         chains: Dict[int, List[IOEvent]] = {}
         for root in roots:
             chain = self.graph.causal_chain(

@@ -12,6 +12,7 @@ different amount of history from each router.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -53,11 +54,36 @@ class SnapshotEntry:
 
 
 class DataPlaneSnapshot:
-    """Per-router FIBs reconstructed from captured events."""
+    """Per-router FIBs reconstructed from captured events.
+
+    Besides the tries, the snapshot keeps — in step with its only two
+    mutators, :meth:`install` and :meth:`remove` — what every policy
+    probe would otherwise re-derive from them: how many routers hold
+    each prefix, one *next-hop row* per probed address (Delta-net's
+    edge labels, restricted to the addresses somebody traces) and the
+    traces walked over those rows.  All three are bounded by (probed
+    addresses × routers), never by the number of deltas applied.
+    """
 
     def __init__(self) -> None:
         self._tables: Dict[str, PrefixTrie] = {}
         self._taken_at: Optional[float] = None
+        #: prefix -> number of routers holding an entry for it.
+        self._holders: Dict[Prefix, int] = {}
+        #: Sorted first addresses of the held prefixes; None when a
+        #: prefix entered or left ``_holders`` since it was last read.
+        self._first_addresses: Optional[List[int]] = []
+        #: address -> {router -> longest-match entry or None}, one cell
+        #: per LPM done.  A delta at (router, prefix) drops exactly the
+        #: cells of that router whose address lies inside the prefix.
+        self._rows: Dict[int, Dict[str, Optional[SnapshotEntry]]] = {}
+        #: ``sorted(self._rows)``; None when a row was added since.
+        self._row_addresses: Optional[List[int]] = []
+        #: address -> {(source, max_hops) -> (path, outcome)}, shared by
+        #: every policy probing the address.
+        self._traces: Dict[
+            int, Dict[Tuple[str, int], Tuple[Tuple[str, ...], str]]
+        ] = {}
 
     @property
     def taken_at(self) -> Optional[float]:
@@ -71,14 +97,43 @@ class DataPlaneSnapshot:
         if table is None:
             table = PrefixTrie()
             self._tables[entry.router] = table
+            # See has_router(): hops into this router stop counting
+            # as delivered, whatever the address.
+            self._traces.clear()
         # PrefixTrie.insert is keyed on the prefix, not a positional
         # list insert — PERF001's pattern match is a false positive.
-        table.insert(entry.prefix, entry)  # repro: lint-ignore[PERF001]
+        if table.insert(entry.prefix, entry):  # repro: lint-ignore[PERF001]
+            held = self._holders.get(entry.prefix, 0)
+            self._holders[entry.prefix] = held + 1
+            if not held:
+                self._first_addresses = None
+        self._forget_matches(entry.router, entry.prefix)
 
     def remove(self, router: str, prefix: Prefix) -> None:
         table = self._tables.get(router)
-        if table is not None:
-            table.delete(prefix)
+        if table is None or not table.delete(prefix):
+            return
+        held = self._holders[prefix] - 1
+        if held:
+            self._holders[prefix] = held
+        else:
+            del self._holders[prefix]
+            self._first_addresses = None
+        self._forget_matches(router, prefix)
+
+    def _forget_matches(self, router: str, prefix: Prefix) -> None:
+        """Drop ``router``'s memoised longest matches under ``prefix``
+        (the only ones its install/remove can change — including a
+        more specific address under a /8), and the traces of those
+        addresses."""
+        addresses = self._row_addresses
+        if addresses is None:
+            addresses = self._row_addresses = sorted(self._rows)
+        low = bisect_left(addresses, prefix.first_address())
+        high = bisect_right(addresses, prefix.last_address())
+        for address in addresses[low:high]:
+            self._rows[address].pop(router, None)
+            self._traces.pop(address, None)
 
     def routers(self) -> List[str]:
         return sorted(self._tables)
@@ -117,10 +172,16 @@ class DataPlaneSnapshot:
         return [entry for _, entry in table.items()]
 
     def all_prefixes(self) -> Set[Prefix]:
-        prefixes: Set[Prefix] = set()
-        for table in self._tables.values():
-            prefixes.update(prefix for prefix, _ in table.items())
-        return prefixes
+        return set(self._holders)
+
+    def first_addresses(self) -> List[int]:
+        """Sorted first addresses of :meth:`all_prefixes` — the
+        policies' default probe list (a fresh list per call)."""
+        if self._first_addresses is None:
+            self._first_addresses = sorted(
+                {prefix.first_address() for prefix in self._holders}
+            )
+        return list(self._first_addresses)
 
     def trace(
         self, source: str, address: int, max_hops: int = 64
@@ -131,26 +192,50 @@ class DataPlaneSnapshot:
         ``trace_path``: delivered / blackhole / discard / loop —
         except here a hop into a router with no table at all counts
         as ``delivered`` (external routers are not captured).
+
+        Hops read the address's next-hop row, doing the longest match
+        only for cells no earlier trace filled; the result is kept
+        until a delta touches the row.  The returned path is the
+        caller's own list.
         """
+        traces = self._traces.get(address)
+        if traces is None:
+            traces = self._traces[address] = {}
+        known = traces.get((source, max_hops))
+        if known is not None:
+            return list(known[0]), known[1]
+        row = self._rows.get(address)
+        if row is None:
+            row = self._rows[address] = {}
+            self._row_addresses = None
         path = [source]
         current = source
         seen = {source}
+        outcome = "loop"
         for _ in range(max_hops):
             if current not in self._tables and current != source:
-                return path, "delivered"
-            entry = self.lookup(current, address)
+                outcome = "delivered"
+                break
+            if current in row:
+                entry = row[current]
+            else:
+                entry = row[current] = self.lookup(current, address)
             if entry is None:
-                return path, "blackhole"
+                outcome = "blackhole"
+                break
             if entry.discard:
-                return path, "discard"
+                outcome = "discard"
+                break
             if entry.next_hop_router is None:
-                return path, "delivered"
+                outcome = "delivered"
+                break
             current = entry.next_hop_router
             path.append(current)
             if current in seen:
-                return path, "loop"
+                break
             seen.add(current)
-        return path, "loop"
+        traces[(source, max_hops)] = (tuple(path), outcome)
+        return path, outcome
 
     @classmethod
     def from_fib_events(

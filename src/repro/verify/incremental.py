@@ -36,6 +36,7 @@ batch build after every observe even under per-router log lag
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -328,7 +329,8 @@ class IncrementalVerifier:
                 # Only probe addresses inside the delta's atoms can
                 # change outcome; prune cached ones its withdraw
                 # removed from the probe set.
-                relevant = [a for a in addresses if first <= a <= last]
+                low = bisect_left(addresses, first)
+                relevant = addresses[low : bisect_right(addresses, last, low)]
                 live = set(relevant)
                 for stale in [
                     a for a in cache if first <= a <= last and a not in live

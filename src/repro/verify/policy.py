@@ -73,18 +73,19 @@ class Policy:
         raise NotImplementedError
 
     def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
-        """The addresses this policy probes on ``snapshot``."""
+        """The addresses this policy probes on ``snapshot``, ascending
+        (the incremental verifier narrows the list by bisection)."""
         return self.addresses_of_interest(snapshot)
 
     def addresses_of_interest(self, snapshot: DataPlaneSnapshot) -> List[int]:
         """Default probe set: first address of every snapshot prefix."""
-        return sorted({p.first_address() for p in snapshot.all_prefixes()})
+        return snapshot.first_addresses()
 
     def _internal_sources(
         self, snapshot: DataPlaneSnapshot, topology: Topology
     ) -> List[str]:
         internal = set(topology.internal_routers())
-        return sorted(internal & set(snapshot.routers()))
+        return [r for r in snapshot.routers() if r in internal]
 
 
 class LoopFreedomPolicy(Policy):
@@ -93,7 +94,7 @@ class LoopFreedomPolicy(Policy):
     name = "loop-freedom"
 
     def __init__(self, prefixes: Optional[Sequence[Prefix]] = None):
-        self.prefixes = list(prefixes) if prefixes else None
+        self.prefixes = sorted(prefixes) if prefixes else None
 
     def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
         if self.prefixes is not None:
@@ -107,9 +108,10 @@ class LoopFreedomPolicy(Policy):
         addresses: Sequence[int],
     ) -> List[Violation]:
         violations: List[Violation] = []
+        sources = self._internal_sources(snapshot, topology)
         for address in addresses:
             prefix = Prefix(address, 32)
-            for source in self._internal_sources(snapshot, topology):
+            for source in sources:
                 path, outcome = snapshot.trace(source, address)
                 if outcome == "loop":
                     violations.append(
@@ -136,7 +138,7 @@ class BlackholeFreedomPolicy(Policy):
     name = "blackhole-freedom"
 
     def __init__(self, prefixes: Optional[Sequence[Prefix]] = None):
-        self.prefixes = list(prefixes) if prefixes else None
+        self.prefixes = sorted(prefixes) if prefixes else None
 
     def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
         if self.prefixes is not None:
@@ -150,9 +152,10 @@ class BlackholeFreedomPolicy(Policy):
         addresses: Sequence[int],
     ) -> List[Violation]:
         violations: List[Violation] = []
+        sources = self._internal_sources(snapshot, topology)
         for address in addresses:
             prefix = Prefix(address, 32)
-            for source in self._internal_sources(snapshot, topology):
+            for source in sources:
                 path, outcome = snapshot.trace(source, address)
                 if outcome == "blackhole" and len(path) > 1:
                     violations.append(

@@ -104,9 +104,11 @@ class DataPlaneVerifier:
             ec_count = len(classes)
             probes = len(classes)
         for policy in self.policies:
-            found = policy.check(snapshot, self.topology)
-            violations.extend(found)
-            probes += len(policy.addresses_of_interest(snapshot))
+            addresses = policy.probe_addresses(snapshot)
+            violations.extend(
+                policy.check_addresses(snapshot, self.topology, addresses)
+            )
+            probes += len(addresses)
         elapsed = watch.elapsed()
         registry = obs.get_registry()
         if registry.enabled:

@@ -170,6 +170,14 @@ class TestPrefixTrie:
         assert trie.get(Prefix.parse("10.0.0.0/8")) == "b"
         assert len(trie) == 1
 
+    def test_insert_reports_whether_the_key_was_new(self):
+        trie = PrefixTrie()
+        prefix = Prefix.parse("10.0.0.0/8")
+        assert trie.insert(prefix, "a") is True
+        assert trie.insert(prefix, "b") is False
+        assert trie.delete(prefix) is True
+        assert trie.insert(prefix, "c") is True
+
     def test_delete(self):
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "a")

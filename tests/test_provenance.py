@@ -41,6 +41,24 @@ class TestFig4RootCause:
         root_ids = {e.event_id for e in result.root_causes}
         assert config.event_id in root_ids
 
+    def test_trace_walks_ancestry_once(self, fig2_traced, monkeypatch):
+        """The leaves come from the ancestor set already in hand, and
+        are the ones ``root_causes`` finds with its own walk."""
+        _scenario, net, graph = fig2_traced
+        fib, _config = _violating_fib_event(net)
+        expected = graph.root_causes(fib.event_id)
+        walks = []
+        original = graph.ancestors
+
+        def counted(event_id, min_confidence=0.0):
+            walks.append(event_id)
+            return original(event_id, min_confidence)
+
+        monkeypatch.setattr(graph, "ancestors", counted)
+        result = ProvenanceTracer(graph).trace(fib.event_id)
+        assert walks == [fib.event_id]
+        assert result.root_causes == expected
+
     def test_config_cause_is_actionable(self, fig2_traced):
         _scenario, net, graph = fig2_traced
         fib, config = _violating_fib_event(net)

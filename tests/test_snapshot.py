@@ -1,6 +1,7 @@
 """Tests for snapshot reconstruction, verifier views, naive snapshots."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.net.addr import Prefix
@@ -8,6 +9,7 @@ from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
 from repro.snapshot.naive import NaiveSnapshotter
 from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.paper_net import P
+from repro.verify.policy import Policy
 
 
 def _fib_event(router="R1", t=1.0, nh="R2", action=RouteAction.ANNOUNCE, prefix=P):
@@ -145,6 +147,175 @@ class TestDataPlaneSnapshot:
             [_fib_event(), _fib_event(router="R2", prefix=Prefix.parse("10.0.0.0/8"))]
         )
         assert snapshot.all_prefixes() == {P, Prefix.parse("10.0.0.0/8")}
+
+
+# -- the maintained state vs a rebuild -----------------------------------------
+
+#: /8 ⊃ /16 ⊃ /24 on one first address, a /16 elsewhere under the /8,
+#: and an unrelated prefix.
+_NESTED = [
+    Prefix.parse(text)
+    for text in (
+        "10.0.0.0/8",
+        "10.0.0.0/16",
+        "10.0.0.0/24",
+        "10.1.0.0/16",
+        "192.168.0.0/16",
+    )
+]
+_ROUTERS = ["R1", "R2", "R3", "R4"]
+_PROBED = sorted({prefix.first_address() for prefix in _NESTED})
+
+
+
+def _entry(router, prefix, next_hop, discard=False):
+    return SnapshotEntry(router, prefix, next_hop, None, "bgp", discard, 0, 1.0)
+
+
+_install = st.tuples(
+    st.just("install"),
+    st.sampled_from(_ROUTERS),
+    st.sampled_from(_NESTED),
+    st.sampled_from(_ROUTERS + [None, "Ext"]),
+    st.booleans(),
+)
+_remove = st.tuples(
+    st.just("remove"), st.sampled_from(_ROUTERS), st.sampled_from(_NESTED)
+)
+_trace = st.tuples(
+    st.just("trace"),
+    st.sampled_from(_ROUTERS),
+    st.sampled_from(_PROBED),
+    st.sampled_from([64, 2]),
+)
+_read = st.tuples(st.just("prefixes"))
+
+
+def _check_against_rebuild(ops):
+    """Apply ``ops`` to one long-lived snapshot; after every step its
+    traces, prefixes and default probe list must equal those of a
+    snapshot built from nothing but the surviving entries."""
+    live = DataPlaneSnapshot()
+    surviving = {}
+    tabled = []  # routers holding a table, possibly emptied since
+    for op in ops:
+        if op[0] == "install":
+            _, router, prefix, next_hop, discard = op
+            entry = _entry(router, prefix, next_hop, discard)
+            live.install(entry)
+            surviving[(router, prefix)] = entry
+            if router not in tabled:
+                tabled.append(router)
+        elif op[0] == "remove":
+            live.remove(op[1], op[2])
+            surviving.pop((op[1], op[2]), None)
+        elif op[0] == "trace":
+            path, _outcome = live.trace(op[1], op[2], max_hops=op[3])
+            path.append("scribbled-by-caller")
+        else:
+            live.all_prefixes().clear()
+            live.first_addresses().clear()
+        held = {prefix for _, prefix in surviving}
+        assert live.all_prefixes() == held
+        assert Policy().addresses_of_interest(live) == sorted(
+            {prefix.first_address() for prefix in held}
+        )
+        # A reference per hop bound, so no reference trace is ever
+        # answered from a walk made under the other bound.
+        for hops in (64, 2):
+            rebuilt = _rebuild(tabled, surviving)
+            for source in _ROUTERS:
+                for address in _PROBED:
+                    assert live.trace(source, address, hops) == rebuilt.trace(
+                        source, address, hops
+                    ), (op, source, address, hops)
+
+
+def _rebuild(tabled, surviving):
+    rebuilt = DataPlaneSnapshot()
+    for router in tabled:
+        # remove() keeps an emptied table, and a table is what turns a
+        # hop's "delivered" into "blackhole".
+        rebuilt.install(_entry(router, _NESTED[0], None))
+        rebuilt.remove(router, _NESTED[0])
+    for entry in surviving.values():
+        rebuilt.install(entry)
+    return rebuilt
+
+
+class TestMaintainedState:
+    """Refcounts, next-hop rows and shared traces against a rebuild."""
+
+    @given(
+        st.lists(
+            st.one_of(_install, _install, _remove, _trace, _read), max_size=30
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_interleavings(self, ops):
+        _check_against_rebuild(ops)
+
+    def test_the_cases_a_memo_gets_wrong(self):
+        p8, p16, p24, other16, _ = _NESTED
+        a = p8.first_address()
+        _check_against_rebuild(
+            [
+                # R1 -> R2 -> R4; R4 has no table yet, so: delivered.
+                ("install", "R1", p8, "R2", False),
+                ("install", "R2", p8, "R4", False),
+                ("trace", "R1", a, 64),
+                ("trace", "R1", a, 2),
+                # Replace-install: still one holder of the /8 ...
+                ("install", "R1", p8, "R2", False),
+                ("remove", "R1", p8),
+                ("prefixes",),
+                ("install", "R1", p8, "R2", False),
+                # ... and removing what was never there decrements nothing.
+                ("remove", "R3", p8),
+                ("remove", "R2", p24),
+                ("remove", "R2", p8),
+                ("install", "R2", p8, "R4", False),
+                ("trace", "R1", a, 64),
+                # R4's first entry, for another prefix, turns the hop
+                # into R4 from delivered into blackhole.
+                ("install", "R4", other16, None, False),
+                ("trace", "R1", a, 64),
+                # A more specific route changes the match of an address
+                # memoised under the /8; withdrawing it changes it back.
+                ("install", "R1", p24, "R3", False),
+                ("install", "R3", p16, "R1", False),
+                ("trace", "R3", a, 64),
+                ("remove", "R1", p24),
+                ("trace", "R3", a, 2),
+            ]
+        )
+
+    def test_hop_bound_is_part_of_the_memo_key(self):
+        snapshot = DataPlaneSnapshot()
+        p8 = _NESTED[0]
+        for router, next_hop in (("R1", "R2"), ("R2", "R3"), ("R3", None)):
+            snapshot.install(_entry(router, p8, next_hop))
+        address = p8.first_address()
+        assert snapshot.trace("R1", address) == (["R1", "R2", "R3"], "delivered")
+        assert snapshot.trace("R1", address, max_hops=2) == (
+            ["R1", "R2", "R3"],
+            "loop",
+        )
+        assert snapshot.trace("R1", address)[1] == "delivered"
+
+    def test_first_table_flips_delivered_to_blackhole(self):
+        snapshot = DataPlaneSnapshot()
+        p8, other16 = _NESTED[0], _NESTED[3]
+        snapshot.install(_entry("R1", p8, "R2"))
+        assert snapshot.trace("R1", p8.first_address()) == (
+            ["R1", "R2"],
+            "delivered",
+        )
+        snapshot.install(_entry("R2", other16, None))
+        assert snapshot.trace("R1", p8.first_address()) == (
+            ["R1", "R2"],
+            "blackhole",
+        )
 
 
 class TestVerifierView:

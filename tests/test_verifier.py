@@ -62,6 +62,19 @@ class TestVerify:
         result = verifier.verify(_snapshot(GOOD))
         assert result.equivalence_classes == 1
 
+    def test_probe_count_is_what_each_policy_probed(self, topo, exit_policy):
+        """Scoped and single-prefix policies probe fewer addresses than
+        the snapshot holds prefixes; ``probe_count`` used to add the
+        default probe set (all three prefixes here) for each of them."""
+        snapshot = _snapshot(GOOD)
+        for other in ("10.0.0.0/8", "192.168.0.0/16"):
+            snapshot.install(_entry("R1", "R2", prefix=Prefix.parse(other)))
+        scoped = LoopFreedomPolicy(prefixes=[P, Prefix.parse("10.0.0.0/8")])
+        verifier = DataPlaneVerifier(
+            topo, [exit_policy, scoped, LoopFreedomPolicy()]
+        )
+        assert verifier.verify(snapshot).probe_count == 1 + 2 + 3
+
     def test_str(self, topo, exit_policy):
         verifier = DataPlaneVerifier(topo, [exit_policy])
         assert "OK" in str(verifier.verify(_snapshot(GOOD)))

@@ -288,6 +288,79 @@ class TestFirstEntryGlobalRecheck:
         assert blackholes[0].prefix == Prefix(P8.first_address(), 32)
 
 
+class TestDeltaCostIsLocal:
+    """The per-delta re-probe reads the snapshot's maintained state.
+
+    Counting guard, in the spirit of the tripping-adjacency test in
+    tests/test_hbr_inference.py: a delta may redo the longest match
+    only at its own router, once per probed address under its prefix,
+    and may never iterate a trie."""
+
+    def _warm(self, paper_network):
+        policies = (LoopFreedomPolicy(), BlackholeFreedomPolicy())
+        verifier, streaming = _verifier(paper_network.topology, policies)
+        clock = iter(range(1, 10_000))
+        for router, next_hop in (("R1", None), ("R2", "R1"), ("R3", "R1")):
+            for prefix in (P8, P24, Q16):
+                streaming.observe(
+                    _fib(router, prefix, float(next(clock)), next_hop=next_hop)
+                )
+        return verifier, streaming, clock
+
+    def test_one_delta_matches_only_under_its_prefix(
+        self, paper_network, monkeypatch
+    ):
+        from repro.net.addr import PrefixTrie
+
+        verifier, _streaming, clock = self._warm(paper_network)
+        calls = {"longest_match": 0, "items": 0}
+        for name in calls:
+            original = getattr(PrefixTrie, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(PrefixTrie, name, counted)
+
+        # The /8 covers two probed addresses (its own and the /24's),
+        # the /24 one; both policies share the refilled cells.
+        for prefix, inside in ((P8, 2), (P24, 1), (Q16, 1)):
+            calls["longest_match"] = 0
+            verifier.apply(
+                _fib("R2", prefix, float(next(clock)), next_hop="R3")
+            )
+            assert calls["longest_match"] <= inside, prefix
+        assert calls["items"] == 0
+
+    def test_memo_is_bounded_by_addresses_not_deltas(self, paper_network):
+        verifier, streaming, clock = self._warm(paper_network)
+        snapshot = verifier.snapshot
+        routers = ("R1", "R2", "R3")
+        probed = len({p.first_address() for p in (P8, P24, Q16)})
+        for step in range(1000):
+            router = routers[step % 3]
+            prefix = (P8, P24, Q16)[(step // 3) % 3]
+            action = (
+                RouteAction.WITHDRAW if step % 2 else RouteAction.ANNOUNCE
+            )
+            streaming.observe(
+                _fib(
+                    router,
+                    prefix,
+                    float(next(clock)),
+                    next_hop=routers[(step + 1) % 3],
+                    action=action,
+                )
+            )
+            assert len(snapshot._traces) <= len(snapshot._rows) == probed
+            cells = sum(len(row) for row in snapshot._rows.values())
+            traces = sum(len(known) for known in snapshot._traces.values())
+            assert cells <= probed * len(routers)
+            assert traces <= probed * len(routers)
+        assert verifier.deltas_applied == 1009
+
+
 class TestRollbackInvalidation:
     """Event-id reuse across a replay poisons persistent memos."""
 
