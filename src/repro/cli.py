@@ -230,9 +230,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             ),
         ]
     else:
-        graph = engine.build_graph(
-            net.collector.all_events(), parallel=args.workers
-        )
+        graph = engine.build_graph(net.collector.all_events())
     observable = {e.event_id for e in net.collector}
     score = score_inference(graph, net.ground_truth, observable_ids=observable)
     snapshot = DataPlaneSnapshot.from_live_network(net)
@@ -1273,6 +1271,44 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
     return benchdiff.exit_code(diff, args.fail_on)
 
 
+def _add_audit_flags(parser: argparse.ArgumentParser) -> None:
+    """The audit scenario's knobs, declared once for every subcommand
+    that can run it (`audit`, `stats --scenario audit`, `serve
+    --scenario audit`); :func:`main` rejects `--workers` without
+    `--distributed`."""
+    parser.add_argument("--routers", type=int, default=8)
+    parser.add_argument("--uplinks", type=int, default=2)
+    parser.add_argument("--prefixes", type=int, default=6)
+    parser.add_argument("--events", type=int, default=12)
+    parser.add_argument(
+        "--min-f1",
+        type=float,
+        default=0.0,
+        help="exit nonzero if HBR inference f1 falls below this (CI gate)",
+    )
+    parser.add_argument(
+        "--legacy-scan",
+        action="store_true",
+        help="use the pre-index window-rescan inference path "
+        "(differential-testing reference; much slower)",
+    )
+    parser.add_argument(
+        "--distributed",
+        action="store_true",
+        help="build the HBG distributedly (per-router subgraphs + "
+        "boundary-summary exchange) and report boundary traffic vs "
+        "the central baseline",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="fork N worker processes for the --distributed build "
+        "(default: in-process; rejected without --distributed)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1299,37 +1335,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=_cmd_demo)
 
     audit = sub.add_parser("audit", help="toolbox tour on a random network")
-    audit.add_argument("--routers", type=int, default=8)
-    audit.add_argument("--uplinks", type=int, default=2)
-    audit.add_argument("--prefixes", type=int, default=6)
-    audit.add_argument("--events", type=int, default=12)
-    audit.add_argument(
-        "--min-f1",
-        type=float,
-        default=0.0,
-        help="exit nonzero if HBR inference f1 falls below this (CI gate)",
-    )
-    audit.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="build the HBG with N sharded worker processes "
-        "(default: serial indexed build)",
-    )
-    audit.add_argument(
-        "--legacy-scan",
-        action="store_true",
-        help="use the pre-index window-rescan inference path "
-        "(differential-testing reference; much slower)",
-    )
-    audit.add_argument(
-        "--distributed",
-        action="store_true",
-        help="build the HBG distributedly (per-router subgraphs + "
-        "boundary-summary exchange; --workers sizes the fork pool) "
-        "and report boundary traffic vs the central baseline",
-    )
+    _add_audit_flags(audit)
     audit.set_defaults(func=_cmd_audit)
 
     lint = sub.add_parser(
@@ -1434,14 +1440,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also show the scenario's own output (on stderr)",
     )
-    # The audit scenario's knobs, so `stats --scenario audit` works.
-    stats.add_argument("--routers", type=int, default=8)
-    stats.add_argument("--uplinks", type=int, default=2)
-    stats.add_argument("--prefixes", type=int, default=6)
-    stats.add_argument("--events", type=int, default=12)
-    stats.add_argument("--min-f1", type=float, default=0.0)
-    stats.add_argument("--workers", type=int, default=None)
-    stats.add_argument("--legacy-scan", action="store_true")
+    # So `stats --scenario audit` works.
+    _add_audit_flags(stats)
     stats.set_defaults(func=_cmd_stats)
 
     verify = sub.add_parser(
@@ -1513,8 +1513,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "oracle(s) to run — repeatable or comma-separated "
             "(default: all of snapshot-consistency, hbg-distributed, "
-            "hbg-indexed-equivalence, hbg-distributed-equivalence, "
-            "whatif-replay, "
+            "hbg-indexed-equivalence, whatif-replay, "
             "provenance-rollback, verify-incremental-equivalence, "
             "replay-determinism)"
         ),
@@ -1679,14 +1678,8 @@ def build_parser() -> argparse.ArgumentParser:
             "and the detection/exposure SLIs have data"
         ),
     )
-    # The audit scenario's knobs, mirroring `repro stats`.
-    serve.add_argument("--routers", type=int, default=8)
-    serve.add_argument("--uplinks", type=int, default=2)
-    serve.add_argument("--prefixes", type=int, default=6)
-    serve.add_argument("--events", type=int, default=12)
-    serve.add_argument("--min-f1", type=float, default=0.0)
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument("--legacy-scan", action="store_true")
+    # So `serve --scenario audit` works.
+    _add_audit_flags(serve)
     serve.set_defaults(func=_cmd_serve_metrics)
 
     watch = sub.add_parser(
@@ -1797,6 +1790,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and not args.distributed:
+        parser.error("--workers sizes the --distributed pool; add --distributed")
     wants_metrics = getattr(args, "metrics", False) and args.command != "stats"
     if wants_metrics:
         registry, tracer = obs.enable()

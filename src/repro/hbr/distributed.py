@@ -29,30 +29,43 @@ central build:
   relation keeps exactly the antecedents with ``peer ==
   cons.router``, which is precisely what the summary contains.  The
   post-filter candidate lists (the only input to edge choice *and*
-  the ambiguity discount) are therefore identical, and replaying the
-  merged edge records in ``(cons_ts, cons_id, seq)`` order reproduces
-  the serial build's exact ``add_edge`` order — the byte-identity
-  argument of :mod:`repro.hbr.sharded`.  Engine configurations that
-  break the argument (naive/pattern techniques, ``legacy_scan``,
-  custom rules with no router relation or with peer-side antecedents
-  beyond send/receive) are **refused** with
+  the ambiguity discount) are therefore identical.  Engine
+  configurations that break the argument (naive/pattern techniques,
+  ``legacy_scan``, custom rules with no router relation or with
+  peer-side antecedents beyond send/receive) are **refused** with
   :exc:`DistributionUnsupported` instead of silently falling back to
   a central rebuild.
+* The merge is deterministic, serial or forked
+  (:meth:`DistributedHbg.build_all` with ``workers=N`` — the one
+  fork-and-merge build; the cross-``PYTHONHASHSEED`` gate in
+  tests/test_determinism.py covers it).  Shard assignment
+  round-robins over the *sorted* router names, so it is independent
+  of hash seeds and worker scheduling; workers return plain edge
+  *records* ``(cons_ts, cons_id, seq, cause_id, evidence)`` where
+  ``seq`` is the edge's position within its consequent's
+  inferred-edge list; the parent sorts all records by ``(cons_ts,
+  cons_id, seq)`` before applying them, which replays the exact
+  ``add_edge`` order of the central build.  Inference is per
+  consequent and never reads the graph being built, so cycle
+  rejection and duplicate-evidence upgrades resolve identically and
+  the merged graph equals the central graph byte for byte.  Workers
+  are forked (engine, rules and subgraphs are inherited, not
+  pickled); where ``fork`` is unavailable the shards run
+  sequentially in-process, which is slower but identical.
 
-:meth:`DistributedHbg.build_all` optionally forks a worker pool over
-routers (``workers=N``) exactly like the sharded build; the merge is
-deterministic either way.  :meth:`DistributedHbg.merged_graph` is a
-true merge of the per-router edge records — it never calls the global
-``build_graph`` over the full event list.  The boundary-traffic
-meters (:class:`BoundaryExchangeStats`, ``distributed.*`` obs
-metrics) let the C-SCALE/C-DIST benchmarks compare message cost
-against shipping every event to a central collector.
+:meth:`DistributedHbg.merged_graph` is a true merge of the per-router
+edge records — it never calls the global ``build_graph`` over the
+full event list.  The boundary-traffic meters
+(:class:`BoundaryExchangeStats`, ``distributed.*`` obs metrics) let
+the C-SCALE/C-DIST benchmarks compare message cost against shipping
+every event to a central collector.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
+import multiprocessing
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -61,12 +74,21 @@ from repro.capture.io_events import IOEvent, IOKind
 from repro.hbr.graph import EdgeEvidence, HappensBeforeGraph
 from repro.hbr.index import EventIndex, MAX_ID, RulePlan
 from repro.hbr.inference import InferenceEngine, _admissible
-from repro.hbr.sharded import (
-    EdgeRecord,
-    ShardTimings,
-    _fork_context,
-    shard_routers,
-)
+
+#: One inferred edge, in merge-sortable form: (consequent timestamp,
+#: consequent id, per-consequent sequence number, cause id, evidence
+#: technique, evidence rule, evidence confidence).  Evidence travels
+#: as primitives — unpickling tens of thousands of dataclasses in the
+#: parent costs more than the workers save.
+EdgeRecord = Tuple[float, int, int, int, str, str, float]
+
+#: Per-rule timing aggregate a shard returns: rule name ->
+#: (invocations, total wall seconds).  Workers must not touch the
+#: process-global registry (anything they wrote would die with the
+#: forked process — lint rule CONC001), so timings travel home in the
+#: return value and the parent folds them into
+#: ``inference.rule_invocations_total`` / ``inference.rule_seconds_total``.
+ShardTimings = Dict[str, Tuple[int, float]]
 
 #: Event kinds that can appear in a boundary summary at all: the
 #: send/receive pairs that cross router boundaries.  A peer-plan rule
@@ -280,11 +302,76 @@ class _DistributedSource:
             "naive/pattern candidate scans need the global stream"
         )
 
-    def track(self) -> "_DistributedSource":
-        """No ledger registration: subgraph indices are owned (and
-        sized) by their subgraphs, and this source is also built
-        inside forked workers (CONC001)."""
-        return self
+
+# -- shards, edge records and their replay ----------------------------------
+
+
+def shard_routers(routers: Sequence[str], workers: int) -> List[List[str]]:
+    """Deterministically round-robin sorted router names over shards.
+
+    Sorting first makes the assignment a pure function of the router
+    set — independent of PYTHONHASHSEED, arrival order, or scheduling.
+    """
+    ordered = sorted(routers)
+    workers = max(1, workers)
+    shards = [ordered[i::workers] for i in range(workers)]
+    return [shard for shard in shards if shard]
+
+
+def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-forking platform
+        return None
+
+
+def _tally(
+    timings: ShardTimings, rule: str, count: int, seconds: float
+) -> None:
+    had_count, had_seconds = timings.get(rule, (0, 0.0))
+    timings[rule] = (had_count + count, had_seconds + seconds)
+
+
+def _merge_shards(
+    results: Iterable[Tuple[List[EdgeRecord], ShardTimings]]
+) -> Tuple[List[EdgeRecord], ShardTimings]:
+    """Concatenate shard records and sum their per-rule timings."""
+    records: List[EdgeRecord] = []
+    timings: ShardTimings = {}
+    for shard_records, shard_timings in results:
+        records.extend(shard_records)
+        for rule, (count, seconds) in shard_timings.items():
+            _tally(timings, rule, count, seconds)
+    return records, timings
+
+
+def _replay(
+    events: Iterable[IOEvent], records: Iterable[EdgeRecord]
+) -> HappensBeforeGraph:
+    """The graph over ``events`` (given in ``(timestamp, event_id)``
+    order) with the edges of ``records`` (sorted by ``(cons_ts,
+    cons_id, seq)``) applied in order.
+
+    Records whose cause is not among ``events`` are skipped: that is
+    how a router's local graph keeps only its intra-router edges.
+    """
+    graph = HappensBeforeGraph()
+    for event in events:
+        graph.add_event(event)
+    # Most edges share one of a handful of (technique, rule,
+    # confidence) shapes; intern the rebuilt evidence objects.
+    evidence_cache: Dict[Tuple[str, str, float], EdgeEvidence] = {}
+    for _ts, cons_id, _seq, cause_id, technique, rule, conf in records:
+        if cause_id not in graph:
+            continue
+        evidence = evidence_cache.get((technique, rule, conf))
+        if evidence is None:
+            evidence = EdgeEvidence(
+                technique=technique, rule=rule, confidence=conf
+            )
+            evidence_cache[(technique, rule, conf)] = evidence
+        graph.add_edge(cause_id, cons_id, evidence)
+    return graph
 
 
 class RouterSubgraph:
@@ -389,37 +476,32 @@ class RouterSubgraph:
     # -- inference ---------------------------------------------------------
 
     def infer_records(self) -> Tuple[List[EdgeRecord], ShardTimings]:
-        """Edge records for this router's consequents.
+        """Edge records for this router's consequents, plus the
+        per-rule timing aggregate (empty when obs is off).
 
         Pure per-consequent inference over the local index plus the
         boundary summaries received so far; identical to the central
         build's records for these consequents (module docstring).
-        Safe inside forked workers: per-rule timings aggregate into
-        the returned dict, never into the process-global registry
-        (CONC001).
+        Safe inside forked workers: the timing sink only writes the
+        dict this call returns — never the (forked, doomed)
+        process-global registry (CONC001).
         """
-        engine = self.engine
         source = _DistributedSource(
             self._local,
             self._boundary_index(),
-            engine.config.clock_skew_tolerance,
+            self.engine.config.clock_skew_tolerance,
         )
         records: List[EdgeRecord] = []
-        tallies: Dict[str, List[float]] = {}
+        timings: ShardTimings = {}
         timing_sink = None
         if obs.get_registry().enabled:
 
             def timing_sink(rule_name: str, seconds: float) -> None:
-                tally = tallies.get(rule_name)
-                if tally is None:
-                    tallies[rule_name] = [1, seconds]
-                else:
-                    tally[0] += 1
-                    tally[1] += seconds
+                _tally(timings, rule_name, 1, seconds)
 
         for cons in self.ordered_events():
             for seq, (ante, evidence) in enumerate(
-                engine._infer_edges(cons, source, timing_sink)
+                self.engine._infer_edges(cons, source, timing_sink)
             ):
                 records.append(
                     (
@@ -432,10 +514,7 @@ class RouterSubgraph:
                         evidence.confidence,
                     )
                 )
-        return records, {
-            rule: (int(count), seconds)
-            for rule, (count, seconds) in tallies.items()
-        }
+        return records, timings
 
     def build(self) -> HappensBeforeGraph:
         """(Re)infer this router's *local* graph: its own events plus
@@ -450,26 +529,8 @@ class RouterSubgraph:
         check_distribution(self.engine)
         records, _timings = self.infer_records()
         records.sort(key=lambda r: (r[0], r[1], r[2]))
-        self._populate_graph(records)
+        self.graph = _replay(self.ordered_events(), records)
         return self.graph
-
-    def _populate_graph(self, records: Sequence[EdgeRecord]) -> None:
-        """Rebuild ``self.graph`` from sorted records (intra edges only)."""
-        graph = HappensBeforeGraph()
-        for event in self.ordered_events():
-            graph.add_event(event)
-        evidence_cache: dict = {}
-        for _ts, cons_id, _seq, cause_id, technique, rule, conf in records:
-            if cause_id not in graph or cons_id not in graph:
-                continue
-            evidence = evidence_cache.get((technique, rule, conf))
-            if evidence is None:
-                evidence = EdgeEvidence(
-                    technique=technique, rule=rule, confidence=conf
-                )
-                evidence_cache[(technique, rule, conf)] = evidence
-            graph.add_edge(cause_id, cons_id, evidence)
-        self.graph = graph
 
     def local_parents(self, event_id: int) -> List[IOEvent]:
         return [event for event, _ in self.graph.parents(event_id)]
@@ -505,16 +566,28 @@ class RouterSubgraph:
         return bucket[first][2]
 
 
-#: Stashed DistributedHbg for forked workers — set in the parent
-#: immediately before the fork so children inherit the subgraphs
-#: without pickling them per task.
-_WORK: Optional["DistributedHbg"] = None
+#: Stashed subgraphs (by router name) for forked workers — set in the
+#: parent immediately before the fork so children inherit them without
+#: pickling them per task.
+_WORK: Optional[Dict[str, RouterSubgraph]] = None
+
+
+def _infer_shard(
+    subgraphs: Dict[str, RouterSubgraph], routers: Sequence[str]
+) -> Tuple[List[EdgeRecord], ShardTimings]:
+    """One shard's work, forked or in-process: the merged records and
+    timings of ``routers``' subgraphs."""
+    # The method is named through its class so `repro lint --deep`
+    # can follow the fork root into the inference code (CONC001).
+    return _merge_shards(
+        RouterSubgraph.infer_records(subgraphs[name]) for name in routers
+    )
 
 
 def _run_shard(routers: List[str]) -> Tuple[List[EdgeRecord], ShardTimings]:
     if _WORK is None:  # set by DistributedHbg.build_all before forking
         raise RuntimeError("_run_shard called outside build_all")
-    return _WORK._infer_shard(routers)
+    return _infer_shard(_WORK, routers)
 
 
 class DistributedHbg:
@@ -589,26 +662,6 @@ class DistributedHbg:
             messages=messages, events=events, bytes=bytes_total
         )
 
-    def _infer_shard(
-        self, routers: Sequence[str]
-    ) -> Tuple[List[EdgeRecord], ShardTimings]:
-        records: List[EdgeRecord] = []
-        merged: Dict[str, List[float]] = {}
-        for name in routers:
-            shard_records, timings = self.subgraphs[name].infer_records()
-            records.extend(shard_records)
-            for rule, (count, seconds) in timings.items():
-                tally = merged.get(rule)
-                if tally is None:
-                    merged[rule] = [count, seconds]
-                else:
-                    tally[0] += count
-                    tally[1] += seconds
-        return records, {
-            rule: (int(count), seconds)
-            for rule, (count, seconds) in merged.items()
-        }
-
     def build_all(self, workers: Optional[int] = None) -> None:
         """Exchange boundary summaries, infer every router's edges
         (optionally with ``workers`` forked processes), and populate
@@ -628,33 +681,26 @@ class DistributedHbg:
         shards = shard_routers(names, workers or 1)
         context = _fork_context() if len(shards) > 1 else None
         if context is None:
-            results = [self._infer_shard(shard) for shard in shards]
+            results = [_infer_shard(self.subgraphs, s) for s in shards]
         else:
-            _WORK = self
+            _WORK = self.subgraphs
             try:
                 with context.Pool(processes=len(shards)) as pool:
                     results = pool.map(_run_shard, shards)
             finally:
                 _WORK = None
-        records: List[EdgeRecord] = []
-        merged_timings: Dict[str, List[float]] = {}
-        for shard_records, shard_timings in results:
-            records.extend(shard_records)
-            for rule, (count, seconds) in shard_timings.items():
-                tally = merged_timings.get(rule)
-                if tally is None:
-                    merged_timings[rule] = [count, seconds]
-                else:
-                    tally[0] += count
-                    tally[1] += seconds
-        # Replay the serial build's exact insertion order (the
-        # byte-identity argument of repro.hbr.sharded).
+        records, timings = _merge_shards(results)
+        # Replay the central build's exact insertion order (module
+        # docstring: why this makes the merge byte-identical).
         records.sort(key=lambda r: (r[0], r[1], r[2]))
         self._records = records
+        by_owner: Dict[str, List[EdgeRecord]] = {name: [] for name in names}
+        for record in records:
+            by_owner[self._owner[record[1]]].append(record)
         for name in names:
             subgraph = self.subgraphs[name]
-            subgraph._populate_graph(
-                [r for r in records if self._owner[r[1]] == name]
+            subgraph.graph = _replay(
+                subgraph.ordered_events(), by_owner[name]
             )
         self.last_build = DistributedBuildStats(
             routers=len(names),
@@ -666,10 +712,11 @@ class DistributedHbg:
             boundary_bytes=exchange.bytes,
             central_bytes=self._central_bytes,
         )
+        # Workers are throwaway forks (and may not touch the obs
+        # singletons, CONC001): what `_edges_into` emits per edge on
+        # the central path is replayed here in the parent.
         recorder = obs.get_recorder()
         if recorder.enabled:
-            # Workers are throwaway forks: replay their HBR_EDGE trace
-            # records in the parent, as the sharded build does.
             for cons_ts, cons_id, _seq, cause_id, technique, rule, conf in (
                 records
             ):
@@ -701,20 +748,21 @@ class DistributedHbg:
             registry.counter("distributed.central_baseline_bytes_total").inc(
                 self._central_bytes
             )
-            # Workers are throwaway forks: replay their per-rule
-            # timing aggregates and per-edge counters in the parent,
-            # exactly as the sharded build does.
-            for technique_rule, count in _edge_tallies(records).items():
+            for technique, count in sorted(
+                Counter(record[4] for record in records).items()
+            ):
                 registry.counter(
-                    "inference.edges_by_technique",
-                    technique=technique_rule,
+                    "inference.edges_by_technique", technique=technique
                 ).inc(count)
             if records:
                 registry.counter("inference.hbg_edges_inferred").inc(
                     len(records)
                 )
-            for rule in sorted(merged_timings):
-                count, seconds = merged_timings[rule]
+            # Counters, not histograms: per-call sample order is
+            # worker-scheduling noise, but invocation counts and total
+            # seconds merge deterministically.
+            for rule in sorted(timings):
+                count, seconds = timings[rule]
                 registry.counter(
                     "inference.rule_invocations_total", rule=rule
                 ).inc(count)
@@ -788,43 +836,21 @@ class DistributedHbg:
     def merged_graph(self) -> HappensBeforeGraph:
         """True merge of the per-router edge records.
 
-        Byte-identical to the serial/indexed/sharded central builds
-        (the determinism gate holds all four to the same edge dump).
-        Never calls the global ``build_graph`` over the full event
-        list — the per-router records *are* the graph.
+        Byte-identical to the central builds (the determinism gate
+        holds legacy, indexed and this to the same edge dump).  Never
+        calls the global ``build_graph`` over the full event list —
+        the per-router records *are* the graph.
         """
         self._ensure_built()
-        registry = obs.get_registry()
-        merged = HappensBeforeGraph()
         all_events: List[IOEvent] = []
         for name in sorted(self.subgraphs):
             all_events.extend(self.subgraphs[name].events())
         all_events.sort(key=lambda e: (e.timestamp, e.event_id))
-        for event in all_events:
-            merged.add_event(event)
-        evidence_cache: dict = {}
-        for _ts, cons_id, _seq, cause_id, technique, rule, conf in (
-            self._records or ()
-        ):
-            evidence = evidence_cache.get((technique, rule, conf))
-            if evidence is None:
-                evidence = EdgeEvidence(
-                    technique=technique, rule=rule, confidence=conf
-                )
-                evidence_cache[(technique, rule, conf)] = evidence
-            merged.add_edge(cause_id, cons_id, evidence)
+        merged = _replay(all_events, self._records or ())
+        registry = obs.get_registry()
         if registry.enabled:
             registry.counter("distributed.merges_total").inc()
         return merged
 
     def routers(self) -> List[str]:
         return sorted(self.subgraphs)
-
-
-def _edge_tallies(records: Sequence[EdgeRecord]) -> Dict[str, int]:
-    """Per-technique edge counts for the parent-side obs replay."""
-    tallies: Dict[str, int] = {}
-    for record in records:
-        technique = record[4]
-        tallies[technique] = tallies.get(technique, 0) + 1
-    return tallies

@@ -201,7 +201,7 @@ def forward_plan_for_rule(rule: HbrRule) -> RulePlan:
     Reuses :class:`RulePlan` because the field access is symmetric:
     ``same_router`` means the consequent lives under the antecedent's
     router, and ``peer_symmetric`` (``a.peer == b.router``) means it
-    lives under the antecedent's ``peer``.  Streaming full_relink uses
+    lives under the antecedent's ``peer``.  Streaming inference uses
     this to find the already-observed events a late-arriving cause
     must re-link, without scanning the whole re-link window.
     """
@@ -246,11 +246,12 @@ class EventIndex:
         """Register with the resource ledger; returns ``self``.
 
         Registration is explicit rather than a constructor side
-        effect because indices are also built inside forked shard
-        workers (repro.hbr.sharded), where a ledger registration
-        would mutate the doomed forked copy and silently vanish at
-        join — lint rule CONC001 checks exactly this.  Only
-        parent-process owners call ``track()``.
+        effect because indices are also built inside the forked
+        workers of ``DistributedHbg.build_all`` (each subgraph's
+        boundary index), where a ledger registration would mutate the
+        doomed forked copy and silently vanish at join — lint rule
+        CONC001 checks exactly this.  Only parent-process owners call
+        ``track()``.
         """
         ledger = obs.get_ledger()
         if ledger.enabled:
@@ -299,11 +300,6 @@ class EventIndex:
     def window(self, lo: Key, hi: Key) -> Iterator[IOEvent]:
         """All events in the key range (the naive/pattern-mode scan)."""
         return self._all.irange(lo, hi)
-
-    def after(self, key: Key, hi: Key) -> Iterator[IOEvent]:
-        """Events strictly after ``key`` up to ``hi`` inclusive —
-        the streaming skew-horizon re-link query."""
-        return self._all.irange((key[0], key[1] + 1), hi)
 
     def candidates(
         self, plan: RulePlan, cons: IOEvent, lo: Key, hi: Key

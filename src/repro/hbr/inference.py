@@ -73,16 +73,6 @@ class InferenceConfig:
     #: ``hbg-indexed-equivalence`` oracle); the indexed path is the
     #: default and produces the identical graph.
     legacy_scan: bool = False
-    #: Streaming only: after each observe, re-link every
-    #: already-observed consequent whose candidate window contains the
-    #: new event — not just those inside the skew horizon.  Required
-    #: when events are fed in *arrival* order (per-router log lag can
-    #: deliver a cause long after its effects were observed); with it,
-    #: the streaming graph equals the batch build of the same event
-    #: set after every observe.  Off by default because in-order feeds
-    #: don't need it and the wider re-link window costs per-observe
-    #: work proportional to recent-event density.
-    full_relink: bool = False
 
 
 # -- pattern mining ----------------------------------------------------------
@@ -237,10 +227,6 @@ class _ScanSource:
     ) -> List[IOEvent]:
         return self._window(cons, window)
 
-    def track(self) -> "_ScanSource":
-        """No resources worth ledger-tracking here; returns ``self``."""
-        return self
-
 
 class _IndexSource:
     """Indexed candidate lookup over :class:`repro.hbr.index.EventIndex`.
@@ -273,17 +259,6 @@ class _IndexSource:
         lo = (cons.timestamp - window, 0)
         hi = (cons.timestamp + self.skew, MAX_ID)
         return _admissible(cons, self.index.window(lo, hi))
-
-    def track(self) -> "_IndexSource":
-        """Register the underlying index with the resource ledger.
-
-        Deliberately *not* called from :meth:`InferenceEngine._batch_source`:
-        that constructor path also runs inside forked shard workers,
-        where a ledger registration dies with the worker (CONC001).
-        Parent-process owners opt in after construction.
-        """
-        self.index.track()
-        return self
 
 
 # -- the combined engine ----------------------------------------------------------
@@ -325,29 +300,30 @@ class InferenceEngine:
 
     # -- batch ------------------------------------------------------------
 
-    def build_graph(
-        self,
-        events: Iterable[IOEvent],
-        parallel: Optional[int] = None,
-    ) -> HappensBeforeGraph:
-        """Infer the full HBG for a finished capture.
-
-        ``parallel`` opts in to the sharded build path of
-        :mod:`repro.hbr.sharded`: the stream is partitioned by router,
-        per-shard edge lists are produced by ``parallel`` worker
-        processes, and the deterministic merge reproduces this
-        method's serial result byte for byte.
-        """
+    def build_graph(self, events: Iterable[IOEvent]) -> HappensBeforeGraph:
+        """Infer the full HBG for a finished capture."""
         registry = obs.get_registry()
         if registry.enabled:
             watch = registry.stopwatch()
         ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
-        if parallel is not None and parallel > 1:
-            from repro.hbr.sharded import build_sharded
-
-            graph = build_sharded(self, ordered, workers=parallel)
+        graph = HappensBeforeGraph()
+        for event in ordered:
+            graph.add_event(event)
+        skew = self.config.clock_skew_tolerance
+        if self.config.legacy_scan:
+            source = _ScanSource(
+                ordered, [e.timestamp for e in ordered], skew
+            )
         else:
-            graph = self._build_serial(ordered)
+            index = EventIndex()
+            for event in ordered:
+                index.add(event)
+            # The batch build only ever runs in the parent process, so
+            # ledger registration of the index is safe here.
+            source = _IndexSource(index.track(), skew)
+        for cons in ordered:
+            for ante, evidence in self._edges_into(cons, source):
+                graph.add_edge(ante.event_id, cons.event_id, evidence)
         if registry.enabled:
             registry.counter("inference.batch_builds_total").inc()
             registry.histogram("inference.build_graph_seconds").observe(
@@ -358,48 +334,16 @@ class InferenceEngine:
             )
         return graph
 
-    def _build_serial(
-        self, ordered: Sequence[IOEvent]
-    ) -> HappensBeforeGraph:
-        graph = HappensBeforeGraph()
-        for event in ordered:
-            graph.add_event(event)
-        # .track() here, not in _batch_source: the serial build runs in
-        # the parent, so ledger registration of the index is safe.
-        source = self._batch_source(ordered).track()
-        for cons in ordered:
-            for ante, evidence in self._edges_into(cons, source):
-                graph.add_edge(ante.event_id, cons.event_id, evidence)
-        return graph
-
-    def _batch_source(self, ordered: Sequence[IOEvent]):
-        """The candidate source for a finished, sorted capture.
-
-        Free of ledger registration (and every other process-global
-        mutation): forked shard workers call this too, so anything
-        written to the obs singletons here would land in the doomed
-        forked copy.  Parent-only owners call ``.track()`` on the
-        returned source.
-        """
-        skew = self.config.clock_skew_tolerance
-        if self.config.legacy_scan:
-            times = [e.timestamp for e in ordered]
-            return _ScanSource(ordered, times, skew)
-        index = EventIndex()
-        for event in ordered:
-            index.add(event)
-        return _IndexSource(index, skew)
-
     def _edges_into(
         self, cons: IOEvent, source
     ) -> List[Tuple[IOEvent, EdgeEvidence]]:
         registry = obs.get_registry()
         timing_sink = None
         if registry.enabled:
-            # Serial/streaming path: per-rule wall time goes straight
+            # Batch/streaming path: per-rule wall time goes straight
             # into the registry histograms.  The sink indirection keeps
             # _infer_edges free of process-global mutation so the
-            # forked shard workers (see repro.hbr.sharded) can reuse it
+            # forked workers of DistributedHbg.build_all can reuse it
             # with an aggregating sink instead — a CONC001 requirement.
             def timing_sink(rule_name: str, seconds: float) -> None:
                 registry.histogram(
@@ -436,9 +380,10 @@ class InferenceEngine:
 
         ``timing_sink(rule_name, seconds)``, when provided, receives
         per-rule wall time.  This function must stay free of registry
-        / recorder mutation: it runs inside forked shard workers,
-        where any process-global emission would silently die with the
-        worker (lint rule CONC001 checks exactly this).
+        / recorder mutation: it runs inside the forked workers of
+        ``DistributedHbg.build_all``, where any process-global emission
+        would silently die with the worker (lint rule CONC001 checks
+        exactly this).
         """
         edges: List[Tuple[IOEvent, EdgeEvidence]] = []
         linked: Set[int] = set()
@@ -543,19 +488,6 @@ class InferenceEngine:
 
     # -- streaming ------------------------------------------------------------
 
-    def relink_window(self) -> float:
-        """Timestamp span *ahead* of a new event within which an
-        already-observed consequent could have it as a candidate —
-        the re-link horizon ``full_relink`` streaming must cover."""
-        window = 0.0
-        if self.config.use_rules and self.rules:
-            window = max(window, max(rule.window for rule in self.rules))
-        if self.config.naive_prefix_timestamp:
-            window = max(window, self.config.naive_window)
-        if self.config.use_patterns and self.miner is not None:
-            window = max(window, self.miner.window)
-        return window
-
     def streaming(self) -> "StreamingInference":
         return StreamingInference(self)
 
@@ -563,10 +495,12 @@ class InferenceEngine:
 class StreamingInference:
     """Incremental HBG construction for the online pipeline.
 
-    ``observe`` adds one event and links it backwards; it also checks
-    whether the new event is the (skew-delayed) *cause* of recently
-    observed events, re-running inference for consequents inside the
-    skew horizon.
+    ``observe`` adds one event, links it backwards, and re-links every
+    already-observed consequent whose candidate lists the new event
+    can enter — so after every observe the graph equals
+    :meth:`InferenceEngine.build_graph` over the events seen so far,
+    whatever order they arrived in (per-router log lag can deliver a
+    cause long after its effects).
 
     The default path maintains an :class:`~repro.hbr.index.EventIndex`
     incrementally (O(sqrt N) insert, bucketed lookups); the
@@ -582,25 +516,8 @@ class StreamingInference:
         self.graph = HappensBeforeGraph()
         self._legacy = engine.config.legacy_scan
         skew = engine.config.clock_skew_tolerance
-        #: With full_relink, re-link everything whose candidate window
-        #: [cons.t - rule.window, cons.t + skew] can contain the new
-        #: event: consequents up to one *per-event* horizon ahead (see
-        #: :meth:`_ahead_horizon` — scoped to the rules the new event
-        #: can antecede, so a FIB update does not pay the 60 s config
-        #: window) and up to one skew behind (the new event may be a
-        #: forward-skew cause).  Within the horizon, only consequents
-        #: whose candidate sets the new event can actually enter are
-        #: re-linked (:meth:`_could_affect`) — skipping the rest is
-        #: sound because `_infer_edges` is a pure function of each
-        #: rule's candidate list.
-        self._full = engine.config.full_relink
-        self._relink_ahead = (
-            engine.relink_window() if self._full else skew
-        )
-        self._relink_behind = skew if self._full else 0.0
         #: Forward (antecedent → consequent-bucket) query plans,
-        #: parallel to engine.rules; only the full_relink path uses
-        #: them.
+        #: parallel to engine.rules.
         self._fplans: Tuple[RulePlan, ...] = tuple(
             forward_plan_for_rule(rule) for rule in engine.rules
         )
@@ -619,18 +536,14 @@ class StreamingInference:
 
     def _ahead_horizon(self, event: IOEvent) -> float:
         """How far ahead of ``event`` a consequent's candidate window
-        can still reach back to it.
+        can still reach back to it (the legacy reference's scan bound).
 
-        Without ``full_relink`` this is the flat skew allowance.  With
-        it, the bound is the widest window among the *rules whose
-        antecedent pattern matches this event* (plus the naive/pattern
-        windows when those techniques are on): an event no rule
-        accepts as an antecedent cannot enter any later candidate
-        list, so scanning the global ``relink_window()`` for it would
-        only re-derive identical edges.
+        The widest window among the *rules whose antecedent pattern
+        matches this event* (plus the naive/pattern windows when those
+        techniques are on): an event no rule accepts as an antecedent
+        cannot enter any later candidate list, so scanning further
+        would only re-derive identical edges.
         """
-        if not self._full:
-            return self._relink_ahead
         config = self.engine.config
         window = 0.0
         if config.use_rules:
@@ -705,34 +618,27 @@ class StreamingInference:
         self._index.add(event)
         self.graph.add_event(event)
         self._link(event)
-        # The new event may be the cause of already-observed events
-        # whose logged timestamps are within the re-link horizon.
-        # ``after`` starts strictly past every event sharing this
-        # timestamp, matching the legacy insertion point semantics.
-        if self._full:
-            return self._relink_forward(event)
-        relinked: List[IOEvent] = []
-        horizon = (event.timestamp + self._relink_ahead, MAX_ID)
-        for cons in list(
-            self._index.after((event.timestamp, MAX_ID), horizon)
-        ):
-            self._link(cons)
-            relinked.append(cons)
-        return tuple(relinked)
+        return self._relink_forward(event)
 
     def _relink_forward(self, event: IOEvent) -> Tuple[IOEvent, ...]:
-        """Full-relink via forward bucket queries.
+        """Re-link the already-observed events ``event`` may cause.
 
-        For each rule the new event can antecede, read the consequent
-        buckets the forward plan names over
-        ``[event.t - skew, event.t + rule.window]`` — a superset of
-        every candidate list the event can enter — then keep exactly
-        the consequents :meth:`_could_affect` confirms.  Equivalent to
-        scanning the whole ``relink_window()`` horizon, at the cost of
-        a few bucket reads per observe instead of the entire stream.
+        A consequent's candidate window is ``[cons.t - rule.window,
+        cons.t + skew]``, so the new event can enter the lists of
+        consequents up to one rule window ahead of it and one skew
+        behind it (it may be a forward-skew cause).  For each rule the
+        event can antecede (a FIB update does not pay the 60 s config
+        window), read the consequent buckets the forward plan names
+        over ``[event.t - skew, event.t + rule.window]`` — a superset
+        of every candidate list the event can enter — then keep exactly
+        the consequents :meth:`_could_affect` confirms; skipping the
+        rest is sound because ``_infer_edges`` is a pure function of
+        each rule's candidate list.  Equivalent to scanning the widest
+        window of the whole stream, at the cost of a few bucket reads
+        per observe.
         """
         collected: Dict[int, IOEvent] = {}
-        lo = (event.timestamp - self._relink_behind, 0)
+        lo = (event.timestamp - self._source.skew, 0)
         config = self.engine.config
         if config.use_rules:
             for position, rule in enumerate(self.engine.rules):
@@ -779,14 +685,13 @@ class StreamingInference:
         self.graph.add_event(event)
         self._link(event)
         relinked: List[IOEvent] = []
-        if self._relink_behind:
-            start = bisect.bisect_left(
-                self._times, event.timestamp - self._relink_behind
-            )
+        skew = self._source.skew
+        if skew:
+            start = bisect.bisect_left(self._times, event.timestamp - skew)
             for cons in self._ordered[start:position]:
                 if cons.event_id == event.event_id:
                     continue
-                if self._full and not self._could_affect(event, cons):
+                if not self._could_affect(event, cons):
                     continue
                 self._link(cons)
                 relinked.append(cons)
@@ -794,7 +699,7 @@ class StreamingInference:
         index = position + 1
         while index < len(self._ordered) and self._times[index] <= horizon:
             cons = self._ordered[index]
-            if not self._full or self._could_affect(event, cons):
+            if self._could_affect(event, cons):
                 self._link(cons)
                 relinked.append(cons)
             index += 1

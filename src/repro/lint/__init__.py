@@ -23,9 +23,9 @@ Rule families (full catalogue in ``docs/STATIC_ANALYSIS.md``):
   **DET100** (deep) extends this interprocedurally: a function in a
   deterministic package is flagged if any call chain reaches a
   nondeterministic sink, with the chain as evidence.
-* **CONC** (deep) — concurrency: **CONC001** fork-safety of the
-  sharded HBG build (worker-reachable code must not mutate
-  process-global state), **CONC002** thread-safety of state reachable
+* **CONC** (deep) — concurrency: **CONC001** fork-safety of
+  ``DistributedHbg.build_all``'s worker pool (worker-reachable code
+  must not mutate process-global state), **CONC002** thread-safety of state reachable
   from the live-metrics HTTP handler, **CONC003** module globals
   written from multiple pipeline stages.
 * **LAY** — layering: imports must follow

@@ -674,7 +674,7 @@ class Project:
             return [fn.cls]
         if raw[0] in fn.param_types and len(raw) == 1:
             # Forward a caller-bound parameter type to the next callee
-            # (`build_sharded(engine, ...)` -> `infer_shard(engine, ...)`).
+            # (`_infer_records(engine, ...)` -> `engine._infer_edges(...)`).
             return sorted(fn.param_types[raw[0]])
         local = fn.local_types.get(raw[0])
         if local is not None and len(raw) == 1:

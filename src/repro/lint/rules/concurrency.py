@@ -1,7 +1,8 @@
 """CONC — whole-program fork/thread safety rules.
 
-The sharded HBG build (:mod:`repro.hbr.sharded`) forks worker
-processes; the metrics endpoint (:mod:`repro.obs.serve`) handles
+The distributed HBG build (``DistributedHbg.build_all(workers=N)`` in
+:mod:`repro.hbr.distributed`) forks worker processes; the metrics
+endpoint (:mod:`repro.obs.serve`) handles
 requests on pool threads.  Both concurrency boundaries have invisible
 failure modes a per-file pass cannot see:
 

@@ -8,18 +8,15 @@ agree:
   raises an alarm (loop/blackhole) the ground-truth data plane never
   exhibited, and once all logs drain it matches reality exactly.
 * ``hbg-distributed`` — §5 final ¶: distributed HBG construction
-  (per-router subgraphs + partial-path expansion) equals the
-  centralized graph — identical edge sets, and root-cause traces
-  that stay causally sound against the central graph.
-* ``hbg-indexed-equivalence`` — the indexed (repro.hbr.index) and
-  sharded (repro.hbr.sharded, workers=2) build paths produce exactly
-  the legacy window-scan's edge set and evidence, and the streaming
-  path lands on the same graph as the batch build.
-* ``hbg-distributed-equivalence`` — the distributed construction
-  engine (per-router indexed subgraphs + boundary-summary exchange,
-  serial and forked) merges to exactly the legacy/indexed/sharded
-  edge set and evidence, while exchanging strictly fewer bytes than
-  shipping every event to a central collector.
+  (per-router indexed subgraphs + boundary-summary exchange, serial
+  and forked) merges to a graph byte-identical to the central build
+  while exchanging strictly fewer bytes than shipping every event to
+  a central collector, and partial-path root-cause traces stay
+  causally sound against the central graph.
+* ``hbg-indexed-equivalence`` — the indexed (repro.hbr.index) build
+  produces exactly the legacy window-scan's edge set and evidence,
+  and the streaming path lands on the same records as the batch
+  build.
 * ``whatif-replay`` — §6: the what-if engine's forked prediction of
   an injection equals actually replaying that injection live.
 * ``provenance-rollback`` — §6: reverting the provenance-identified
@@ -136,6 +133,31 @@ def _trace_outcomes(
     return outcomes
 
 
+def _evidence_edges(graph) -> List[Tuple[int, int, str, str, float]]:
+    """Canonical (cause, effect, technique, rule, confidence) tuples."""
+    return sorted(
+        (
+            edge.cause,
+            edge.effect,
+            edge.evidence.technique,
+            edge.evidence.rule,
+            edge.evidence.confidence,
+        )
+        for edge in graph.edges()
+    )
+
+
+def _edge_diff(reference, found) -> str:
+    """``N vs M edges (missing [...], extra [...])`` for two
+    :func:`_evidence_edges` lists that should have been equal."""
+    ref_set, got_set = set(reference), set(found)
+    return (
+        f"{len(reference)} vs {len(found)} edges "
+        f"(missing {sorted(ref_set - got_set)[:3]}, "
+        f"extra {sorted(got_set - ref_set)[:3]})"
+    )
+
+
 def _anomaly_timeline(execution: Execution) -> Set[Tuple[str, str, str]]:
     """Every (router, prefix, anomaly) reality exhibited at any instant.
 
@@ -245,37 +267,55 @@ def snapshot_consistency(ctx: OracleContext) -> OracleVerdict:
 
 @oracle("hbg-distributed")
 def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
-    """Distributed construction loses nothing vs the central HBG."""
+    """Distributed construction loses nothing vs the central HBG.
+
+    The boundary-summary engine of repro.hbr.distributed claims the
+    strongest form of equivalence: its merged graph is byte-identical
+    to the central indexed build (hence, transitively, to the legacy
+    scan — ``hbg-indexed-equivalence`` pins that), for both the serial
+    and the forked (workers=2) record builds.  Plus the traffic claim
+    that makes the design worthwhile — boundary bytes strictly below
+    shipping every event to a central collector — and the soundness
+    of partial-path root-cause expansion.
+    """
     from repro.hbr.distributed import DistributedHbg
     from repro.hbr.inference import InferenceEngine
 
     execution = ctx.shared
     events = execution.events()
     central = InferenceEngine().build_graph(events)
-    distributed = DistributedHbg()
-    distributed.ingest_all(events)
-    distributed.build_all()
+    reference = _evidence_edges(central)
 
     problems: List[str] = []
-    checked = 1
-    central_edges = central.edge_set()
-    merged_edges = distributed.merged_graph().edge_set()
-    if merged_edges != central_edges:
-        missing = sorted(central_edges - merged_edges)[:3]
-        extra = sorted(merged_edges - central_edges)[:3]
-        problems.append(
-            f"edge sets differ: {len(central_edges)} central vs "
-            f"{len(merged_edges)} distributed "
-            f"(missing {missing}, extra {extra})"
-        )
+    checked = len(reference)
+    for name, workers in (("serial", None), ("forked", 2)):
+        distributed = DistributedHbg(InferenceEngine())
+        distributed.ingest_all(events)
+        distributed.build_all(workers=workers)
+        merged = distributed.merged_graph()
+        checked += 1
+        if merged.to_records() != central.to_records():
+            problems.append(
+                f"{name} distributed merge not byte-identical to central: "
+                + _edge_diff(reference, _evidence_edges(merged))
+            )
+        stats = distributed.last_build
+        checked += 1
+        if events and stats.boundary_bytes >= stats.central_bytes:
+            problems.append(
+                f"{name} boundary exchange ({stats.boundary_bytes}B) "
+                "not below central collection "
+                f"({stats.central_bytes}B)"
+            )
 
-    # Root-cause soundness on the latest FIB update of each workload
-    # prefix.  The two walks are different algorithms by design — the
-    # central one follows every inferred edge of the global graph,
-    # while partial-path expansion crosses routers only via exactly
-    # matched send/receive pairs — so they legitimately stop at
-    # different leaf sets.  What must hold: every distributed root is
-    # causally upstream of the event in the central graph (no spurious
+    # Root-cause soundness (walked on the forked build, the last one
+    # above) on the latest FIB update of each workload prefix.  The
+    # two walks are different algorithms by design — the central one
+    # follows every inferred edge of the global graph, while
+    # partial-path expansion crosses routers only via exactly matched
+    # send/receive pairs — so they legitimately stop at different leaf
+    # sets.  What must hold: every distributed root is causally
+    # upstream of the event in the central graph (no spurious
     # causality), and the two walks agree on at least one root.
     interesting = {str(p) for p in execution.prefixes}
     latest: Dict[Tuple[str, str], int] = {}
@@ -316,33 +356,18 @@ def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
     )
 
 
-# -- (b') legacy scan vs indexed vs sharded HBG ------------------------------
-
-
-def _evidence_edges(graph) -> List[Tuple[int, int, str, str, float]]:
-    """Canonical (cause, effect, technique, rule, confidence) tuples."""
-    return sorted(
-        (
-            edge.cause,
-            edge.effect,
-            edge.evidence.technique,
-            edge.evidence.rule,
-            edge.evidence.confidence,
-        )
-        for edge in graph.edges()
-    )
+# -- (b') legacy scan vs indexed vs streaming HBG ----------------------------
 
 
 @oracle("hbg-indexed-equivalence")
 def hbg_indexed_equivalence(ctx: OracleContext) -> OracleVerdict:
-    """The indexed and sharded build paths equal the legacy scan.
+    """The indexed build path equals the legacy scan.
 
-    The inverted indices of repro.hbr.index and the multiprocess
-    shards of repro.hbr.sharded are pure performance work: for any
-    capture they must produce exactly the edge set *and evidence*
-    (technique, rule, confidence — the ambiguity discount depends on
-    candidate-set equality, so confidences diverge first) of the
-    original window-rescan implementation.
+    The inverted indices of repro.hbr.index are pure performance
+    work: for any capture they must produce exactly the edge set *and
+    evidence* (technique, rule, confidence — the ambiguity discount
+    depends on candidate-set equality, so confidences diverge first)
+    of the original window-rescan implementation.
     """
     from repro.hbr.inference import InferenceConfig, InferenceEngine
 
@@ -353,22 +378,16 @@ def hbg_indexed_equivalence(ctx: OracleContext) -> OracleVerdict:
     ).build_graph(events)
     indexed_engine = InferenceEngine()
     indexed = indexed_engine.build_graph(events)
-    sharded = indexed_engine.build_graph(events, parallel=2)
 
     reference = _evidence_edges(legacy)
     problems: List[str] = []
     checked = 1 + len(reference)
-    for name, candidate in (("indexed", indexed), ("sharded", sharded)):
-        found = _evidence_edges(candidate)
-        if found != reference:
-            ref_set, got_set = set(reference), set(found)
-            missing = sorted(ref_set - got_set)[:3]
-            extra = sorted(got_set - ref_set)[:3]
-            problems.append(
-                f"{name} path diverges from legacy scan: "
-                f"{len(reference)} vs {len(found)} edges "
-                f"(missing {missing}, extra {extra})"
-            )
+    found = _evidence_edges(indexed)
+    if found != reference:
+        problems.append(
+            "indexed path diverges from legacy scan: "
+            + _edge_diff(reference, found)
+        )
 
     # The streaming path shares the index; one pass over the events
     # must land on the same graph as the batch build.
@@ -376,77 +395,12 @@ def hbg_indexed_equivalence(ctx: OracleContext) -> OracleVerdict:
     for event in events:
         streaming.observe(event)
     checked += 1
-    if streaming.graph.edge_set() != indexed.edge_set():
+    if streaming.graph.to_records() != indexed.to_records():
         problems.append(
             "streaming indexed path disagrees with batch: "
-            f"{len(streaming.graph.edge_set())} vs "
-            f"{len(indexed.edge_set())} edges"
+            f"{streaming.graph.edge_count()} vs "
+            f"{indexed.edge_count()} edges"
         )
-
-    return OracleVerdict(
-        oracle="",
-        ok=not problems,
-        detail="; ".join(problems[:5]),
-        checked=checked,
-    )
-
-
-# -- (b'') distributed construction vs every central build path --------------
-
-
-@oracle("hbg-distributed-equivalence")
-def hbg_distributed_equivalence(ctx: OracleContext) -> OracleVerdict:
-    """Distributed construction merges to the central edge set.
-
-    The boundary-summary engine of repro.hbr.distributed claims the
-    strongest form of equivalence: its merged graph is byte-identical
-    to the serial indexed build (hence, transitively, to the legacy
-    scan and the sharded build — the other equivalence oracle pins
-    those).  Checked here with full evidence tuples, for both the
-    serial and the forked (workers=2) record builds, plus the traffic
-    claim that makes the design worthwhile: boundary bytes strictly
-    below shipping every event to a central collector.
-    """
-    from repro.hbr.distributed import DistributedHbg
-    from repro.hbr.inference import InferenceEngine
-
-    execution = ctx.shared
-    events = execution.events()
-    engine = InferenceEngine()
-    central = engine.build_graph(events)
-    reference = _evidence_edges(central)
-
-    problems: List[str] = []
-    checked = len(reference)
-    for name, workers in (("serial", None), ("forked", 2)):
-        distributed = DistributedHbg(InferenceEngine())
-        distributed.ingest_all(events)
-        distributed.build_all(workers=workers)
-        merged = distributed.merged_graph()
-        found = _evidence_edges(merged)
-        checked += 1
-        if found != reference:
-            ref_set, got_set = set(reference), set(found)
-            missing = sorted(ref_set - got_set)[:3]
-            extra = sorted(got_set - ref_set)[:3]
-            problems.append(
-                f"{name} distributed merge diverges from central: "
-                f"{len(reference)} vs {len(found)} edges "
-                f"(missing {missing}, extra {extra})"
-            )
-        if merged.to_records() != central.to_records():
-            problems.append(
-                f"{name} distributed merge not byte-identical to "
-                "central (records differ)"
-            )
-        stats = distributed.last_build
-        checked += 1
-        if events and stats.boundary_bytes >= stats.central_bytes:
-            problems.append(
-                f"{name} boundary exchange ({stats.boundary_bytes}B) "
-                "not below central collection "
-                f"({stats.central_bytes}B)"
-            )
 
     return OracleVerdict(
         oracle="",

@@ -28,10 +28,9 @@ entry a router ever installs (and, symmetrically, a replay wiping a
 router) flips :meth:`DataPlaneSnapshot.trace`'s external-router
 heuristic for every address, so such deltas re-probe all atoms.
 
-The delta feed is :meth:`StreamingInference.subscribe` — the
-streaming layer must run with ``full_relink`` so its graph equals the
-batch build after every observe even under per-router log lag
-(arrival-order feeds); :meth:`attach` enforces this.
+The delta feed is :meth:`StreamingInference.subscribe`; the contract
+above rests on the streaming graph equalling the batch build after
+every observe, even under per-router log lag (arrival-order feeds).
 """
 
 from __future__ import annotations
@@ -59,9 +58,7 @@ _BGP_PROTOCOLS = ("ebgp", "ibgp", "bgp")
 
 def incremental_engine(**overrides) -> InferenceEngine:
     """An inference engine configured for the incremental feed."""
-    return InferenceEngine(
-        config=InferenceConfig(full_relink=True, **overrides)
-    )
+    return InferenceEngine(config=InferenceConfig(**overrides))
 
 
 class IncrementalVerifier:
@@ -136,13 +133,6 @@ class IncrementalVerifier:
 
     def attach(self, streaming: StreamingInference) -> "IncrementalVerifier":
         """Subscribe to a streaming inference's delta feed."""
-        if not streaming.engine.config.full_relink:
-            raise ValueError(
-                "IncrementalVerifier needs a full_relink streaming "
-                "engine: without it the streaming graph diverges from "
-                "the batch build under arrival-order feeds, voiding "
-                "the batch-equivalence guarantee"
-            )
         self.streaming = streaming
         streaming.subscribe(self.ingest)
         return self

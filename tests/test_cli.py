@@ -59,6 +59,18 @@ class TestExecution:
         assert "blocked" in out
         assert "policy violated after the episode: False" in out
 
+    def test_stats_audit_scenario(self, capsys):
+        # `stats`/`serve` take the same audit flags as `audit` itself
+        # (they used to hand-copy a subset and crash on the rest).
+        rc = main(["stats", "--scenario", "audit", "--routers", "4"])
+        assert rc == 0
+
+    def test_workers_requires_distributed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "--routers", "4", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--distributed" in capsys.readouterr().err
+
     def test_audit_small(self, capsys):
         assert main(["audit", "--routers", "5", "--events", "4"]) == 0
         out = capsys.readouterr().out

@@ -72,13 +72,12 @@ def test_hbg_edges_byte_identical_across_processes():
     assert int(first.splitlines()[0]) > 0
 
 
-# All four build paths (legacy scan, indexed, sharded workers=2,
-# distributed boundary-summary workers=2) on one seeded scenario: each
-# path must agree with the others within a process, and the whole dump
-# must be byte-identical across hostile hash seeds (the sharded and
-# distributed paths add fork + merge ordering — and the distributed
-# one summary-exchange ordering — as fresh opportunities for
-# nondeterminism; see repro.hbr.sharded and repro.hbr.distributed).
+# All three build paths (legacy scan, indexed, distributed
+# boundary-summary workers=2) on one seeded scenario: each path must
+# agree with the others within a process, and the whole dump must be
+# byte-identical across hostile hash seeds (the distributed path adds
+# fork + merge and summary-exchange ordering as fresh opportunities
+# for nondeterminism; see repro.hbr.distributed).
 _PATHS_SCRIPT = """
 from repro.hbr.distributed import DistributedHbg
 from repro.hbr.inference import InferenceConfig, InferenceEngine
@@ -91,7 +90,6 @@ legacy = InferenceEngine(
 ).build_graph(events)
 engine = InferenceEngine()
 indexed = engine.build_graph(events)
-sharded = engine.build_graph(events, parallel=2)
 dist = DistributedHbg(InferenceEngine())
 dist.ingest_all(events)
 dist.build_all(workers=2)
@@ -110,8 +108,7 @@ def dump(graph):
     )
 
 print("legacy==indexed", dump(legacy) == dump(indexed))
-print("indexed==sharded", indexed.to_records() == sharded.to_records())
-print("sharded==distributed", sharded.to_records() == distributed.to_records())
+print("indexed==distributed", indexed.to_records() == distributed.to_records())
 edges = dump(indexed)
 print(len(edges))
 for edge in edges:
@@ -135,15 +132,14 @@ def _run_paths(hashseed: str) -> str:
     return proc.stdout
 
 
-def test_all_four_build_paths_byte_identical_across_processes():
+def test_all_three_build_paths_byte_identical_across_processes():
     first = _run_paths("1")
     second = _run_paths("2")
     assert first == second
     lines = first.splitlines()
     assert lines[0] == "legacy==indexed True"
-    assert lines[1] == "indexed==sharded True"
-    assert lines[2] == "sharded==distributed True"
-    assert int(lines[3]) > 0
+    assert lines[1] == "indexed==distributed True"
+    assert int(lines[2]) > 0
 
 
 def test_graph_edges_stable_within_process():

@@ -168,7 +168,7 @@ class TestDistributedHbg:
         dist = DistributedHbg()
         dist.ingest_all(fig2_net.collector.all_events())
 
-        def forbidden(self, events, parallel=None):
+        def forbidden(self, events):
             raise AssertionError(
                 "distributed path called the central build_graph"
             )

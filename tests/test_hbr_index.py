@@ -93,15 +93,6 @@ class TestEventIndex:
         assert len(index) == 12
         assert list(index.window((0.0, 0), (99.0, MAX_ID))) == events
 
-    def test_after_is_strictly_after_the_key(self):
-        index = EventIndex()
-        events = [_event(t=1.0), _event(t=1.0), _event(t=2.0)]
-        for event in events:
-            index.add(event)
-        key = (events[0].timestamp, events[0].event_id)
-        tail = list(index.after(key, (9.0, MAX_ID)))
-        assert tail == events[1:]
-
     def test_same_router_plan_reads_only_that_router(self):
         rules = {r.name: r for r in default_rules()}
         plan = plan_for_rule(rules["rib-before-fib"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capture.io_events import IOKind
+from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.hbr.inference import (
     InferenceConfig,
     InferenceEngine,
@@ -231,6 +231,30 @@ class TestStreaming:
         for event in net.collector:  # arrival order = capture order
             stream.observe(event)
         assert stream.graph.edge_set() == batch.edge_set()
+
+    def test_cause_logged_after_its_effect_in_timestamp_order(self):
+        """A send stamped (within skew) *after* the receive it caused,
+        fed in timestamp order: the receive is already observed when
+        its cause arrives, so the streaming build must look behind the
+        new event, not only ahead of it."""
+        recv = IOEvent.create(
+            kind=IOKind.ROUTE_RECEIVE, timestamp=10.0, router="R2",
+            peer="R1", protocol="bgp", prefix=P,
+            action=RouteAction.ANNOUNCE,
+        )
+        send = IOEvent.create(
+            kind=IOKind.ROUTE_SEND, timestamp=10.03, router="R1",
+            peer="R2", protocol="bgp", prefix=P,
+            action=RouteAction.ANNOUNCE,
+        )
+        engine = InferenceEngine()
+        assert engine.config.clock_skew_tolerance == 0.05
+        stream = engine.streaming()
+        for event in (recv, send):
+            stream.observe(event)
+        batch = engine.build_graph([recv, send])
+        assert (send.event_id, recv.event_id) in batch.edge_set()
+        assert stream.graph.to_records() == batch.to_records()
 
     def test_legacy_scan_streaming_matches_indexed(self, converged_fig1):
         net = converged_fig1

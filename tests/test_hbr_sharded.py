@@ -1,11 +1,18 @@
-"""Tests for sharded HBG construction (repro.hbr.sharded)."""
+"""Tests for the fork-and-merge sharding of DistributedHbg.build_all.
+
+The shard assignment, the forked/in-process record builds and the
+parent-side obs replay used to live in ``repro.hbr.sharded`` behind
+``build_graph(parallel=N)``; ``build_all(workers=N)`` is now the only
+fork-and-merge build, so every surviving behaviour is asserted against
+it here.
+"""
 
 import pytest
 
 from repro import obs
-from repro.hbr import sharded
+from repro.hbr import distributed
+from repro.hbr.distributed import DistributedHbg, shard_routers
 from repro.hbr.inference import InferenceEngine
-from repro.hbr.sharded import build_sharded, shard_routers
 from repro.scenarios.fig2 import Fig2Scenario
 
 
@@ -13,6 +20,13 @@ from repro.scenarios.fig2 import Fig2Scenario
 def fig2_events():
     net = Fig2Scenario(seed=7).run_fig2a()
     return net.collector.all_events()
+
+
+def _build_all(events, workers):
+    dist = DistributedHbg(InferenceEngine())
+    dist.ingest_all(events)
+    dist.build_all(workers=workers)
+    return dist
 
 
 class TestShardRouters:
@@ -42,47 +56,41 @@ class TestShardRouters:
 
 class TestShardedBuild:
     def test_byte_identical_to_serial(self, fig2_events):
-        engine = InferenceEngine()
-        serial = engine.build_graph(fig2_events)
+        serial = InferenceEngine().build_graph(fig2_events)
         for workers in (2, 3):
-            parallel = engine.build_graph(fig2_events, parallel=workers)
-            assert parallel.to_records() == serial.to_records()
+            dist = _build_all(fig2_events, workers)
+            assert dist.merged_graph().to_records() == serial.to_records()
+            assert dist.last_build.workers == workers
 
     def test_workers_exceeding_router_count(self, fig2_events):
-        engine = InferenceEngine()
-        serial = engine.build_graph(fig2_events)
-        parallel = engine.build_graph(fig2_events, parallel=64)
-        assert parallel.to_records() == serial.to_records()
-
-    def test_parallel_one_takes_the_serial_path(self, fig2_events):
-        engine = InferenceEngine()
-        serial = engine.build_graph(fig2_events)
-        also_serial = engine.build_graph(fig2_events, parallel=1)
-        assert also_serial.to_records() == serial.to_records()
+        serial = InferenceEngine().build_graph(fig2_events)
+        dist = _build_all(fig2_events, 64)
+        assert dist.merged_graph().to_records() == serial.to_records()
+        # One shard per router at most: empty shards are dropped.
+        assert dist.last_build.workers == len(dist.routers())
 
     def test_in_process_fallback_is_identical(
         self, fig2_events, monkeypatch
     ):
         """Platforms without fork run the shards sequentially in
         process; the merge must not care which way the records came."""
-        engine = InferenceEngine()
-        forked = engine.build_graph(fig2_events, parallel=2)
-        monkeypatch.setattr(sharded, "_fork_context", lambda: None)
-        inline = engine.build_graph(fig2_events, parallel=2)
-        assert inline.to_records() == forked.to_records()
+        forked = _build_all(fig2_events, 2)
+        monkeypatch.setattr(distributed, "_fork_context", lambda: None)
+        inline = _build_all(fig2_events, 2)
+        assert inline._records == forked._records
+        assert (
+            inline.merged_graph().to_records()
+            == forked.merged_graph().to_records()
+        )
 
     def test_obs_replay_matches_serial_counters(self, fig2_events):
-        engine = InferenceEngine()
         registry, _tracer = obs.enable()
         try:
-            graph = build_sharded(engine, list(fig2_events), workers=2)
+            dist = _build_all(fig2_events, 2)
             edges = registry.counter("inference.hbg_edges_inferred")
-            assert edges.value == graph.edge_count()
-            assert (
-                registry.counter("inference.sharded_builds_total").value
-                == 1
-            )
-            assert registry.gauge("inference.shard_count").value >= 1
+            assert edges.value == len(dist._records)
+            assert dist.merged_graph().edge_count() == len(dist._records)
+            assert registry.counter("distributed.builds_total").value == 1
         finally:
             obs.disable()
 
@@ -111,28 +119,31 @@ class TestShardedBuild:
 
         registry, _tracer = obs.enable()
         try:
-            build_sharded(InferenceEngine(), events, workers=2)
-            sharded_counts = {
+            _build_all(events, 2)
+            forked_counts = {
                 c.labels: c.value
                 for c in registry.counters()
                 if c.name == "inference.rule_invocations_total"
             }
-            sharded_seconds = {
+            forked_seconds = {
                 c.labels: c.value
                 for c in registry.counters()
                 if c.name == "inference.rule_seconds_total"
             }
         finally:
             obs.disable()
-        assert sharded_counts == serial_counts
-        assert set(sharded_seconds) == set(serial_counts)
-        assert all(v >= 0 for v in sharded_seconds.values())
+        assert forked_counts == serial_counts
+        assert set(forked_seconds) == set(serial_counts)
+        assert all(v >= 0 for v in forked_seconds.values())
 
     def test_infer_shard_timings_disabled_without_registry(
         self, fig2_events
     ):
-        engine = InferenceEngine()
-        ordered = list(fig2_events)
-        routers = sorted({e.router for e in ordered})
-        _records, timings = sharded.infer_shard(engine, ordered, routers)
+        dist = DistributedHbg(InferenceEngine())
+        dist.ingest_all(fig2_events)
+        dist.exchange_summaries()
+        records, timings = distributed._infer_shard(
+            dist.subgraphs, dist.routers()
+        )
+        assert records
         assert timings == {}

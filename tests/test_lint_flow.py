@@ -8,6 +8,7 @@ call-graph builder and the fixpoint dataflow engine directly.
 
 import ast
 import os
+import shutil
 import time
 
 from repro.cli import main as cli_main
@@ -627,6 +628,33 @@ def test_analyzer_detects_unsynchronized_registry(monkeypatch):
     conc002 = [f for f in result.findings if f.rule == "CONC002"]
     assert conc002, "emptying SELF_SYNCHRONIZED must resurface the race"
     assert any("MetricsRegistry" in f.message for f in conc002)
+
+
+def test_conc001_sees_into_the_distributed_build_workers(tmp_path):
+    """CONC001 is only as strong as the call graph under it: plant a
+    registry write in the per-consequent inference the forked workers
+    of ``DistributedHbg.build_all`` run, and the finding must arrive
+    with a chain through the pool's worker function."""
+    src = tmp_path / "repro"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / "hbr" / "inference.py"
+    text = target.read_text()
+    marker = "        linked: Set[int] = set()\n"
+    assert text.count(marker) == 1
+    target.write_text(
+        text.replace(
+            marker,
+            marker
+            + '        obs.get_registry().counter("inference.probe").inc()\n',
+        )
+    )
+    result = LintRunner(deep=True).run_paths([str(src)])
+    chains = [f.evidence for f in result.findings if f.rule == "CONC001"]
+    assert any(
+        any("distributed._run_shard" in hop for hop in chain)
+        and any("InferenceEngine._infer_edges" in hop for hop in chain)
+        for chain in chains
+    ), chains
 
 
 def test_deep_runtime_bounds(tmp_path):

@@ -142,12 +142,11 @@ class TestExecutionDigest:
 
 
 class TestOracles:
-    def test_registry_has_the_eight_oracles(self):
+    def test_registry_has_the_seven_oracles(self):
         assert list(ORACLES) == [
             "snapshot-consistency",
             "hbg-distributed",
             "hbg-indexed-equivalence",
-            "hbg-distributed-equivalence",
             "whatif-replay",
             "provenance-rollback",
             "verify-incremental-equivalence",

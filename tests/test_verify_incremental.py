@@ -25,8 +25,6 @@ scratch — the same contract the ``verify-incremental-equivalence``
 fuzz oracle checks on random workloads.
 """
 
-import pytest
-
 from repro.capture.io_events import (
     IOEvent,
     IOKind,
@@ -563,12 +561,6 @@ class TestRollbackInvalidation:
 
 
 class TestWiring:
-    def test_attach_requires_full_relink(self):
-        engine = InferenceEngine()
-        verifier = IncrementalVerifier(("R1",), engine=engine)
-        with pytest.raises(ValueError, match="full_relink"):
-            verifier.attach(engine.streaming())
-
     def test_invalidate_resets_derived_state(self, paper_network):
         policies = (LoopFreedomPolicy(),)
         verifier, streaming = _verifier(paper_network.topology, policies)
