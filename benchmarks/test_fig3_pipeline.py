@@ -8,6 +8,9 @@ damage but leaves control/data divergence, REPAIR stops the damage
 benchmark measures the REPAIR-mode episode.
 """
 
+import gc
+import random
+import statistics
 import time
 
 import pytest
@@ -16,8 +19,18 @@ from repro import obs
 from repro.core.pipeline import IntegratedControlPlane, PipelineMode
 from repro.obs.export import missing_sections, registry_to_dict
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
+from repro.scenarios.generators import (
+    build_random_network,
+    build_scaled_network,
+    churn_workload,
+    external_prefixes,
+)
 from repro.scenarios.paper_net import P, paper_policy
-from repro.verify.policy import LoopFreedomPolicy
+from repro.verify.policy import (
+    BlackholeFreedomPolicy,
+    LoopFreedomPolicy,
+    PreferredExitPolicy,
+)
 
 from _report import emit, emit_json, table
 
@@ -140,3 +153,106 @@ def test_fig3_pipeline_metrics_trajectory():
         "metrics": document,
     }
     emit_json("pipeline", payload)
+
+
+def _guarded_world(family: str, n: int, churn: int = 24):
+    """The guard's cost at a stated size: a ``bench/``-shaped world
+    (4 guard prefixes at 1 s, ``churn`` announce/withdraws of 8 more
+    from 30 s, scoped policies) with the guard armed in MONITOR from
+    the first event on, so every write is checked and none is lost."""
+    build = build_random_network if family == "mesh" else build_scaled_network
+    net, specs = build(n, seed=0, rng=random.Random(0))
+    guards = external_prefixes(4, base="198.51.0.0")
+    churned = external_prefixes(8)
+    preferred = max(specs, key=lambda s: s.local_pref)
+    fallback = min(specs, key=lambda s: s.local_pref)
+    scope = guards + churned
+    pipeline = IntegratedControlPlane(
+        net,
+        [
+            PreferredExitPolicy(
+                prefix=guards[0],
+                preferred_exit=preferred.router,
+                fallback_exit=fallback.router,
+                uplink_of={
+                    preferred.router: preferred.external,
+                    fallback.router: fallback.external,
+                },
+            ),
+            LoopFreedomPolicy(prefixes=scope),
+            BlackholeFreedomPolicy(prefixes=scope),
+        ],
+        mode=PipelineMode.MONITOR,
+    ).arm()
+    timings = []
+
+    def timed(router, old, new):
+        started = time.perf_counter()
+        allowed = pipeline._guard(router, old, new)
+        timings.append(time.perf_counter() - started)
+        return allowed
+
+    net.set_fib_guard(timed)
+    net.start()
+    for spec in specs:
+        for prefix in guards:
+            net.announce_prefix(spec.external, prefix, at=1.0)
+    schedule = churn_workload(net, specs, churned, churn, start=30.0, seed=0)
+    before_run = len(timings)
+    started = time.perf_counter()
+    net.run(schedule[-1][0] + 42.0)
+    run_seconds = time.perf_counter() - started
+    return net, timings, sum(timings[before_run:]) / run_seconds, run_seconds
+
+
+def test_fig3_guard_latency_at_scale():
+    """C-GUARD: what one guarded FIB write costs beyond 3 routers.
+
+    p50/p99 are read from ``verify.fib_write_latency_seconds``; the
+    first/last-tenth means say whether the guard grows with the
+    captured history (the replay-per-write guard did, ~10x within a
+    run); the share is guard time over ``net.run`` wall.
+    """
+    rows = []
+    for family, n in (("rr", 20), ("rr", 32), ("mesh", 12)):
+        gc.collect()  # the previous world's garbage is not this one's cost
+        with obs.capturing() as (registry, _tracer):
+            net, timings, share, run_seconds = _guarded_world(family, n)
+            latency = registry.histogram("verify.fib_write_latency_seconds")
+        assert latency.count == len(timings) > 300
+        tenth = len(timings) // 10
+        first = statistics.mean(timings[:tenth])
+        last = statistics.mean(timings[-tenth:])
+        # The shape, not a number: O(touched atoms), not O(history).
+        assert last < 4 * first + 1e-3
+        rows.append(
+            (
+                f"{family} n={n}",
+                len(timings),
+                len(net.collector),
+                f"{latency.percentile(50) * 1e3:.3f}",
+                f"{latency.percentile(99) * 1e3:.3f}",
+                f"{first * 1e3:.3f}",
+                f"{last * 1e3:.3f}",
+                f"{share:.1%}",
+                f"{run_seconds:.2f}",
+            )
+        )
+    headers = (
+        "world",
+        "guarded writes",
+        "events",
+        "p50 ms",
+        "p99 ms",
+        "first-tenth mean ms",
+        "last-tenth mean ms",
+        "guard share of net.run",
+        "net.run s",
+    )
+    lines = [
+        "Fig. 3 guard latency at scale (MONITOR, armed from cold start, "
+        "every write checked; one run, seed 0):",
+        "",
+    ]
+    lines += table(headers, rows)
+    emit("F3_guard_latency", lines)

@@ -659,15 +659,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Verify a generated run: batch, incremental, or differential."""
-    from repro.capture.io_events import IOKind
-    from repro.hbr.inference import InferenceEngine
     from repro.scenarios.generators import (
         build_random_network,
         churn_workload,
         external_prefixes,
     )
-    from repro.snapshot.base import DataPlaneSnapshot, VerifierView
+    from repro.snapshot.base import VerifierView
     from repro.snapshot.consistent import ConsistentSnapshotter
+    from repro.testkit.oracles import per_delta_comparisons
     from repro.verify.incremental import (
         IncrementalVerifier,
         incremental_engine,
@@ -710,46 +709,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             view=view,
             engine=engine,
         ).attach(streaming)
-        batch_engine = InferenceEngine()
         mismatches = 0
-        fed = []
         started = time.perf_counter()
-        for event in sorted(
-            events, key=lambda e: (view.arrival_time(e), e.event_id)
-        ):
-            streaming.observe(event)
-            fed.append(event)
-            if not args.differential:
-                continue
-            if event.kind is not IOKind.FIB_UPDATE or event.prefix is None:
-                continue
-            inc = incremental.last_report(event.prefix)
-            batch = ConsistentSnapshotter(view, internal).check(
-                batch_engine.build_graph(fed),
-                fed,
-                prefix=event.prefix,
-                at=incremental.clock,
-            )
-            batch_violations = []
-            batch_snapshot = DataPlaneSnapshot.from_fib_events(fed)
-            for policy in policies:
-                batch_violations.extend(
-                    policy.check(batch_snapshot, net.topology)
-                )
-            if (inc.consistent, inc.missing_routers) != (
-                batch.consistent,
-                batch.missing_routers,
-            ) or incremental.violations() != batch_violations:
+        if args.differential:
+            for event, inc, batch in per_delta_comparisons(
+                incremental, events, internal
+            ):
+                if inc == batch:
+                    continue
                 mismatches += 1
                 print(
                     f"MISMATCH after event {event.event_id} "
                     f"({event.router} {event.prefix}): incremental "
                     f"({inc.consistent}, {sorted(inc.missing_routers)}, "
-                    f"{len(incremental.violations())} violation(s)) vs "
+                    f"{len(inc.violations)} violation(s)) vs "
                     f"batch ({batch.consistent}, "
                     f"{sorted(batch.missing_routers)}, "
-                    f"{len(batch_violations)} violation(s))"
+                    f"{len(batch.violations)} violation(s))"
                 )
+        else:
+            for event in sorted(
+                events, key=lambda e: (view.arrival_time(e), e.event_id)
+            ):
+                streaming.observe(event)
         wall = time.perf_counter() - started
         per_update = incremental.verify_seconds_total / max(
             incremental.deltas_applied, 1

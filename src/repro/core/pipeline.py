@@ -9,11 +9,12 @@ The pipeline subscribes to the capture collector (maintaining the
 HBG incrementally via streaming inference) and installs a guard at
 every internal router's FIB boundary.  When a FIB write is attempted:
 
-1. the verifier's current snapshot reconstruction is updated with
-   the *hypothetical* post-write state;
+1. the write is applied, as a *what-if delta*, to the forwarding
+   reconstruction the incremental verifier already maintains from the
+   same event stream, and only the atoms it touches are re-probed;
 2. only violations *introduced* by the write are counted —
    legitimate convergence transitions that shrink or preserve the
-   violation set pass through;
+   violation set pass through — and the reconstruction is put back;
 3. an offending write is blocked (in ``BLOCK``/``REPAIR`` modes), its
    provenance is traced from its causing RIB update back to HBG
    leaves, and in ``REPAIR`` mode the root-cause configuration change
@@ -38,8 +39,9 @@ from repro.net.addr import Prefix
 from repro.protocols.fib import FibEntry
 from repro.repair.provenance import ProvenanceResult, ProvenanceTracer
 from repro.repair.rollback import RepairEngine, RepairReport
-from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
+from repro.snapshot.base import SnapshotEntry, VerifierView
 from repro.snapshot.consistent import ConsistentSnapshotter
+from repro.verify.incremental import IncrementalVerifier
 from repro.verify.policy import Policy, Violation
 from repro.verify.verifier import DataPlaneVerifier
 
@@ -127,6 +129,15 @@ class IntegratedControlPlane:
         #: predictor never fires on the pipeline's own config changes.
         self._repairing = False
         self._stream = self.engine.streaming()
+        #: Rides the streaming HBG's delta feed: the per-delta verdicts
+        #: and the forwarding reconstruction the guard asks what-ifs of
+        #: (co-located with the collector, so zero delivery lag).
+        self.incremental = IncrementalVerifier(
+            network.topology.internal_routers(),
+            topology=network.topology,
+            policies=policies,
+            engine=self.engine,
+        ).attach(self._stream)
         network.collector.subscribe(self._observe)
         # Catch up on any events captured before attachment.
         for event in network.collector:
@@ -207,17 +218,6 @@ class IntegratedControlPlane:
 
     # -- the guard ---------------------------------------------------------------
 
-    def _current_snapshot(self) -> DataPlaneSnapshot:
-        """The verifier's reconstruction from events captured so far.
-
-        The pipeline is co-located with the collector (zero delivery
-        lag), so this is simply the replay of all FIB events.
-        """
-        return DataPlaneSnapshot.from_fib_events(
-            self.network.collector.events_of_kind(IOKind.FIB_UPDATE),
-            taken_at=self.network.sim.now,
-        )
-
     def _guard(
         self,
         router: str,
@@ -232,22 +232,22 @@ class IntegratedControlPlane:
         if entry is None:
             return True
         prefix = entry.prefix
-        snapshot = self._current_snapshot()
-        hypothetical: Optional[SnapshotEntry] = None
-        if new is not None:
-            hypothetical = SnapshotEntry(
-                router=router,
-                prefix=prefix,
-                next_hop_router=new.next_hop_router,
-                out_interface=new.out_interface,
-                protocol=new.protocol,
-                discard=new.discard,
-                source_event_id=0,
-                timestamp=self.network.sim.now,
-            )
-        introduced, _result = self.verifier.new_violations_from(
-            snapshot, hypothetical, router, prefix
+        pending = (
+            None
+            if new is None
+            else SnapshotEntry.from_fib_entry(router, new, self.network.sim.now)
         )
+        introduced = self.incremental.what_if(router, prefix, pending)
+        recorder = obs.get_recorder()
+        if recorder.enabled:
+            recorder.record(
+                obs.TraceKind.VERIFY_VERDICT,
+                at=self.network.sim.now,
+                router=router,
+                detail="ok" if not introduced else "violations",
+                violations=len(introduced),
+                policies=len(self.incremental.policies),
+            )
         if not introduced:
             if registry.enabled:
                 registry.counter("verify.fib_writes_verified").inc()

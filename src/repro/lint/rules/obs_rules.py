@@ -3,126 +3,148 @@
 PR 1 instrumented every pipeline stage with :mod:`repro.obs`; the
 ``repro stats --require`` CI gate then catches *silently dead*
 metric sections at runtime.  OBS001 closes the static half of that
-loop: the designated stage entry points must keep carrying a span or
-metric, so a refactor cannot drop instrumentation without either
-updating the catalogue below or failing the lint pass.
-
-The flight recorder (``repro.obs.trace``) extends the same contract:
-every function in ``TRACE_SITES`` must reference the bound
-``recorder`` so a refactor cannot silently drop a trace-event kind
-from the causal record.  ``tests/test_trace.py`` additionally asserts
-that the kinds listed here and the recorder's :class:`TraceKind` enum
-cannot drift apart.
+loop: every function in the ``SITES`` catalogue below must keep
+referencing the *witness* of what it emits — a span or metric, a
+flight-recorder event (``repro.obs.trace``), a resource-ledger
+registration, a verdict-ledger record — so a refactor cannot drop
+instrumentation without either updating the catalogue or failing the
+lint pass.  ``tests/test_trace.py``, ``tests/test_resources.py`` and
+``tests/test_verdicts.py`` additionally assert that what the
+catalogue says is emitted and the :class:`TraceKind` enum /
+``KNOWN_COMPONENTS`` / ledger ``KINDS`` cannot drift apart.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.lint.core import FileContext, Finding, Rule, Severity, register
 
-#: module -> qualified names of functions that must be instrumented.
-#: Keep in sync with docs/OBSERVABILITY.md's metric catalogue.
-STAGE_ENTRY_POINTS: Dict[str, Sequence[str]] = {
-    "repro.net.simulator": ("Simulator.run",),
-    "repro.capture.collector": ("Collector.ingest",),
-    "repro.hbr.inference": (
-        "InferenceEngine.build_graph",
-        "StreamingInference.observe",
+
+class Site(NamedTuple):
+    """One function that must stay instrumented."""
+
+    module: str
+    qualname: str
+    #: Key into ``_WITNESSES``: which bound name proves it.
+    witness: str
+    #: What it must emit: a TraceKind member name, a resource-ledger
+    #: component, a verdict kind ("" for plain spans/metrics).
+    emits: str = ""
+
+
+class _Witness(NamedTuple):
+    #: Names whose presence in the function body counts.
+    names: frozenset
+    #: How findings call the site.
+    label: str
+    #: ``"'{qualname}' " + missing.format(emits=...)`` is the finding.
+    missing: str
+
+
+#: The canonical idiom binds ``registry = obs.get_registry()`` (or uses
+#: ``obs.span`` / ``@obs.traced`` / ``obs.Stopwatch``), so a reference
+#: to ``obs`` — or to an already-bound registry/tracer — witnesses a
+#: metric.  The other three are stricter: every site follows
+#: ``recorder = obs.get_recorder()`` (``ledger = obs.get_ledger()``,
+#: ``verdicts = obs.get_verdicts()``) + one ``.enabled`` guard, so the
+#: bound object itself is the witness and a metrics-only ``obs``
+#: reference must NOT satisfy it.
+_WITNESSES: Dict[str, _Witness] = {
+    "obs": _Witness(
+        frozenset({"obs", "registry", "tracer"}),
+        "stage entry point",
+        "has no repro.obs instrumentation (span, counter, histogram or "
+        "stopwatch)",
     ),
-    "repro.hbr.distributed": (
-        "DistributedHbg.build_all",
-        "DistributedHbg.merged_graph",
+    "recorder": _Witness(
+        frozenset({"recorder"}),
+        "trace site",
+        "does not reference the flight recorder (must record "
+        "TraceKind.{emits}; bind it via obs.get_recorder())",
     ),
-    "repro.snapshot.base": ("DataPlaneSnapshot.from_fib_events",),
-    "repro.snapshot.consistent": ("ConsistentSnapshotter.snapshot",),
-    "repro.verify.verifier": ("DataPlaneVerifier.verify",),
-    "repro.verify.incremental": ("IncrementalVerifier.apply",),
-    "repro.repair.provenance": ("ProvenanceTracer.trace",),
-    "repro.core.pipeline": ("IntegratedControlPlane._guard",),
-    "repro.testkit.runner": ("FuzzRunner.run",),
+    "ledger": _Witness(
+        frozenset({"ledger"}),
+        "ledger site",
+        "does not reference the resource ledger (must register component "
+        "'{emits}'; bind it via obs.get_ledger())",
+    ),
+    "verdicts": _Witness(
+        frozenset({"verdicts"}),
+        "verdict site",
+        "does not reference the verdict ledger (must record kind "
+        "'{emits}'; bind it via obs.get_verdicts())",
+    ),
 }
 
-#: module -> (qualname, TraceKind member name) pairs: functions that
-#: must record a flight-recorder event of that kind.  One entry per
-#: :class:`repro.obs.trace.recorder.TraceKind` member — the drift
-#: test in tests/test_trace.py enforces the bijection.
-TRACE_SITES: Dict[str, Sequence[Tuple[str, str]]] = {
-    "repro.net.simulator": (("Simulator.run", "SIM_EVENT"),),
-    "repro.capture.collector": (("Collector.ingest", "IO_CAPTURED"),),
-    "repro.hbr.inference": (
-        ("InferenceEngine._edges_into", "HBR_EDGE"),
+#: The one catalogue.  Keep in sync with docs/OBSERVABILITY.md.  The
+#: drift tests filter it by witness: every TraceKind member, every
+#: component in :data:`repro.obs.resources.KNOWN_COMPONENTS` and every
+#: kind in :data:`repro.obs.ledger.KINDS` has at least one site (a kind
+#: may have two: the batch verifier and the Fig. 3 guard both record
+#: VERIFY_VERDICT).
+SITES: Sequence[Site] = (
+    # -- pipeline-stage entry points: a span or metric ------------------
+    Site("repro.net.simulator", "Simulator.run", "obs"),
+    Site("repro.capture.collector", "Collector.ingest", "obs"),
+    Site("repro.hbr.inference", "InferenceEngine.build_graph", "obs"),
+    Site("repro.hbr.inference", "StreamingInference.observe", "obs"),
+    Site("repro.hbr.distributed", "DistributedHbg.build_all", "obs"),
+    Site("repro.hbr.distributed", "DistributedHbg.merged_graph", "obs"),
+    Site("repro.snapshot.base", "DataPlaneSnapshot.from_fib_events", "obs"),
+    Site("repro.snapshot.consistent", "ConsistentSnapshotter.snapshot", "obs"),
+    Site("repro.verify.verifier", "DataPlaneVerifier.verify", "obs"),
+    Site("repro.verify.incremental", "IncrementalVerifier.apply", "obs"),
+    Site("repro.repair.provenance", "ProvenanceTracer.trace", "obs"),
+    Site("repro.core.pipeline", "IntegratedControlPlane._guard", "obs"),
+    Site("repro.testkit.runner", "FuzzRunner.run", "obs"),
+    # -- flight-recorder events, by TraceKind member --------------------
+    Site("repro.net.simulator", "Simulator.run", "recorder", "SIM_EVENT"),
+    Site("repro.capture.collector", "Collector.ingest", "recorder", "IO_CAPTURED"),
+    Site("repro.hbr.inference", "InferenceEngine._edges_into", "recorder", "HBR_EDGE"),
+    Site(
+        "repro.snapshot.base", "DataPlaneSnapshot.from_fib_events",
+        "recorder", "SNAPSHOT_BUILD",
     ),
-    "repro.snapshot.base": (
-        ("DataPlaneSnapshot.from_fib_events", "SNAPSHOT_BUILD"),
+    Site(
+        "repro.verify.verifier", "DataPlaneVerifier.verify", "recorder",
+        "VERIFY_VERDICT",
     ),
-    "repro.verify.verifier": (
-        ("DataPlaneVerifier.verify", "VERIFY_VERDICT"),
+    Site(
+        "repro.core.pipeline", "IntegratedControlPlane._guard", "recorder",
+        "VERIFY_VERDICT",
     ),
-    "repro.repair.provenance": (
-        ("ProvenanceTracer.trace", "PROVENANCE_WALK"),
+    Site(
+        "repro.repair.provenance", "ProvenanceTracer.trace", "recorder",
+        "PROVENANCE_WALK",
     ),
-    "repro.repair.rollback": (("RepairEngine.repair", "ROLLBACK"),),
-    "repro.obs.health": (("HealthEngine.evaluate", "HEALTH"),),
-}
-
-#: module -> (qualname, ledger component) pairs: functions that must
-#: register a long-lived structure with the resource ledger.  One
-#: entry per component in
-#: :data:`repro.obs.resources.KNOWN_COMPONENTS` — the drift test in
-#: tests/test_resources.py enforces the bijection.
-LEDGER_SITES: Dict[str, Sequence[Tuple[str, str]]] = {
-    "repro.hbr.graph": (("HappensBeforeGraph.__init__", "hbr.graph"),),
+    Site("repro.repair.rollback", "RepairEngine.repair", "recorder", "ROLLBACK"),
+    Site("repro.obs.health", "HealthEngine.evaluate", "recorder", "HEALTH"),
+    # -- resource-ledger registrations, by component --------------------
+    Site("repro.hbr.graph", "HappensBeforeGraph.__init__", "ledger", "hbr.graph"),
     # Registration moved out of __init__ into the explicit track()
     # opt-in so forked shard workers can build untracked indices
     # (CONC001 — a worker-side registration dies with the fork).
-    "repro.hbr.index": (("EventIndex.track", "hbr.index"),),
-    "repro.snapshot.consistent": (
-        ("ConsistentSnapshotter.__init__", "snapshot.closure_cache"),
+    Site("repro.hbr.index", "EventIndex.track", "ledger", "hbr.index"),
+    Site(
+        "repro.snapshot.consistent", "ConsistentSnapshotter.__init__",
+        "ledger", "snapshot.closure_cache",
     ),
-    "repro.obs.trace.recorder": (
-        ("FlightRecorder.__init__", "obs.recorder"),
+    Site(
+        "repro.obs.trace.recorder", "FlightRecorder.__init__", "ledger",
+        "obs.recorder",
     ),
-    "repro.obs.ledger": (("VerdictLedger.__init__", "obs.verdicts"),),
-    "repro.testkit.runner": (("FuzzRunner.run", "testkit.corpus"),),
-}
-
-#: module -> (qualname, verdict kind) pairs: functions that must
-#: append to the verdict ledger (:mod:`repro.obs.ledger`).  One entry
-#: per kind in :data:`repro.obs.ledger.KINDS` — the drift test in
-#: tests/test_verdicts.py enforces the bijection, so a refactor
-#: cannot silently drop a verdict kind from the continuous record.
-VERDICT_SITES: Dict[str, Sequence[Tuple[str, str]]] = {
-    "repro.verify.verifier": (("DataPlaneVerifier.verify", "snapshot"),),
-    "repro.verify.incremental": (
-        ("IncrementalVerifier.apply", "incremental"),
+    Site("repro.obs.ledger", "VerdictLedger.__init__", "ledger", "obs.verdicts"),
+    Site("repro.testkit.runner", "FuzzRunner.run", "ledger", "testkit.corpus"),
+    # -- verdict-ledger records, by kind --------------------------------
+    Site("repro.verify.verifier", "DataPlaneVerifier.verify", "verdicts", "snapshot"),
+    Site(
+        "repro.verify.incremental", "IncrementalVerifier.apply", "verdicts",
+        "incremental",
     ),
-    "repro.repair.rollback": (("RepairEngine.repair", "rollback"),),
-}
-
-#: Names whose presence in a function body counts as instrumentation.
-#: The canonical idiom binds ``registry = obs.get_registry()`` (or
-#: uses ``obs.span`` / ``@obs.traced`` / ``obs.Stopwatch``), so a
-#: reference to ``obs`` — or to an already-bound registry/tracer —
-#: is the reliable witness.
-_OBS_NAMES = frozenset({"obs", "registry", "tracer"})
-
-#: The witness for a trace site is the bound recorder itself: every
-#: site follows ``recorder = obs.get_recorder()`` + one
-#: ``recorder.enabled`` guard, so a mere ``obs`` reference (metrics
-#: only) must NOT satisfy the trace-site check.
-_TRACE_NAMES = frozenset({"recorder"})
-
-#: Likewise for ledger registration sites: the canonical idiom binds
-#: ``ledger = obs.get_ledger()`` and guards on ``ledger.enabled``, so
-#: the bound ledger is the witness.
-_LEDGER_NAMES = frozenset({"ledger"})
-
-#: And for verdict sites: ``verdicts = obs.get_verdicts()`` plus one
-#: ``verdicts.enabled`` guard, so the bound verdict ledger is the
-#: witness (a metrics-only ``obs`` reference must not satisfy it).
-_VERDICT_NAMES = frozenset({"verdicts"})
+    Site("repro.repair.rollback", "RepairEngine.repair", "verdicts", "rollback"),
+)
 
 
 def _collect_functions(
@@ -153,149 +175,53 @@ def _references_names(func: ast.AST, names: frozenset) -> bool:
     return False
 
 
-def _references_obs(func: ast.AST) -> bool:
-    return _references_names(func, _OBS_NAMES)
-
-
 @register
 class InstrumentationRule(Rule):
-    """OBS001: stage entry points must carry a span or metric."""
+    """OBS001: catalogued sites must reference their witness."""
 
     name = "OBS001"
     severity = Severity.ERROR
     description = (
         "pipeline-stage entry point carries no repro.obs span/metric "
-        "(or the STAGE_ENTRY_POINTS catalogue is stale)"
+        "(or the SITES catalogue is stale)"
     )
     # No per-node work: the whole check runs over the parsed tree once
     # per file, and only for modules in the catalogue.
     node_types = ()
 
-    def __init__(
-        self,
-        entry_points: Optional[Dict[str, Sequence[str]]] = None,
-        trace_sites: Optional[Dict[str, Sequence[Tuple[str, str]]]] = None,
-        ledger_sites: Optional[Dict[str, Sequence[Tuple[str, str]]]] = None,
-        verdict_sites: Optional[Dict[str, Sequence[Tuple[str, str]]]] = None,
-    ) -> None:
-        self.entry_points = (
-            entry_points if entry_points is not None else STAGE_ENTRY_POINTS
-        )
-        self.trace_sites = (
-            trace_sites if trace_sites is not None else TRACE_SITES
-        )
-        self.ledger_sites = (
-            ledger_sites if ledger_sites is not None else LEDGER_SITES
-        )
-        self.verdict_sites = (
-            verdict_sites if verdict_sites is not None else VERDICT_SITES
-        )
+    def __init__(self, sites: Optional[Sequence[Site]] = None) -> None:
+        self.sites = SITES if sites is None else sites
+        self._modules = frozenset(site.module for site in self.sites)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return (
-            ctx.module in self.entry_points
-            or ctx.module in self.trace_sites
-            or ctx.module in self.ledger_sites
-            or ctx.module in self.verdict_sites
-        )
+        return ctx.module in self._modules
 
     def finish_file(self, ctx: FileContext) -> Optional[Iterable[Finding]]:
         functions = _collect_functions(ctx.tree)
         findings: List[Finding] = []
-        for qualname in self.entry_points.get(ctx.module, ()):
-            func = functions.get(qualname)
+        for site in self.sites:
+            if site.module != ctx.module:
+                continue
+            witness = _WITNESSES[site.witness]
+            func = functions.get(site.qualname)
             if func is None:
                 findings.append(
                     ctx.finding(
                         self,
                         ctx.tree,
-                        f"configured stage entry point '{qualname}' not "
-                        "found; update STAGE_ENTRY_POINTS in "
+                        f"configured {witness.label} '{site.qualname}' not "
+                        "found; update SITES in "
                         "repro/lint/rules/obs_rules.py",
                         severity=Severity.ERROR,
                     )
                 )
-                continue
-            if not _references_obs(func):
+            elif not _references_names(func, witness.names):
                 findings.append(
                     ctx.finding(
                         self,
                         func,
-                        f"stage entry point '{qualname}' has no repro.obs "
-                        "instrumentation (span, counter, histogram or "
-                        "stopwatch)",
-                    )
-                )
-        for qualname, kind in self.trace_sites.get(ctx.module, ()):
-            func = functions.get(qualname)
-            if func is None:
-                findings.append(
-                    ctx.finding(
-                        self,
-                        ctx.tree,
-                        f"configured trace site '{qualname}' not found; "
-                        "update TRACE_SITES in "
-                        "repro/lint/rules/obs_rules.py",
-                        severity=Severity.ERROR,
-                    )
-                )
-                continue
-            if not _references_names(func, _TRACE_NAMES):
-                findings.append(
-                    ctx.finding(
-                        self,
-                        func,
-                        f"trace site '{qualname}' does not reference the "
-                        f"flight recorder (must record TraceKind.{kind}; "
-                        "bind it via obs.get_recorder())",
-                    )
-                )
-        for qualname, component in self.ledger_sites.get(ctx.module, ()):
-            func = functions.get(qualname)
-            if func is None:
-                findings.append(
-                    ctx.finding(
-                        self,
-                        ctx.tree,
-                        f"configured ledger site '{qualname}' not found; "
-                        "update LEDGER_SITES in "
-                        "repro/lint/rules/obs_rules.py",
-                        severity=Severity.ERROR,
-                    )
-                )
-                continue
-            if not _references_names(func, _LEDGER_NAMES):
-                findings.append(
-                    ctx.finding(
-                        self,
-                        func,
-                        f"ledger site '{qualname}' does not reference the "
-                        f"resource ledger (must register component "
-                        f"'{component}'; bind it via obs.get_ledger())",
-                    )
-                )
-        for qualname, kind in self.verdict_sites.get(ctx.module, ()):
-            func = functions.get(qualname)
-            if func is None:
-                findings.append(
-                    ctx.finding(
-                        self,
-                        ctx.tree,
-                        f"configured verdict site '{qualname}' not found; "
-                        "update VERDICT_SITES in "
-                        "repro/lint/rules/obs_rules.py",
-                        severity=Severity.ERROR,
-                    )
-                )
-                continue
-            if not _references_names(func, _VERDICT_NAMES):
-                findings.append(
-                    ctx.finding(
-                        self,
-                        func,
-                        f"verdict site '{qualname}' does not reference the "
-                        f"verdict ledger (must record kind '{kind}'; bind "
-                        "it via obs.get_verdicts())",
+                        f"{witness.label} '{site.qualname}' "
+                        + witness.missing.format(emits=site.emits),
                     )
                 )
         return findings

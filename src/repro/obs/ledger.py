@@ -26,8 +26,8 @@ stream*, and the metrics registry (aggregates) and flight recorder
 Design constraints mirror the flight recorder and resource ledger:
 
 * **Off by default.**  The process-wide singleton is a shared
-  :class:`NullVerdictLedger`; verdict sites (catalogued in
-  ``VERDICT_SITES``, ``repro/lint/rules/obs_rules.py``) pay one
+  :class:`NullVerdictLedger`; verdict sites (the ``verdicts``
+  rows of ``SITES``, ``repro/lint/rules/obs_rules.py``) pay one
   ``verdicts.enabled`` attribute check when disabled — the
   tripping-ledger test proves the disabled path never reaches
   :meth:`record`.

@@ -26,8 +26,8 @@ flight recorder:
 
 * **Off by default.**  The module-level ledger is a shared
   :class:`NullLedger`; registration sites pay a single attribute
-  check (``ledger.enabled``) and nothing else.  The ``LEDGER_SITES``
-  catalogue in :mod:`repro.lint.rules.obs_rules` pins every
+  check (``ledger.enabled``) and nothing else.  The ``ledger`` rows
+  of ``SITES`` in :mod:`repro.lint.rules.obs_rules` pin every
   registration point, and a tripping-ledger test proves the disabled
   path never reaches ``register()``.
 * **Weak references only.**  The ledger must never extend an object's
@@ -49,8 +49,8 @@ import weakref
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Component names with a catalogued registration site; the lint
-#: ``LEDGER_SITES`` table and its drift test keep this in lockstep
-#: with the code (see repro/lint/rules/obs_rules.py).
+#: ``SITES`` table's ``ledger`` rows and their drift test keep this in
+#: lockstep with the code (see repro/lint/rules/obs_rules.py).
 KNOWN_COMPONENTS: Tuple[str, ...] = (
     "hbr.graph",
     "hbr.index",

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 class TraceKind(enum.Enum):
     """What a recorded event witnesses, one member per pipeline stage.
 
-    Kept in lockstep with ``TRACE_SITES`` in
+    Kept in lockstep with the ``recorder`` rows of ``SITES`` in
     :mod:`repro.lint.rules.obs_rules` (a tier-1 test fails when the
     two drift apart).
     """

@@ -13,8 +13,9 @@ different amount of history from each router.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.capture.collector import Collector
@@ -52,12 +53,28 @@ class SnapshotEntry:
             timestamp=event.timestamp,
         )
 
+    @classmethod
+    def from_fib_entry(cls, router: str, entry, at: float) -> "SnapshotEntry":
+        """``router``'s live (or pending) ``FibEntry``, seen at ``at`` —
+        no captured event stands behind it, hence event id 0."""
+        return cls(
+            router=router,
+            prefix=entry.prefix,
+            next_hop_router=entry.next_hop_router,
+            out_interface=entry.out_interface,
+            protocol=entry.protocol,
+            discard=entry.discard,
+            source_event_id=0,
+            timestamp=at,
+        )
+
 
 class DataPlaneSnapshot:
     """Per-router FIBs reconstructed from captured events.
 
     Besides the tries, the snapshot keeps — in step with its only two
-    mutators, :meth:`install` and :meth:`remove` — what every policy
+    mutators, :meth:`install` and :meth:`remove` (and the
+    :meth:`hypothetically` what-if built from them) — what every policy
     probe would otherwise re-derive from them: how many routers hold
     each prefix, one *next-hop row* per probed address (Delta-net's
     edge labels, restricted to the addresses somebody traces) and the
@@ -120,6 +137,32 @@ class DataPlaneSnapshot:
             del self._holders[prefix]
             self._first_addresses = None
         self._forget_matches(router, prefix)
+
+    @contextmanager
+    def hypothetically(
+        self, router: str, prefix: Prefix, entry: Optional[SnapshotEntry]
+    ) -> Iterator[None]:
+        """What-if: inside the ``with`` block ``router`` holds ``entry``
+        for ``prefix`` (``None``: holds nothing); afterwards whatever
+        it held before.  Both steps go through :meth:`install` /
+        :meth:`remove`, so the memos stay exact throughout."""
+        had_table = router in self._tables
+        previous = self.entry(router, prefix)
+        if entry is None:
+            self.remove(router, prefix)
+        else:
+            self.install(entry)
+        try:
+            yield
+        finally:
+            if previous is None:
+                self.remove(router, prefix)
+            else:
+                self.install(previous)
+            # remove() keeps an emptied table; a table the what-if
+            # created must go, or has_router() stays flipped.
+            if not had_table and self._tables.pop(router, None) is not None:
+                self._traces.clear()
 
     def _forget_matches(self, router: str, prefix: Prefix) -> None:
         """Drop ``router``'s memoised longest matches under ``prefix``
@@ -292,18 +335,9 @@ class DataPlaneSnapshot:
         for router, table in network.forwarding_state().items():
             if network.runtime(router).router.external:
                 continue
-            for prefix, entry in table.items():
+            for entry in table.values():
                 snapshot.install(
-                    SnapshotEntry(
-                        router=router,
-                        prefix=prefix,
-                        next_hop_router=entry.next_hop_router,
-                        out_interface=entry.out_interface,
-                        protocol=entry.protocol,
-                        discard=entry.discard,
-                        source_event_id=0,
-                        timestamp=network.sim.now,
-                    )
+                    SnapshotEntry.from_fib_entry(router, entry, network.sim.now)
                 )
         snapshot.set_taken_at(network.sim.now)
         return snapshot

@@ -34,9 +34,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.capture.io_events import IOKind, RouteAction
+from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.net.config import ConfigChange, local_pref_map
 from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry
 from repro.snapshot.consistent import ConsistentSnapshotter
@@ -631,106 +641,125 @@ def provenance_rollback(ctx: OracleContext) -> OracleVerdict:
 # -- (e) incremental vs batch verification -----------------------------------
 
 
+class VerifiedState(NamedTuple):
+    """What one side — incremental or batch — holds after a FIB delta."""
+
+    consistent: bool
+    missing_routers: Set[str]
+    forwarding: Dict[str, Dict[str, Tuple]]
+    violations: List
+
+    @classmethod
+    def of(cls, report, snapshot, violations) -> "VerifiedState":
+        return cls(
+            report.consistent,
+            report.missing_routers,
+            _forwarding_map(snapshot, snapshot.routers()),
+            violations,
+        )
+
+
+def per_delta_comparisons(
+    incremental, events: Sequence[IOEvent], internal: Sequence[str]
+) -> Iterator[Tuple[IOEvent, VerifiedState, VerifiedState]]:
+    """Yield ``(event, incremental state, batch state)`` per FIB delta.
+
+    ``events`` are fed in *arrival* order (per-router log lag applied)
+    to ``incremental``'s streaming inference.  After every FIB delta
+    the batch state is recomputed from scratch over exactly the events
+    fed so far: the §5 verdict from a fresh
+    :class:`ConsistentSnapshotter` over a fresh batch HBG, the
+    forwarding reconstruction from
+    :meth:`DataPlaneSnapshot.from_fib_events`, the violations from the
+    batch policy checks.  The one comparison behind both the
+    ``verify-incremental-equivalence`` oracle and ``repro verify
+    --differential``.
+    """
+    from repro.hbr.inference import InferenceEngine
+
+    view = incremental.view
+    batch_engine = InferenceEngine()
+    fed: List[IOEvent] = []
+    for event in sorted(
+        events, key=lambda e: (view.arrival_time(e), e.event_id)
+    ):
+        incremental.streaming.observe(event)
+        fed.append(event)
+        if event.kind is not IOKind.FIB_UPDATE or event.prefix is None:
+            continue
+        clock = incremental.clock
+        batch_report = ConsistentSnapshotter(view, internal).check(
+            batch_engine.build_graph(fed), fed, prefix=event.prefix, at=clock
+        )
+        batch_snapshot = DataPlaneSnapshot.from_fib_events(fed, taken_at=clock)
+        batch_violations = [
+            violation
+            for policy in incremental.policies
+            for violation in policy.check(batch_snapshot, incremental.topology)
+        ]
+        yield (
+            event,
+            VerifiedState.of(
+                incremental.last_report(event.prefix),
+                incremental.snapshot,
+                incremental.violations(),
+            ),
+            VerifiedState.of(batch_report, batch_snapshot, batch_violations),
+        )
+
+
 @oracle("verify-incremental-equivalence")
 def verify_incremental_equivalence(ctx: OracleContext) -> OracleVerdict:
     """The incremental verifier equals the batch pipeline per delta.
 
-    Events are fed in *arrival* order (per-router log lag applied) to
-    a full-relink streaming inference carrying an
-    :class:`~repro.verify.incremental.IncrementalVerifier`.  After
-    every FIB delta, three batch references are recomputed from
-    scratch over exactly the events fed so far:
-
-    * the §5 verdict (``consistent`` + ``missing_routers``) from a
-      fresh :class:`ConsistentSnapshotter` over a fresh batch HBG,
-    * the forwarding reconstruction
-      (:meth:`DataPlaneSnapshot.from_fib_events`),
-    * the policy violation list from the batch policy checks.
-
-    All three must match the incremental verifier's state exactly —
-    the equivalence contract docs/INCREMENTAL_VERIFY.md promises.
+    All of :func:`per_delta_comparisons`' batch state must match the
+    incremental verifier's exactly after every FIB delta — the
+    equivalence contract docs/INCREMENTAL_VERIFY.md promises.
     """
-    from repro.hbr.inference import InferenceEngine
     from repro.verify.incremental import IncrementalVerifier, incremental_engine
     from repro.verify.policy import BlackholeFreedomPolicy, LoopFreedomPolicy
 
     execution = ctx.shared
     internal = execution.internal_routers
-    topology = execution.network.topology
-    view = execution.view
-    policies = (LoopFreedomPolicy(), BlackholeFreedomPolicy())
-
     engine = incremental_engine()
-    streaming = engine.streaming()
     incremental = IncrementalVerifier(
         internal,
-        topology=topology,
-        policies=policies,
-        view=view,
+        topology=execution.network.topology,
+        policies=(LoopFreedomPolicy(), BlackholeFreedomPolicy()),
+        view=execution.view,
         engine=engine,
-    ).attach(streaming)
+    ).attach(engine.streaming())
 
-    batch_engine = InferenceEngine()
-    arrival_order = sorted(
-        execution.events(),
-        key=lambda e: (view.arrival_time(e), e.event_id),
-    )
     problems: List[str] = []
     checked = 0
-    fed: List = []
-    for event in arrival_order:
-        streaming.observe(event)
-        fed.append(event)
-        if (
-            event.kind is not IOKind.FIB_UPDATE
-            or event.prefix is None
-            or problems
-        ):
-            continue
-        clock = incremental.clock
+    for event, inc, batch in per_delta_comparisons(
+        incremental, execution.events(), internal
+    ):
         checked += 3
-
-        inc_report = incremental.last_report(event.prefix)
-        batch_graph = batch_engine.build_graph(fed)
-        batch_report = ConsistentSnapshotter(view, internal).check(
-            batch_graph, fed, prefix=event.prefix, at=clock
-        )
-        if (inc_report.consistent, inc_report.missing_routers) != (
-            batch_report.consistent,
-            batch_report.missing_routers,
+        if (inc.consistent, inc.missing_routers) != (
+            batch.consistent,
+            batch.missing_routers,
         ):
             problems.append(
                 f"§5 verdict diverges after event {event.event_id} "
                 f"({event.router} {event.prefix}): incremental "
-                f"({inc_report.consistent}, "
-                f"{sorted(inc_report.missing_routers)}) vs batch "
-                f"({batch_report.consistent}, "
-                f"{sorted(batch_report.missing_routers)})"
+                f"({inc.consistent}, {sorted(inc.missing_routers)}) vs "
+                f"batch ({batch.consistent}, {sorted(batch.missing_routers)})"
             )
-
-        batch_snapshot = DataPlaneSnapshot.from_fib_events(
-            fed, taken_at=clock
-        )
-        inc_map = _forwarding_map(
-            incremental.snapshot, incremental.snapshot.routers()
-        )
-        batch_map = _forwarding_map(batch_snapshot, batch_snapshot.routers())
-        if inc_map != batch_map:
+        if inc.forwarding != batch.forwarding:
             problems.append(
                 f"forwarding reconstruction diverges after event "
-                f"{event.event_id}: incremental {inc_map} vs batch "
-                f"{batch_map}"
+                f"{event.event_id}: incremental {inc.forwarding} vs batch "
+                f"{batch.forwarding}"
             )
-
-        batch_violations = []
-        for policy in policies:
-            batch_violations.extend(policy.check(batch_snapshot, topology))
-        if incremental.violations() != batch_violations:
+        if inc.violations != batch.violations:
             problems.append(
                 f"policy violations diverge after event {event.event_id}: "
-                f"incremental {incremental.violations()[:3]} vs batch "
-                f"{batch_violations[:3]}"
+                f"incremental {inc.violations[:3]} vs batch "
+                f"{batch.violations[:3]}"
             )
+        if problems:
+            break
 
     return OracleVerdict(
         oracle="",

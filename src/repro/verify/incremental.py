@@ -28,6 +28,10 @@ entry a router ever installs (and, symmetrically, a replay wiping a
 router) flips :meth:`DataPlaneSnapshot.trace`'s external-router
 heuristic for every address, so such deltas re-probe all atoms.
 
+The Fig. 3 guard (:mod:`repro.core.pipeline`) asks the same state
+about a write that is still *pending*: :meth:`IncrementalVerifier.what_if`
+applies it, re-probes the touched atoms, diffs and restores.
+
 The delta feed is :meth:`StreamingInference.subscribe`; the contract
 above rests on the streaming graph equalling the batch build after
 every observe, even under per-router log lag (arrival-order feeds).
@@ -250,6 +254,35 @@ class IncrementalVerifier:
                 refs=(event.event_id,),
             )
         return report
+
+    def what_if(
+        self, router: str, prefix: Prefix, entry: Optional[SnapshotEntry]
+    ) -> List[Violation]:
+        """Violations a *pending* FIB write would introduce.
+
+        ``entry`` is the entry about to be installed at ``router`` for
+        ``prefix`` (``None``: a withdraw).  The write is applied to the
+        maintained snapshot, the touched atoms re-probed exactly as
+        :meth:`apply` would, and the violation keys diffed — an update
+        that leaves existing violations in place (or removes some)
+        during convergence is not blamed for them.  The snapshot and
+        the per-policy caches are back at their pre-call values on
+        return; nothing else (atoms, §5 bookkeeping) is touched.
+        """
+        before = {violation.key() for violation in self.violations()}
+        caches = [dict(cache) for cache in self._policy_hits]
+        global_dirty = entry is not None and not self.snapshot.has_router(
+            router
+        )
+        with self.snapshot.hypothetically(router, prefix, entry):
+            self._refresh_policies(prefix, global_dirty)
+            introduced = [
+                violation
+                for violation in self.violations()
+                if violation.key() not in before
+            ]
+        self._policy_hits = caches
+        return introduced
 
     # -- verdicts ---------------------------------------------------------
 

@@ -1,11 +1,9 @@
 """The centralized data-plane verifier.
 
 Checks a list of policies against a snapshot, optionally compressing
-the probe space with forwarding equivalence classes first.  Also
-provides the *incremental* entry point the Fig. 3 pipeline uses:
-given a hypothetical FIB change, report only the violations it would
-introduce (transitional states during legitimate convergence shrink
-the violation set and must not be blocked).
+the probe space with forwarding equivalence classes first.  This is
+the batch reference; the per-delta path (and the Fig. 3 guard's
+what-if) is :class:`repro.verify.incremental.IncrementalVerifier`.
 """
 
 from __future__ import annotations
@@ -14,9 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.net.addr import Prefix
 from repro.net.topology import Topology
-from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry
+from repro.snapshot.base import DataPlaneSnapshot
 from repro.verify.headerspace import compute_equivalence_classes
 from repro.verify.policy import Policy, Violation
 
@@ -153,46 +150,3 @@ class DataPlaneVerifier:
             wall_seconds=elapsed,
             equivalence_classes=ec_count,
         )
-
-    # -- incremental (pipeline) mode ---------------------------------------
-
-    def with_hypothetical_entry(
-        self,
-        snapshot: DataPlaneSnapshot,
-        entry: Optional[SnapshotEntry],
-        router: str,
-        prefix: Prefix,
-    ) -> DataPlaneSnapshot:
-        """A copy of ``snapshot`` with one entry installed/removed."""
-        clone = DataPlaneSnapshot()
-        for name in snapshot.routers():
-            for existing in snapshot.entries_of(name):
-                clone.install(existing)
-        if entry is None:
-            clone.remove(router, prefix)
-        else:
-            clone.install(entry)
-        if snapshot.taken_at is not None:
-            clone.set_taken_at(snapshot.taken_at)
-        return clone
-
-    def new_violations_from(
-        self,
-        snapshot: DataPlaneSnapshot,
-        entry: Optional[SnapshotEntry],
-        router: str,
-        prefix: Prefix,
-    ) -> Tuple[List[Violation], VerificationResult]:
-        """Violations *introduced* by applying the hypothetical change.
-
-        Compares the violation sets before and after: an update that
-        leaves existing violations in place (or removes some) during
-        convergence is not blamed for them.
-        """
-        before = {v.key() for v in self.verify(snapshot).violations}
-        candidate = self.with_hypothetical_entry(snapshot, entry, router, prefix)
-        after_result = self.verify(candidate)
-        introduced = [
-            v for v in after_result.violations if v.key() not in before
-        ]
-        return introduced, after_result

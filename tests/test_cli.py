@@ -206,6 +206,47 @@ class TestLintErrorPaths:
         assert "repro lint:" in capsys.readouterr().err
 
 
+class TestVerify:
+    SMALL = ["--routers", "5", "--events", "8"]
+
+    def test_incremental_streams_and_stops(self, capsys):
+        assert main(["verify", "--incremental", *self.SMALL]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and all(
+            line.startswith("incremental: ") for line in out
+        )
+        assert "FIB delta(s) verified" in out[0]
+        assert "0 final violation(s)" in out[1]
+
+    def test_differential_under_straggler_lag(self, capsys):
+        rc = main(
+            ["verify", "--differential", "--straggler-lag", "0.5", *self.SMALL]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out
+        assert "compared against batch, 0 mismatch(es)" in out
+        # Differential without --incremental still prints the batch row.
+        assert out.splitlines()[-1].startswith("batch: snapshot at 60.500s")
+
+    def test_differential_reports_a_planted_divergence(
+        self, capsys, monkeypatch
+    ):
+        """The CLI prints from the oracle's generator: break the batch
+        reference and every delta is a MISMATCH line and rc 1."""
+        from repro.snapshot.base import DataPlaneSnapshot
+
+        monkeypatch.setattr(
+            DataPlaneSnapshot,
+            "from_fib_events",
+            classmethod(lambda cls, events, taken_at=None: cls()),
+        )
+        assert main(["verify", "--differential", *self.SMALL]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH after event" in out
+        assert "0 mismatch(es)" not in out
+
+
 class TestFuzz:
     def test_small_campaign_table(self, capsys):
         rc = main(

@@ -23,7 +23,7 @@ from repro.lint import (
     default_rules,
     module_name_for,
 )
-from repro.lint.rules.obs_rules import InstrumentationRule
+from repro.lint.rules.obs_rules import InstrumentationRule, Site
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO_ROOT, "tests", "fixtures", "lint")
@@ -163,7 +163,7 @@ def test_obs001_fixture_pair():
 
 
 def test_obs001_reports_stale_catalogue():
-    rule = InstrumentationRule({"repro.net.fake": ("Ghost.run",)})
+    rule = InstrumentationRule([Site("repro.net.fake", "Ghost.run", "obs")])
     result = LintRunner(rules=[rule]).run_source(
         "# repro: lint-module=repro.net.fake\nclass Other:\n    pass\n",
         path="<fixture>",
@@ -173,7 +173,7 @@ def test_obs001_reports_stale_catalogue():
 
 
 def test_obs001_trace_fixture_pair():
-    """Metrics-only instrumentation must not satisfy a TRACE_SITES entry."""
+    """Metrics-only instrumentation must not satisfy a recorder site."""
     bad = lint_fixture("obs001_trace_bad.py")
     assert rules_fired(bad) == ["OBS001"]
     assert any("flight recorder" in f.message for f in bad.findings)
@@ -182,8 +182,7 @@ def test_obs001_trace_fixture_pair():
 
 def test_obs001_trace_reports_stale_catalogue():
     rule = InstrumentationRule(
-        entry_points={},
-        trace_sites={"repro.net.fake": (("Ghost.run", "SIM_EVENT"),)},
+        [Site("repro.net.fake", "Ghost.run", "recorder", "SIM_EVENT")]
     )
     result = LintRunner(rules=[rule]).run_source(
         "# repro: lint-module=repro.net.fake\nclass Other:\n    pass\n",

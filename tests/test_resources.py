@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.hbr.graph import HappensBeforeGraph
 from repro.hbr.inference import InferenceEngine, StreamingInference
-from repro.lint.rules.obs_rules import LEDGER_SITES
+from repro.lint.rules.obs_rules import SITES
 from repro.obs import resources
 from repro.obs.resources import (
     NullLedger,
@@ -277,36 +277,34 @@ def _site_function(module: str, qualname: str) -> ast.AST:
     return node
 
 
+LEDGER_SITES = [site for site in SITES if site.witness == "ledger"]
+
+
 class TestLedgerSiteContracts:
     def test_catalogue_and_known_components_cannot_drift(self):
-        """LEDGER_SITES and KNOWN_COMPONENTS must stay a bijection."""
-        catalogued = [
-            component
-            for sites in LEDGER_SITES.values()
-            for _qualname, component in sites
-        ]
+        """The ledger sites and KNOWN_COMPONENTS must stay a bijection."""
+        catalogued = [site.emits for site in LEDGER_SITES]
         assert sorted(catalogued) == sorted(resources.KNOWN_COMPONENTS), (
-            "LEDGER_SITES (repro/lint/rules/obs_rules.py) and "
+            "the ledger sites in SITES (repro/lint/rules/obs_rules.py) and "
             "KNOWN_COMPONENTS (repro/obs/resources.py) have drifted apart"
         )
 
     def test_every_site_guards_on_ledger_enabled(self):
         """The disabled fast path is one attribute check per site."""
-        for module, sites in LEDGER_SITES.items():
-            for qualname, _component in sites:
-                func = _site_function(module, qualname)
-                guards = [
-                    node
-                    for node in ast.walk(func)
-                    if isinstance(node, ast.Attribute)
-                    and node.attr == "enabled"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "ledger"
-                ]
-                assert guards, (
-                    f"{module}:{qualname} must guard registration behind "
-                    "a single `ledger.enabled` check"
-                )
+        for site in LEDGER_SITES:
+            func = _site_function(site.module, site.qualname)
+            guards = [
+                node
+                for node in ast.walk(func)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "enabled"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "ledger"
+            ]
+            assert guards, (
+                f"{site.module}:{site.qualname} must guard registration "
+                "behind a single `ledger.enabled` check"
+            )
 
     def test_disabled_ledger_never_reaches_register(self):
         """Behavioral half of the overhead guard: with accounting off,

@@ -189,6 +189,15 @@ _trace = st.tuples(
     st.sampled_from([64, 2]),
 )
 _read = st.tuples(st.just("prefixes"))
+#: A what-if install (next hop given) or withdraw (``"withdraw"``),
+#: traced from inside so the memos fill with hypothetical answers.
+_whatif = st.tuples(
+    st.just("whatif"),
+    st.sampled_from(_ROUTERS),
+    st.sampled_from(_NESTED),
+    st.sampled_from(_ROUTERS + [None, "Ext", "withdraw"]),
+    st.sampled_from(_PROBED),
+)
 
 
 def _check_against_rebuild(ops):
@@ -212,6 +221,22 @@ def _check_against_rebuild(ops):
         elif op[0] == "trace":
             path, _outcome = live.trace(op[1], op[2], max_hops=op[3])
             path.append("scribbled-by-caller")
+        elif op[0] == "whatif":
+            # Restored on exit: ``surviving`` and ``tabled`` stand.
+            _, router, prefix, next_hop, address = op
+            pending = (
+                None
+                if next_hop == "withdraw"
+                else _entry(router, prefix, next_hop)
+            )
+            with live.hypothetically(router, prefix, pending):
+                assert live.entry(router, prefix) == pending
+                for source in _ROUTERS:
+                    live.trace(source, address)
+            assert live.has_router(router) == (router in tabled)
+            assert live.entry(router, prefix) is surviving.get(
+                (router, prefix)
+            )
         else:
             live.all_prefixes().clear()
             live.first_addresses().clear()
@@ -248,7 +273,8 @@ class TestMaintainedState:
 
     @given(
         st.lists(
-            st.one_of(_install, _install, _remove, _trace, _read), max_size=30
+            st.one_of(_install, _install, _remove, _trace, _read, _whatif),
+            max_size=30,
         )
     )
     @settings(max_examples=150, deadline=None)
@@ -276,6 +302,11 @@ class TestMaintainedState:
                 ("remove", "R2", p8),
                 ("install", "R2", p8, "R4", False),
                 ("trace", "R1", a, 64),
+                # A what-if on table-less R4 must not leave a table
+                # behind: R2 -> R4 goes back to delivered.
+                ("whatif", "R4", other16, None, a),
+                ("whatif", "R4", p8, "withdraw", a),
+                ("trace", "R1", a, 64),
                 # R4's first entry, for another prefix, turns the hop
                 # into R4 from delivered into blackhole.
                 ("install", "R4", other16, None, False),
@@ -287,8 +318,31 @@ class TestMaintainedState:
                 ("trace", "R3", a, 64),
                 ("remove", "R1", p24),
                 ("trace", "R3", a, 2),
+                # What-ifs leave nothing behind: not a shadowing more
+                # specific, not a withdrawn or re-pointed /8 on the path.
+                ("whatif", "R1", p24, "R3", a),
+                ("whatif", "R2", p8, "withdraw", a),
+                ("whatif", "R2", p8, "R1", a),
             ]
         )
+
+    def test_what_if_on_a_tableless_router_creates_no_table(self):
+        snapshot = DataPlaneSnapshot()
+        p8 = _NESTED[0]
+        address = p8.first_address()
+        snapshot.install(_entry("R1", p8, "R2"))
+        assert snapshot.trace("R1", address) == (["R1", "R2"], "delivered")
+        other = _NESTED[4]
+        with snapshot.hypothetically("R2", other, _entry("R2", other, None)):
+            assert snapshot.has_router("R2")
+            assert snapshot.trace("R1", address) == (["R1", "R2"], "blackhole")
+        assert not snapshot.has_router("R2")
+        assert snapshot.routers() == ["R1"]
+        assert snapshot.all_prefixes() == {p8}
+        assert snapshot.trace("R1", address) == (["R1", "R2"], "delivered")
+        with snapshot.hypothetically("R2", p8, None):
+            assert not snapshot.has_router("R2")
+        assert not snapshot.has_router("R2")
 
     def test_hop_bound_is_part_of_the_memo_key(self):
         snapshot = DataPlaneSnapshot()

@@ -11,7 +11,7 @@ from repro import obs
 from repro.cli import _run_trace_scenario
 from repro.cli import main as cli_main
 from repro.hbr.inference import InferenceEngine
-from repro.lint.rules.obs_rules import TRACE_SITES
+from repro.lint.rules.obs_rules import SITES
 from repro.obs.trace import (
     FlightRecorder,
     NullRecorder,
@@ -192,6 +192,21 @@ class TestInstrumentation:
         kinds = {e.kind for e in recorder.events()}
         assert kinds == set(TraceKind)
 
+    def test_guard_records_one_verdict_per_guarded_write(self):
+        """The what-if guard never calls ``DataPlaneVerifier.verify``
+        (which used to record two verdicts per write on its behalf)."""
+        with obs.recording(capacity=100_000) as recorder:
+            _net, pipeline = _run_pipeline_scenario_inline()
+        guarded = [
+            e
+            for e in recorder.events(TraceKind.VERIFY_VERDICT)
+            if e.router is not None
+        ]
+        assert len(guarded) == pipeline.updates_checked > 0
+        assert sum(e.detail == "violations" for e in guarded) == len(
+            pipeline.incidents
+        )
+
     def test_trace_is_deterministic_across_runs(self):
         def run():
             with obs.recording(capacity=100_000) as recorder:
@@ -211,8 +226,10 @@ def _run_pipeline_scenario_inline():
     """The Fig. 3 pipeline in REPAIR mode over the Fig. 2 episode.
 
     Inline (rather than via the CLI helper) so this file controls the
-    recorder's scope; it must exercise snapshot builds, verify
-    verdicts, provenance walks, a rollback, and one health tick.
+    recorder's scope; it must exercise verify verdicts (one per
+    guarded write), provenance walks, a rollback, one health tick and
+    — through the offline §6 path, the one that still builds
+    snapshots — a snapshot build.
     """
     from repro.core.pipeline import IntegratedControlPlane, PipelineMode
     from repro.obs.health import HealthEngine
@@ -228,6 +245,7 @@ def _run_pipeline_scenario_inline():
     ).arm()
     net.apply_config_change(bad_lp_change())
     net.run(120)
+    pipeline.detect_and_repair()
     # One health-engine tick, the way the serve-metrics loop would:
     # it records the TraceKind.HEALTH events this scenario asserts on.
     HealthEngine().evaluate()
@@ -407,38 +425,37 @@ def _site_function(module: str, qualname: str) -> ast.AST:
     return node
 
 
+TRACE_SITES = [site for site in SITES if site.witness == "recorder"]
+
+
 class TestTraceSiteContracts:
     def test_catalogue_and_kind_enum_cannot_drift(self):
-        """TRACE_SITES and TraceKind must stay a bijection."""
-        catalogued = [
-            kind
-            for sites in TRACE_SITES.values()
-            for _qualname, kind in sites
-        ]
-        assert sorted(catalogued) == sorted(
+        """The recorder sites and TraceKind must cover each other (a
+        kind may have two sites: the batch verifier and the Fig. 3
+        guard both record VERIFY_VERDICT)."""
+        assert {site.emits for site in TRACE_SITES} == {
             member.name for member in TraceKind
-        ), (
-            "TRACE_SITES (repro/lint/rules/obs_rules.py) and TraceKind "
-            "(repro/obs/trace/recorder.py) have drifted apart"
+        }, (
+            "the recorder sites in SITES (repro/lint/rules/obs_rules.py) "
+            "and TraceKind (repro/obs/trace/recorder.py) have drifted apart"
         )
 
     def test_every_site_guards_on_recorder_enabled(self):
         """The disabled fast path is one attribute check per site."""
-        for module, sites in TRACE_SITES.items():
-            for qualname, _kind in sites:
-                func = _site_function(module, qualname)
-                guards = [
-                    node
-                    for node in ast.walk(func)
-                    if isinstance(node, ast.Attribute)
-                    and node.attr == "enabled"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "recorder"
-                ]
-                assert guards, (
-                    f"{module}:{qualname} must guard recording behind "
-                    "a single `recorder.enabled` check"
-                )
+        for site in TRACE_SITES:
+            func = _site_function(site.module, site.qualname)
+            guards = [
+                node
+                for node in ast.walk(func)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "enabled"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "recorder"
+            ]
+            assert guards, (
+                f"{site.module}:{site.qualname} must guard recording "
+                "behind a single `recorder.enabled` check"
+            )
 
     def test_disabled_recorder_never_reaches_record(self):
         """Behavioral half of the overhead guard: with recording off,

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.lint.rules.obs_rules import VERDICT_SITES
+from repro.lint.rules.obs_rules import SITES
 from repro.net.addr import Prefix
 from repro.obs.atomicio import atomic_write_text
 from repro.obs.continuous import (
@@ -245,36 +245,34 @@ def _site_function(module, qualname):
     return node
 
 
+VERDICT_SITES = [site for site in SITES if site.witness == "verdicts"]
+
+
 class TestVerdictSiteContracts:
     def test_catalogue_and_kinds_cannot_drift(self):
-        """VERDICT_SITES and ledger KINDS must stay a bijection."""
-        catalogued = [
-            kind
-            for sites in VERDICT_SITES.values()
-            for _qualname, kind in sites
-        ]
+        """The verdict sites and ledger KINDS must stay a bijection."""
+        catalogued = [site.emits for site in VERDICT_SITES]
         assert sorted(catalogued) == sorted(KINDS), (
-            "VERDICT_SITES (repro/lint/rules/obs_rules.py) and KINDS "
-            "(repro/obs/ledger.py) have drifted apart"
+            "the verdict sites in SITES (repro/lint/rules/obs_rules.py) "
+            "and KINDS (repro/obs/ledger.py) have drifted apart"
         )
 
     def test_every_site_guards_on_verdicts_enabled(self):
         """The disabled fast path is one attribute check per site."""
-        for module, sites in VERDICT_SITES.items():
-            for qualname, _kind in sites:
-                func = _site_function(module, qualname)
-                guards = [
-                    node
-                    for node in ast.walk(func)
-                    if isinstance(node, ast.Attribute)
-                    and node.attr == "enabled"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "verdicts"
-                ]
-                assert guards, (
-                    f"{module}:{qualname} must guard recording behind "
-                    "a single `verdicts.enabled` check"
-                )
+        for site in VERDICT_SITES:
+            func = _site_function(site.module, site.qualname)
+            guards = [
+                node
+                for node in ast.walk(func)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "enabled"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "verdicts"
+            ]
+            assert guards, (
+                f"{site.module}:{site.qualname} must guard recording "
+                "behind a single `verdicts.enabled` check"
+            )
 
     def test_disabled_verdicts_never_reach_record(self):
         """Behavioral half: with the ledger off, no site may even

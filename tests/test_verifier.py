@@ -1,11 +1,17 @@
-"""Tests for the centralized verifier and its incremental mode."""
+"""Tests for the centralized verifier and the per-delta what-if."""
 
 import pytest
 
+from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.net.addr import Prefix
 from repro.net.topology import paper_topology
 from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry
-from repro.verify.policy import LoopFreedomPolicy, PreferredExitPolicy
+from repro.verify.incremental import IncrementalVerifier
+from repro.verify.policy import (
+    BlackholeFreedomPolicy,
+    LoopFreedomPolicy,
+    PreferredExitPolicy,
+)
 from repro.verify.verifier import DataPlaneVerifier
 
 P = Prefix.parse("203.0.113.0/24")
@@ -80,51 +86,71 @@ class TestVerify:
         assert "OK" in str(verifier.verify(_snapshot(GOOD)))
 
 
+def _incremental(topo, policies, entries):
+    """An :class:`IncrementalVerifier` fed ``entries`` as FIB deltas —
+    the state the Fig. 3 guard asks its what-ifs of."""
+    verifier = IncrementalVerifier(
+        ("R1", "R2", "R3"), topology=topo, policies=policies
+    )
+    streaming = verifier.engine.streaming()
+    verifier.attach(streaming)
+    for t, (router, nh) in enumerate(entries, 1):
+        streaming.observe(
+            IOEvent.create(
+                router,
+                IOKind.FIB_UPDATE,
+                float(t),
+                protocol="ibgp",
+                prefix=P,
+                action=RouteAction.ANNOUNCE,
+                attrs={"next_hop_router": nh},
+            )
+        )
+    return verifier
+
+
 class TestIncremental:
     def test_hypothetical_copy_does_not_mutate(self, topo, exit_policy):
-        verifier = DataPlaneVerifier(topo, [exit_policy])
-        snapshot = _snapshot(GOOD)
-        clone = verifier.with_hypothetical_entry(
-            snapshot, _entry("R1", "Ext1"), "R1", P
-        )
-        assert snapshot.entry("R1", P).next_hop_router == "R2"
-        assert clone.entry("R1", P).next_hop_router == "Ext1"
+        verifier = _incremental(topo, [exit_policy], GOOD)
+        held = verifier.snapshot.entry("R1", P)
+        assert verifier.what_if("R1", P, _entry("R1", "Ext1"))
+        assert verifier.snapshot.entry("R1", P) is held
+        assert held.next_hop_router == "R2"
+        assert verifier.violations() == []
 
     def test_hypothetical_removal(self, topo, exit_policy):
-        verifier = DataPlaneVerifier(topo, [exit_policy])
-        clone = verifier.with_hypothetical_entry(_snapshot(GOOD), None, "R1", P)
-        assert clone.entry("R1", P) is None
+        policies = [exit_policy, BlackholeFreedomPolicy(prefixes=[P])]
+        verifier = _incremental(topo, policies, GOOD)
+        held = verifier.snapshot.entry("R2", P)
+        introduced = verifier.what_if("R2", P, None)
+        # R1 and R3 exit through R2; without its entry they blackhole.
+        assert {v.router for v in introduced} == {"R1", "R3"}
+        assert verifier.snapshot.entry("R2", P) is held
+        assert verifier.violations() == []
 
     def test_bad_update_introduces_violation(self, topo, exit_policy):
-        verifier = DataPlaneVerifier(topo, [exit_policy])
-        introduced, _result = verifier.new_violations_from(
-            _snapshot(GOOD), _entry("R1", "Ext1"), "R1", P
-        )
+        verifier = _incremental(topo, [exit_policy], GOOD)
+        introduced = verifier.what_if("R1", P, _entry("R1", "Ext1"))
         assert introduced
         assert introduced[0].policy == "preferred-exit"
 
     def test_convergence_step_not_blamed(self, topo, exit_policy):
         """An update that *fixes* things introduces no violations even
         if other violations remain."""
-        verifier = DataPlaneVerifier(topo, [exit_policy])
-        broken = _snapshot(BAD_EXIT)
+        verifier = _incremental(topo, [exit_policy], BAD_EXIT)
+        assert verifier.violations()
         # R3 flips back toward R2: strictly an improvement.
-        introduced, _ = verifier.new_violations_from(
-            broken, _entry("R3", "R2"), "R3", P
-        )
-        assert introduced == []
+        assert verifier.what_if("R3", P, _entry("R3", "R2")) == []
 
     def test_neutral_update_not_blamed(self, topo, exit_policy):
-        verifier = DataPlaneVerifier(topo, [exit_policy])
-        introduced, _ = verifier.new_violations_from(
-            _snapshot(GOOD), _entry("R3", "R2"), "R3", P
-        )
-        assert introduced == []
+        verifier = _incremental(topo, [exit_policy], GOOD)
+        assert verifier.what_if("R3", P, _entry("R3", "R2")) == []
 
     def test_loop_introduction_detected(self, topo):
-        verifier = DataPlaneVerifier(topo, [LoopFreedomPolicy(prefixes=[P])])
-        snapshot = _snapshot([("R1", "R2"), ("R2", "Ext2"), ("R3", "R2")])
-        introduced, _ = verifier.new_violations_from(
-            snapshot, _entry("R2", "R1"), "R2", P
+        verifier = _incremental(
+            topo,
+            [LoopFreedomPolicy(prefixes=[P])],
+            [("R1", "R2"), ("R2", "Ext2"), ("R3", "R2")],
         )
+        introduced = verifier.what_if("R2", P, _entry("R2", "R1"))
         assert introduced and introduced[0].policy == "loop-freedom"

@@ -44,7 +44,7 @@ from repro.scenarios.generators import (
     external_prefixes,
 )
 from repro.scenarios.paper_net import P
-from repro.snapshot.base import DataPlaneSnapshot, VerifierView
+from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
 from repro.snapshot.consistent import ConsistentSnapshotter
 from repro.verify.incremental import IncrementalVerifier, incremental_engine
 from repro.verify.policy import BlackholeFreedomPolicy, LoopFreedomPolicy
@@ -284,6 +284,110 @@ class TestFirstEntryGlobalRecheck:
         assert blackholes, "expected the 0->1 transition blackhole"
         assert blackholes[0].router == "R1"
         assert blackholes[0].prefix == Prefix(P8.first_address(), 32)
+
+
+class TestWhatIf:
+    """``what_if`` answers for a pending write and leaves no trace —
+    the Fig. 3 guard's question (tests/test_pipeline_guard.py has the
+    differential against the batch reference)."""
+
+    def _entry(self, router, prefix, next_hop):
+        return SnapshotEntry(router, prefix, next_hop, None, "bgp", False, 0, 9.0)
+
+    def _observable(self, verifier):
+        snapshot = verifier.snapshot
+        return (
+            {r: snapshot.entries_of(r) for r in snapshot.routers()},
+            {r: snapshot.has_router(r) for r in ("R1", "R2", "R3")},
+            verifier.violations(),
+            [dict(cache) for cache in verifier._policy_hits],
+            {
+                (r, a): snapshot.trace(r, a)
+                for r in ("R1", "R2", "R3")
+                for a in snapshot.first_addresses()
+            },
+            verifier.deltas_applied,
+            verifier.atoms.atom_count(),
+        )
+
+    def test_first_ever_write_leaves_has_router_false(self, paper_network):
+        """The trap: ``install`` creates R2's table, ``remove`` never
+        drops it — and a table turns every hop into R2 from delivered
+        into blackhole.  A what-if must put that back too."""
+        policies = (LoopFreedomPolicy(), BlackholeFreedomPolicy())
+        verifier, streaming = _verifier(paper_network.topology, policies)
+        streaming.observe(_fib("R1", P8, 1.0, next_hop="R2"))
+        assert verifier.violations() == []
+        before = self._observable(verifier)
+
+        # R2's first entry, for a disjoint prefix: the global
+        # exception — 10.0.0.0 now blackholes at R2, off the /16's atoms.
+        introduced = verifier.what_if("R2", Q16, self._entry("R2", Q16, None))
+        assert [(v.policy, v.router) for v in introduced] == [
+            ("blackhole-freedom", "R1")
+        ]
+        assert introduced[0].prefix == Prefix(P8.first_address(), 32)
+        assert not verifier.snapshot.has_router("R2")
+        assert self._observable(verifier) == before
+
+        # And the same question about the /8 itself: R2 -> R1 loops.
+        introduced = verifier.what_if("R2", P8, self._entry("R2", P8, "R1"))
+        assert {v.policy for v in introduced} == {"loop-freedom"}
+        assert not verifier.snapshot.has_router("R2")
+        assert self._observable(verifier) == before
+
+        # A withdraw on a router with no table is a no-op what-if.
+        assert verifier.what_if("R2", P8, None) == []
+        assert self._observable(verifier) == before
+
+        # The real delta afterwards still lands as if nothing was asked.
+        event = _fib("R2", Q16, 2.0)
+        streaming.observe(event)
+        assert [v.policy for v in verifier.violations()] == [
+            "blackhole-freedom"
+        ]
+
+    def test_withdraw_and_replace_are_restored(self, paper_network):
+        policies = (LoopFreedomPolicy(), BlackholeFreedomPolicy())
+        verifier, streaming = _verifier(paper_network.topology, policies)
+        for t, (router, prefix, next_hop) in enumerate(
+            [
+                ("R1", P8, None),
+                ("R2", P8, "R1"),
+                ("R3", P8, "R2"),
+                ("R3", P24, "R1"),
+                # A standing violation the what-ifs must not be blamed
+                # for, and must put back: R2 has nothing for the /16.
+                ("R1", Q16, "R2"),
+            ],
+            1,
+        ):
+            streaming.observe(_fib(router, prefix, float(t), next_hop=next_hop))
+        standing = verifier.violations()
+        assert [v.policy for v in standing] == ["blackhole-freedom"]
+        before = self._observable(verifier)
+
+        # R3's /8 traffic goes through R2: withdrawn there, it
+        # blackholes (a source without a route of its own is not one).
+        introduced = verifier.what_if("R2", P8, None)
+        assert [(v.policy, v.router, v.path) for v in introduced] == [
+            ("blackhole-freedom", "R3", ("R3", "R2"))
+        ]
+        assert self._observable(verifier) == before
+
+        # Withdrawing the last holder of a prefix shrinks the probe
+        # set itself (the standing violation's address goes away) ...
+        assert verifier.what_if("R1", Q16, None) == []
+        assert self._observable(verifier) == before
+        # ... and a fix is not an introduction.
+        assert verifier.what_if("R1", Q16, self._entry("R1", Q16, None)) == []
+        assert verifier.violations() == standing
+        assert self._observable(verifier) == before
+
+        # Replacing an entry with a looping one, then back.
+        introduced = verifier.what_if("R1", P8, self._entry("R1", P8, "R3"))
+        assert {v.policy for v in introduced} == {"loop-freedom"}
+        assert self._observable(verifier) == before
 
 
 class TestDeltaCostIsLocal:
