@@ -1,7 +1,7 @@
 """Experiment C-SCALE — implicit claim: the machinery must scale.
 
 Measures, as the network grows: capture volume, HBG construction
-time (indexed default vs the pre-index ``legacy_scan`` reference),
+time (indexed default vs the testkit's window-rescan spec),
 snapshot consistency-check time, and provenance-trace time.  The
 paper's premise (§4–§5) is that all of this runs *online* in the
 control plane, so throughput columns (events/sec, edges/sec) make
@@ -26,11 +26,7 @@ import time
 
 from repro import obs
 from repro.capture.io_events import IOKind
-from repro.hbr.inference import (
-    InferenceConfig,
-    InferenceEngine,
-    StreamingInference,
-)
+from repro.hbr.inference import InferenceEngine, StreamingInference
 from repro.hbr.distributed import DistributedHbg
 from repro.repair.provenance import ProvenanceTracer
 from repro.scenarios.generators import (
@@ -43,6 +39,7 @@ from repro.obs.continuous import WatermarkTracker
 from repro.obs.ledger import NullVerdictLedger, VerdictLedger
 from repro.snapshot.base import VerifierView
 from repro.snapshot.consistent import ConsistentSnapshotter
+from repro.testkit.oracles import rescan_graph
 from repro.verify.incremental import IncrementalVerifier, incremental_engine
 
 from _report import emit, emit_json, table
@@ -190,11 +187,8 @@ def test_scaling(benchmark, tmp_path):
         t_build = time.perf_counter() - t0
 
         if n <= LEGACY_MAX:
-            legacy_engine = InferenceEngine(
-                config=InferenceConfig(legacy_scan=True)
-            )
             t0 = time.perf_counter()
-            legacy_graph = legacy_engine.build_graph(events)
+            legacy_graph = rescan_graph(events)
             t_legacy = time.perf_counter() - t0
             assert _canonical_edges(legacy_graph) == _canonical_edges(
                 graph

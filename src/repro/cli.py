@@ -175,11 +175,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.hbr.inference import (
-        InferenceConfig,
-        InferenceEngine,
-        score_inference,
-    )
+    from repro.hbr.inference import InferenceEngine, score_inference
     from repro.repair.equivalence import PrefixGrouper
     from repro.scenarios.generators import (
         build_random_network,
@@ -201,14 +197,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         net, specs, prefixes, events=args.events, start=5.0, seed=args.seed
     )
     net.run(60)
-    engine = InferenceEngine(
-        config=InferenceConfig(legacy_scan=args.legacy_scan)
-    )
+    engine = InferenceEngine()
     distributed_rows = []
     if args.distributed:
         from repro.hbr.distributed import DistributedHbg
 
-        dist = DistributedHbg(InferenceEngine())
+        dist = DistributedHbg(engine)
         dist.ingest_all(net.collector.all_events())
         dist.build_all(workers=args.workers)
         graph = dist.merged_graph()
@@ -1267,12 +1261,6 @@ def _add_audit_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=0.0,
         help="exit nonzero if HBR inference f1 falls below this (CI gate)",
-    )
-    parser.add_argument(
-        "--legacy-scan",
-        action="store_true",
-        help="use the pre-index window-rescan inference path "
-        "(differential-testing reference; much slower)",
     )
     parser.add_argument(
         "--distributed",

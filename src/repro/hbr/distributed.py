@@ -31,27 +31,23 @@ central build:
   post-filter candidate lists (the only input to edge choice *and*
   the ambiguity discount) are therefore identical.  Engine
   configurations that break the argument (naive/pattern techniques,
-  ``legacy_scan``, custom rules with no router relation or with
-  peer-side antecedents beyond send/receive) are **refused** with
+  custom rules with no router relation or with peer-side antecedents
+  beyond send/receive) are **refused** with
   :exc:`DistributionUnsupported` instead of silently falling back to
   a central rebuild.
 * The merge is deterministic, serial or forked
   (:meth:`DistributedHbg.build_all` with ``workers=N`` — the one
   fork-and-merge build; the cross-``PYTHONHASHSEED`` gate in
-  tests/test_determinism.py covers it).  Shard assignment
-  round-robins over the *sorted* router names, so it is independent
-  of hash seeds and worker scheduling; workers return plain edge
-  *records* ``(cons_ts, cons_id, seq, cause_id, evidence)`` where
-  ``seq`` is the edge's position within its consequent's
-  inferred-edge list; the parent sorts all records by ``(cons_ts,
-  cons_id, seq)`` before applying them, which replays the exact
-  ``add_edge`` order of the central build.  Inference is per
-  consequent and never reads the graph being built, so cycle
-  rejection and duplicate-evidence upgrades resolve identically and
-  the merged graph equals the central graph byte for byte.  Workers
-  are forked (engine, rules and subgraphs are inherited, not
-  pickled); where ``fork`` is unavailable the shards run
-  sequentially in-process, which is slower but identical.
+  tests/test_determinism.py covers it): same candidate lists ⇒ same
+  ``_infer_edges`` output ⇒ same graph, because the graph stores
+  exactly the edges it is handed, in any order.  Workers return plain
+  edge *records* ``(cons_ts, cons_id, cause_id, evidence)``; the
+  parent sorts them by consequent only so that the record list and
+  the trace replay do not depend on the shard layout (round-robin
+  over the *sorted* router names).  Workers are forked (engine, rules
+  and subgraphs are inherited, not pickled); where ``fork`` is
+  unavailable the shards run sequentially in-process, which is slower
+  but identical.
 
 :meth:`DistributedHbg.merged_graph` is a true merge of the per-router
 edge records — it never calls the global ``build_graph`` over the
@@ -63,7 +59,6 @@ every event to a central collector.
 
 from __future__ import annotations
 
-import bisect
 import multiprocessing
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -72,15 +67,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.capture.io_events import IOEvent, IOKind
 from repro.hbr.graph import EdgeEvidence, HappensBeforeGraph
-from repro.hbr.index import EventIndex, MAX_ID, RulePlan
-from repro.hbr.inference import InferenceEngine, _admissible
+from repro.hbr.index import EventIndex, RulePlan
+from repro.hbr.inference import InferenceEngine, _IndexSource
 
-#: One inferred edge, in merge-sortable form: (consequent timestamp,
-#: consequent id, per-consequent sequence number, cause id, evidence
-#: technique, evidence rule, evidence confidence).  Evidence travels
-#: as primitives — unpickling tens of thousands of dataclasses in the
-#: parent costs more than the workers save.
-EdgeRecord = Tuple[float, int, int, int, str, str, float]
+#: One inferred edge: (consequent timestamp, consequent id, cause id,
+#: evidence technique, evidence rule, evidence confidence).  Evidence
+#: travels as primitives — unpickling tens of thousands of dataclasses
+#: in the parent costs more than the workers save.
+EdgeRecord = Tuple[float, int, int, str, str, float]
 
 #: Per-rule timing aggregate a shard returns: rule name ->
 #: (invocations, total wall seconds).  Workers must not touch the
@@ -95,9 +89,6 @@ ShardTimings = Dict[str, Tuple[int, float]]
 #: whose antecedent needs anything else (a neighbor's RIB/FIB/config
 #: events) cannot be answered from summaries and is refused.
 BOUNDARY_KINDS = frozenset({IOKind.ROUTE_SEND, IOKind.ROUTE_RECEIVE})
-
-#: Unbounded lower time bound for full-index iteration.
-_TIME_FLOOR = float("-inf")
 
 
 class DistributionUnsupported(ValueError):
@@ -123,11 +114,6 @@ def distribution_obstacles(engine: InferenceEngine) -> List[str]:
         )
     if config.use_patterns:
         obstacles.append("pattern matching scans the global stream")
-    if config.legacy_scan:
-        obstacles.append(
-            "legacy_scan bypasses the per-router indices the "
-            "subgraphs maintain"
-        )
     for rule, plan in zip(engine.rules, engine._plans):
         if plan.router_from == "any":
             obstacles.append(
@@ -267,39 +253,25 @@ class _DistributedSource:
     consequent's own router).  ``peer``-plan lookups read the boundary
     index built from neighbor summaries; the engine's ``pair_matches``
     post-filter makes the resulting candidate lists identical to the
-    central build's (see module docstring).  Global-window lookups
-    (naive/pattern techniques) are impossible here by design —
-    :func:`check_distribution` refuses such engines up front.
+    central build's (see module docstring).  There is no entry for
+    ``any``-router plans and no ``window_candidates`` (naive/pattern
+    techniques): :func:`check_distribution` refuses such engines up
+    front, and one that slipped through fails loudly here.
     """
 
-    __slots__ = ("local", "boundary", "skew")
+    __slots__ = ("_sources",)
 
     def __init__(self, local: EventIndex, boundary: EventIndex, skew: float):
-        self.local = local
-        self.boundary = boundary
-        self.skew = skew
+        self._sources = {
+            "same": _IndexSource(local, skew),
+            "peer": _IndexSource(boundary, skew),
+        }
 
     def rule_candidates(
-        self, cons: IOEvent, window: float, plan: "RulePlan"
+        self, cons: IOEvent, window: float, plan: RulePlan
     ) -> List[IOEvent]:
-        lo = (cons.timestamp - window, 0)
-        hi = (cons.timestamp + self.skew, MAX_ID)
-        if plan.router_from == "same":
-            index = self.local
-        elif plan.router_from == "peer":
-            index = self.boundary
-        else:  # pragma: no cover - refused by check_distribution
-            raise DistributionUnsupported(
-                "rule without a router relation reached the "
-                "distributed source"
-            )
-        return _admissible(cons, index.candidates(plan, cons, lo, hi))
-
-    def window_candidates(
-        self, cons: IOEvent, window: float
-    ) -> List[IOEvent]:  # pragma: no cover - refused by check_distribution
-        raise DistributionUnsupported(
-            "naive/pattern candidate scans need the global stream"
+        return self._sources[plan.router_from].rule_candidates(
+            cons, window, plan
         )
 
 
@@ -347,22 +319,22 @@ def _merge_shards(
 
 def _replay(
     events: Iterable[IOEvent], records: Iterable[EdgeRecord]
-) -> HappensBeforeGraph:
-    """The graph over ``events`` (given in ``(timestamp, event_id)``
-    order) with the edges of ``records`` (sorted by ``(cons_ts,
-    cons_id, seq)``) applied in order.
-
-    Records whose cause is not among ``events`` are skipped: that is
-    how a router's local graph keeps only its intra-router edges.
+) -> Tuple[HappensBeforeGraph, Dict[int, List[int]]]:
+    """The graph over ``events`` with the edges of ``records``, plus
+    the edges it could not hold: effect id -> cause ids not among
+    ``events``.  That is how a router's local graph keeps only its
+    intra-router edges and still knows its cross-router in-edges.
     """
     graph = HappensBeforeGraph()
+    foreign: Dict[int, List[int]] = {}
     for event in events:
         graph.add_event(event)
     # Most edges share one of a handful of (technique, rule,
     # confidence) shapes; intern the rebuilt evidence objects.
     evidence_cache: Dict[Tuple[str, str, float], EdgeEvidence] = {}
-    for _ts, cons_id, _seq, cause_id, technique, rule, conf in records:
+    for _ts, cons_id, cause_id, technique, rule, conf in records:
         if cause_id not in graph:
+            foreign.setdefault(cons_id, []).append(cause_id)
             continue
         evidence = evidence_cache.get((technique, rule, conf))
         if evidence is None:
@@ -371,7 +343,7 @@ def _replay(
             )
             evidence_cache[(technique, rule, conf)] = evidence
         graph.add_edge(cause_id, cons_id, evidence)
-    return graph
+    return graph, foreign
 
 
 class RouterSubgraph:
@@ -379,10 +351,9 @@ class RouterSubgraph:
 
     Ingest is streaming: each event lands in the local
     :class:`EventIndex` (O(sqrt N) insert, same bucket layout the
-    central build uses), the per-neighbor outbox, and — for sends —
-    the bisected ``find_matching_send`` buckets.  Nothing here ever
-    sees another router's full event stream; cross-router inference
-    reads only the boundary summaries neighbors published.
+    central build uses) and the per-neighbor outbox.  Nothing here
+    ever sees another router's full event stream; cross-router
+    inference reads only the boundary summaries neighbors published.
     """
 
     def __init__(self, router: str, engine: Optional[InferenceEngine] = None):
@@ -398,16 +369,10 @@ class RouterSubgraph:
         #: origin -> the latest summary that neighbor published to us.
         self._inbox: Dict[str, BoundarySummary] = {}
         self._boundary: Optional[EventIndex] = None
-        #: (peer, protocol, prefix, action) -> [(ts, id, event)] for
-        #: the bisected send lookup; buckets sort lazily on first use.
-        self._send_buckets: Dict[
-            Tuple[str, Optional[str], object, object],
-            List[Tuple[float, int, IOEvent]],
-        ] = {}
-        self._dirty_sends: Set[
-            Tuple[str, Optional[str], object, object]
-        ] = set()
         self.graph = HappensBeforeGraph()
+        #: local effect id -> ids of its inferred causes on *other*
+        #: routers: the crossings the partial-path protocol follows.
+        self.remote_parents: Dict[int, List[int]] = {}
 
     def ingest(self, event: IOEvent) -> None:
         if event.router != self.router:
@@ -418,22 +383,12 @@ class RouterSubgraph:
         self._local.add(event)
         if event.kind in BOUNDARY_KINDS and event.peer:
             self._outbox.setdefault(event.peer, []).append(event)
-            if event.kind is IOKind.ROUTE_SEND:
-                key = (event.peer, event.protocol, event.prefix, event.action)
-                self._send_buckets.setdefault(key, []).append(
-                    (event.timestamp, event.event_id, event)
-                )
-                self._dirty_sends.add(key)
 
     def events(self) -> List[IOEvent]:
         return list(self._events)
 
     def event_count(self) -> int:
         return len(self._events)
-
-    def ordered_events(self) -> Iterable[IOEvent]:
-        """Local events in ``(timestamp, event_id)`` order."""
-        return self._local.window((_TIME_FLOOR, 0), (float("inf"), MAX_ID))
 
     # -- boundary-summary exchange ----------------------------------------
 
@@ -499,15 +454,14 @@ class RouterSubgraph:
             def timing_sink(rule_name: str, seconds: float) -> None:
                 _tally(timings, rule_name, 1, seconds)
 
-        for cons in self.ordered_events():
-            for seq, (ante, evidence) in enumerate(
-                self.engine._infer_edges(cons, source, timing_sink)
+        for cons in self._events:
+            for ante, evidence in self.engine._infer_edges(
+                cons, source, timing_sink
             ):
                 records.append(
                     (
                         cons.timestamp,
                         cons.event_id,
-                        seq,
                         ante.event_id,
                         evidence.technique,
                         evidence.rule,
@@ -517,53 +471,24 @@ class RouterSubgraph:
         return records, timings
 
     def build(self) -> HappensBeforeGraph:
-        """(Re)infer this router's *local* graph: its own events plus
-        the intra-router edges among them.
+        """(Re)infer this router's edges from what it holds so far.
 
-        Cross-router edges (whose cause lives on a neighbor) are not
-        materialized here — they belong to the merged graph and to the
-        partial-path protocol.  Standalone (before any summary
-        exchange) this reproduces exactly what inference over the
-        local events alone would produce.
+        Standalone (before any summary exchange) this reproduces
+        exactly what inference over the local events alone would
+        produce.
         """
         check_distribution(self.engine)
         records, _timings = self.infer_records()
-        records.sort(key=lambda r: (r[0], r[1], r[2]))
-        self.graph = _replay(self.ordered_events(), records)
+        self.adopt(records)
         return self.graph
 
-    def local_parents(self, event_id: int) -> List[IOEvent]:
-        return [event for event, _ in self.graph.parents(event_id)]
-
-    def find_matching_send(self, receive: IOEvent) -> Optional[IOEvent]:
-        """Our ROUTE_SEND that a neighbor's ROUTE_RECEIVE matches.
-
-        Used when a neighbor hands us a partial path whose frontier is
-        a receive-from-us: the cross-router HBR [we send] → [they
-        receive] is resolved against our local events.  A bisected
-        lookup in the (peer, protocol, prefix, action) bucket: the
-        latest send no later than the receive plus the clock-skew
-        tolerance (lowest event id among timestamp ties).
+    def adopt(self, records: Sequence[EdgeRecord]) -> None:
+        """Install the inferred in-edges of this router's events: the
+        *local* graph (own events, intra-router edges — exactly the
+        merged graph's restriction to this router) plus
+        :attr:`remote_parents` for the causes that live on a neighbor.
         """
-        key = (receive.router, receive.protocol, receive.prefix, receive.action)
-        bucket = self._send_buckets.get(key)
-        if not bucket:
-            return None
-        if key in self._dirty_sends:
-            # Event ids are unique, so (ts, id) decides every
-            # comparison before the IOEvent element is reached.
-            bucket.sort()
-            self._dirty_sends.discard(key)
-        horizon = (
-            receive.timestamp + self.engine.config.clock_skew_tolerance,
-            MAX_ID,
-        )
-        position = bisect.bisect_right(bucket, horizon)
-        if position == 0:
-            return None
-        latest_ts = bucket[position - 1][0]
-        first = bisect.bisect_left(bucket, (latest_ts,))
-        return bucket[first][2]
+        self.graph, self.remote_parents = _replay(self._events, records)
 
 
 #: Stashed subgraphs (by router name) for forked workers — set in the
@@ -690,18 +615,16 @@ class DistributedHbg:
             finally:
                 _WORK = None
         records, timings = _merge_shards(results)
-        # Replay the central build's exact insertion order (module
-        # docstring: why this makes the merge byte-identical).
-        records.sort(key=lambda r: (r[0], r[1], r[2]))
+        # By consequent (the sort is stable, so a consequent's edges
+        # keep their inferred order): the central build's emission
+        # order, whatever the shard layout.
+        records.sort(key=lambda r: (r[0], r[1]))
         self._records = records
         by_owner: Dict[str, List[EdgeRecord]] = {name: [] for name in names}
         for record in records:
             by_owner[self._owner[record[1]]].append(record)
         for name in names:
-            subgraph = self.subgraphs[name]
-            subgraph.graph = _replay(
-                subgraph.ordered_events(), by_owner[name]
-            )
+            self.subgraphs[name].adopt(by_owner[name])
         self.last_build = DistributedBuildStats(
             routers=len(names),
             events=len(self._owner),
@@ -717,9 +640,7 @@ class DistributedHbg:
         # the central path is replayed here in the parent.
         recorder = obs.get_recorder()
         if recorder.enabled:
-            for cons_ts, cons_id, _seq, cause_id, technique, rule, conf in (
-                records
-            ):
+            for cons_ts, cons_id, cause_id, technique, rule, conf in records:
                 recorder.record(
                     obs.TraceKind.HBR_EDGE,
                     at=cons_ts,
@@ -749,7 +670,7 @@ class DistributedHbg:
                 self._central_bytes
             )
             for technique, count in sorted(
-                Counter(record[4] for record in records).items()
+                Counter(record[3] for record in records).items()
             ):
                 registry.counter(
                     "inference.edges_by_technique", technique=technique
@@ -789,12 +710,13 @@ class DistributedHbg:
     def trace_root_causes(self, event_id: int) -> List[IOEvent]:
         """Distributed provenance: expand partial paths to leaves.
 
-        Mirrors §6's root-cause walk but without a global graph: each
-        expansion step uses only one router's subgraph, and crossing
-        to another router costs one exchanged message.
+        §6's root-cause walk over the same inferred edges as the
+        merged graph, but without a global graph: each expansion step
+        reads only one router's subgraph, and following a cross-router
+        in-edge costs one exchanged message.
         """
         self._ensure_built()
-        start_router, _ = self._find_event(event_id)
+        start_router, start = self._find_event(event_id)
         registry = obs.get_registry()
         messages_before = self.messages_exchanged
         roots: Dict[int, IOEvent] = {}
@@ -808,45 +730,40 @@ class DistributedHbg:
                 continue
             visited.add(frontier_id)
             subgraph = self.subgraphs[router]
-            frontier = subgraph.graph.event(frontier_id)
-            parents = subgraph.local_parents(frontier_id)
-            extended = False
-            for parent in parents:
-                extended = True
-                queue.append((router, path.extended(parent.event_id)))
-            if frontier.kind is IOKind.ROUTE_RECEIVE and frontier.peer:
-                neighbor = self.subgraphs.get(frontier.peer)
-                if neighbor is not None:
-                    send = neighbor.find_matching_send(frontier)
-                    if send is not None:
-                        extended = True
-                        self.messages_exchanged += 1
-                        queue.append(
-                            (frontier.peer, path.extended(send.event_id))
-                        )
-            if not extended:
-                roots[frontier.event_id] = frontier
+            parents = [
+                (router, parent.event_id)
+                for parent, _ in subgraph.graph.parents(frontier_id)
+            ]
+            for cause_id in subgraph.remote_parents.get(frontier_id, ()):
+                self.messages_exchanged += 1
+                parents.append((self._owner[cause_id], cause_id))
+            if not parents:
+                roots[frontier_id] = subgraph.graph.event(frontier_id)
+            for owner, parent_id in parents:
+                queue.append((owner, path.extended(parent_id)))
         if registry.enabled:
             registry.counter("distributed.partial_path_messages_total").inc(
                 self.messages_exchanged - messages_before
             )
             registry.counter("distributed.owner_lookups_total").inc()
-        return [roots[i] for i in sorted(roots)]
+        # ``or``: an event on a leafless cycle is its own root cause,
+        # as in HappensBeforeGraph.root_causes.
+        return [roots[i] for i in sorted(roots)] or [start]
 
     def merged_graph(self) -> HappensBeforeGraph:
         """True merge of the per-router edge records.
 
-        Byte-identical to the central builds (the determinism gate
-        holds legacy, indexed and this to the same edge dump).  Never
+        Byte-identical to the central build (the determinism gate
+        holds batch, streaming and this to the same edge dump).  Never
         calls the global ``build_graph`` over the full event list —
         the per-router records *are* the graph.
         """
         self._ensure_built()
-        all_events: List[IOEvent] = []
-        for name in sorted(self.subgraphs):
-            all_events.extend(self.subgraphs[name].events())
-        all_events.sort(key=lambda e: (e.timestamp, e.event_id))
-        merged = _replay(all_events, self._records or ())
+        everyone = [
+            e for name in sorted(self.subgraphs)
+            for e in self.subgraphs[name].events()
+        ]
+        merged, _foreign = _replay(everyone, self._records or ())
         registry = obs.get_registry()
         if registry.enabled:
             registry.counter("distributed.merges_total").inc()

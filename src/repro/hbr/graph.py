@@ -3,13 +3,20 @@
     "Vertices correspond to specific control plane I/Os, and directed
     edges represent HBRs."
 
-The HBG is a DAG by construction (edges always point forward in the
-cause→effect direction; cycles are rejected at insertion).  Each edge
-carries :class:`EdgeEvidence` recording *which* inference technique
-produced it and with what confidence — §4.2 proposes "adapting the
-behavior of our system according to a statistical confidence attached
-to each inferred HBR", so confidence is first-class here and every
-traversal can be thresholded.
+The graph stores exactly the edges it is handed — *inferred evidence*,
+not arbitrated truth — so its content is a pure function of the edge
+multiset, whatever order the edges arrive in.  It is usually a DAG,
+but clock skew can close a cycle: every cycle passes through a
+forward-skew edge (a cause logged after its effect), i.e. it is
+evidence of a false-positive HBR (§4.2), and which of its edges is the
+false one cannot be decided here.  Keeping all of them only ever
+*enlarges* ancestry — the conservative side for §5/§6 — and every
+walker below carries a ``seen`` set, so cycles are safe to traverse.
+Each edge carries :class:`EdgeEvidence` recording *which* inference
+technique produced it and with what confidence — §4.2 proposes
+"adapting the behavior of our system according to a statistical
+confidence attached to each inferred HBR", so confidence is
+first-class here and every traversal can be thresholded.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from repro.capture.io_events import IOEvent
 
 
 class HbgError(ValueError):
-    """Raised for invalid HBG operations (unknown vertex, cycle...)."""
+    """Raised for invalid HBG operations (unknown vertex, ...)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +46,10 @@ class EdgeEvidence:
             raise HbgError(f"confidence out of range: {self.confidence}")
 
 
+def _rank(evidence: EdgeEvidence) -> Tuple[float, str, str]:
+    return (evidence.confidence, evidence.technique, evidence.rule)
+
+
 @dataclass(frozen=True, slots=True)
 class Edge:
     """A directed happens-before edge: cause -> effect."""
@@ -49,7 +60,7 @@ class Edge:
 
 
 class HappensBeforeGraph:
-    """A DAG of control-plane I/O events."""
+    """Control-plane I/O events and the HBR edges inferred among them."""
 
     def __init__(self) -> None:
         self._events: Dict[int, IOEvent] = {}
@@ -83,10 +94,11 @@ class HappensBeforeGraph:
     def add_edge(
         self, cause_id: int, effect_id: int, evidence: EdgeEvidence
     ) -> bool:
-        """Add cause -> effect; returns False if it would create a cycle.
+        """Add cause -> effect; returns False only for a self-edge.
 
-        When the edge already exists, the higher-confidence evidence
-        is kept.
+        When the edge already exists, the evidence that sorts highest
+        by ``(confidence, technique, rule)`` is kept, so the result
+        does not depend on insertion order.
         """
         if cause_id not in self._events:
             raise HbgError(f"unknown cause vertex {cause_id}")
@@ -96,12 +108,10 @@ class HappensBeforeGraph:
             return False
         current = self._out[cause_id].get(effect_id)
         if current is not None:
-            if evidence.confidence > current.confidence:
+            if _rank(evidence) > _rank(current):
                 self._out[cause_id][effect_id] = evidence
                 self._in[effect_id][cause_id] = evidence
             return True
-        if self._reaches(effect_id, cause_id):
-            return False
         self._out[cause_id][effect_id] = evidence
         self._in[effect_id][cause_id] = evidence
         self._edge_total += 1
@@ -123,21 +133,6 @@ class HappensBeforeGraph:
             del self._out[cause][effect_id]
         self._edge_total -= len(incoming)
         return len(incoming)
-
-    def _reaches(self, start: int, target: int) -> bool:
-        if start == target:
-            return True
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for child in self._out.get(node, ()):
-                if child == target:
-                    return True
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return False
 
     # -- queries ----------------------------------------------------------------
 
@@ -276,7 +271,11 @@ class HappensBeforeGraph:
         return None
 
     def topological_order(self) -> List[IOEvent]:
-        """Kahn's algorithm; ties broken by event id for determinism."""
+        """Kahn's algorithm; ties broken by event id for determinism.
+
+        Raises :exc:`HbgError` naming the events left on or behind a
+        cycle — the way to ask whether the capture holds a skew cycle.
+        """
         in_degree = {i: len(self._in.get(i, {})) for i in self._events}
         ready = sorted(i for i, d in in_degree.items() if d == 0)
         order: List[IOEvent] = []
@@ -292,7 +291,11 @@ class HappensBeforeGraph:
             for effect in sorted(newly_ready):
                 ready_set.append(effect)
         if len(order) != len(self._events):
-            raise HbgError("cycle detected in HBG (should be impossible)")
+            stuck = sorted(set(self._events) - {e.event_id for e in order})
+            raise HbgError(
+                f"HBG has a cycle (a false-positive HBR, §4.2) among "
+                f"events {stuck[:8]}"
+            )
         return order
 
     def events_of_router(self, router: str) -> List[IOEvent]:

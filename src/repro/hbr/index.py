@@ -22,9 +22,10 @@ module supplies the two pieces the inference engine needs:
   once so the hot path does no reflection.
 
 Every query yields events in ``(timestamp, event_id)`` order — the
-exact order the legacy full-scan produced — so the indexed path is
-drop-in equivalent (the ``hbg-indexed-equivalence`` testkit oracle
-and tests/test_hbr_index.py hold it to that).
+exact order a rescan of the ordered stream produces — so the index is
+pure performance work (the ``hbg-indexed-equivalence`` testkit oracle,
+which owns that rescan as an executable spec, and
+tests/test_hbr_index.py hold it to that).
 """
 
 from __future__ import annotations
@@ -170,14 +171,7 @@ class RulePlan:
         return None
 
 
-def plan_for_rule(rule: HbrRule) -> RulePlan:
-    """Derive the index lookup plan from a rule's declarative shape.
-
-    Only the stock relation predicates of :mod:`repro.hbr.rules` are
-    recognised (by identity); a rule built from custom predicates
-    plans conservatively and the index answers it from the wider
-    per-kind (or global) bucket — still correct, just less narrow.
-    """
+def _plan(rule: HbrRule, kinds: Tuple[IOKind, ...]) -> RulePlan:
     relations = rule.relations
     if same_router in relations:
         router_from = "same"
@@ -187,11 +181,22 @@ def plan_for_rule(rule: HbrRule) -> RulePlan:
         router_from = "any"
     return RulePlan(
         router_from=router_from,
-        kinds=tuple(rule.antecedent.kinds),
+        kinds=tuple(kinds),
         prefix_narrowed=(
             same_prefix in relations and router_from != "any"
         ),
     )
+
+
+def plan_for_rule(rule: HbrRule) -> RulePlan:
+    """Derive the index lookup plan from a rule's declarative shape.
+
+    Only the stock relation predicates of :mod:`repro.hbr.rules` are
+    recognised (by identity); a rule built from custom predicates
+    plans conservatively and the index answers it from the wider
+    per-kind (or global) bucket — still correct, just less narrow.
+    """
+    return _plan(rule, rule.antecedent.kinds)
 
 
 def forward_plan_for_rule(rule: HbrRule) -> RulePlan:
@@ -205,20 +210,7 @@ def forward_plan_for_rule(rule: HbrRule) -> RulePlan:
     this to find the already-observed events a late-arriving cause
     must re-link, without scanning the whole re-link window.
     """
-    relations = rule.relations
-    if same_router in relations:
-        router_from = "same"
-    elif peer_symmetric in relations:
-        router_from = "peer"
-    else:
-        router_from = "any"
-    return RulePlan(
-        router_from=router_from,
-        kinds=tuple(rule.consequent.kinds),
-        prefix_narrowed=(
-            same_prefix in relations and router_from != "any"
-        ),
-    )
+    return _plan(rule, rule.consequent.kinds)
 
 
 class EventIndex:

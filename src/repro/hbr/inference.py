@@ -67,12 +67,6 @@ class InferenceConfig:
     ambiguity_discount: bool = True
     #: Link all candidates instead of only the most recent one.
     link_all_candidates: bool = False
-    #: Use the original per-event window rescan instead of the
-    #: inverted indices of :mod:`repro.hbr.index`.  Kept only as the
-    #: reference implementation for differential testing (the
-    #: ``hbg-indexed-equivalence`` oracle); the indexed path is the
-    #: default and produces the identical graph.
-    legacy_scan: bool = False
 
 
 # -- pattern mining ----------------------------------------------------------
@@ -161,13 +155,13 @@ def _prefix_compatible(a: IOEvent, b: IOEvent) -> bool:
     return a.prefix == b.prefix
 
 
-# -- candidate sources ------------------------------------------------------
+# -- candidate source -------------------------------------------------------
 
 
 def _admissible(
     cons: IOEvent, candidates: Iterable[IOEvent]
 ) -> List[IOEvent]:
-    """The shared per-candidate filters both sources apply.
+    """The per-candidate filters every candidate source applies.
 
     Excludes the consequent itself and enforces the shared-clock
     constraint: same-router antecedents must not be later than the
@@ -186,56 +180,18 @@ def _admissible(
     return result
 
 
-class _ScanSource:
-    """Legacy candidate lookup: rescan the ordered stream per rule.
-
-    Kept as the reference implementation behind
-    ``InferenceConfig.legacy_scan`` so the indexed path can be
-    differentially tested against it forever.
-    """
-
-    __slots__ = ("ordered", "times", "skew")
-
-    def __init__(
-        self,
-        ordered: Sequence[IOEvent],
-        times: Sequence[float],
-        skew: float,
-    ):
-        self.ordered = ordered
-        self.times = times
-        self.skew = skew
-
-    def _window(self, cons: IOEvent, window: float) -> List[IOEvent]:
-        """Events within [cons.t - window, cons.t + skew].
-
-        The forward allowance implements the timestamp technique's
-        skew tolerance: a cause on another (skewed) router may carry a
-        slightly *later* logged timestamp than its effect.
-        """
-        start = bisect.bisect_left(self.times, cons.timestamp - window)
-        end = bisect.bisect_right(self.times, cons.timestamp + self.skew)
-        return _admissible(cons, self.ordered[start:end])
-
-    def rule_candidates(
-        self, cons: IOEvent, window: float, plan: "RulePlan"
-    ) -> List[IOEvent]:
-        return self._window(cons, window)
-
-    def window_candidates(
-        self, cons: IOEvent, window: float
-    ) -> List[IOEvent]:
-        return self._window(cons, window)
-
-
 class _IndexSource:
     """Indexed candidate lookup over :class:`repro.hbr.index.EventIndex`.
 
     Rule lookups read only the (router, kind[, prefix]) bucket the
     rule's precomputed plan names; the naive/pattern modes fall back
     to the global time-ordered index.  Either way the answer comes
-    back in the same (timestamp, event_id) order the legacy scan
-    produced, so downstream tie-breaking is unchanged.
+    back in (timestamp, event_id) order.
+
+    The window is ``[cons.t - window, cons.t + skew]``: the forward
+    allowance is the timestamp technique's skew tolerance — a cause on
+    another (skewed) router may carry a slightly *later* logged
+    timestamp than its effect.
     """
 
     __slots__ = ("index", "skew")
@@ -309,18 +265,14 @@ class InferenceEngine:
         graph = HappensBeforeGraph()
         for event in ordered:
             graph.add_event(event)
-        skew = self.config.clock_skew_tolerance
-        if self.config.legacy_scan:
-            source = _ScanSource(
-                ordered, [e.timestamp for e in ordered], skew
-            )
-        else:
-            index = EventIndex()
-            for event in ordered:
-                index.add(event)
-            # The batch build only ever runs in the parent process, so
-            # ledger registration of the index is safe here.
-            source = _IndexSource(index.track(), skew)
+        index = EventIndex()
+        for event in ordered:
+            index.add(event)
+        # The batch build only ever runs in the parent process, so
+        # ledger registration of the index is safe here.
+        source = _IndexSource(
+            index.track(), self.config.clock_skew_tolerance
+        )
         for cons in ordered:
             for ante, evidence in self._edges_into(cons, source):
                 graph.add_edge(ante.event_id, cons.event_id, evidence)
@@ -502,20 +454,19 @@ class StreamingInference:
     whatever order they arrived in (per-router log lag can deliver a
     cause long after its effects).
 
-    The default path maintains an :class:`~repro.hbr.index.EventIndex`
-    incrementally (O(sqrt N) insert, bucketed lookups); the
-    ``legacy_scan`` config flag keeps the original O(N)-per-event
-    sorted-list implementation for differential testing.  Both end-of-
-    observe gauge updates are O(1): the graph tracks its own edge and
-    vertex totals (see :meth:`HappensBeforeGraph.edge_count`), guarded
-    by the overhead test in tests/test_hbr_inference.py.
+    The graph holds, for every event, exactly what ``_infer_edges``
+    returned the last time it was (re-)linked — nothing else decides an
+    edge — so the equality above is by construction.  An
+    :class:`~repro.hbr.index.EventIndex` is maintained incrementally
+    (O(sqrt N) insert, bucketed lookups).  Both end-of-observe gauge
+    updates are O(1): the graph tracks its own edge and vertex totals
+    (see :meth:`HappensBeforeGraph.edge_count`), guarded by the
+    overhead test in tests/test_hbr_inference.py.
     """
 
     def __init__(self, engine: InferenceEngine):
         self.engine = engine
         self.graph = HappensBeforeGraph()
-        self._legacy = engine.config.legacy_scan
-        skew = engine.config.clock_skew_tolerance
         #: Forward (antecedent → consequent-bucket) query plans,
         #: parallel to engine.rules.
         self._fplans: Tuple[RulePlan, ...] = tuple(
@@ -524,37 +475,12 @@ class StreamingInference:
         #: ``listener(event, relinked)`` callbacks, notified after each
         #: observe() — the delta feed the incremental verifier rides.
         self._listeners: List = []
-        if self._legacy:
-            self._ordered: List[IOEvent] = []
-            self._times: List[float] = []
-            self._source = _ScanSource(self._ordered, self._times, skew)
-        else:
-            # Streaming inference lives in the parent process, so the
-            # index is ledger-tracked here.
-            self._index = EventIndex().track()
-            self._source = _IndexSource(self._index, skew)
-
-    def _ahead_horizon(self, event: IOEvent) -> float:
-        """How far ahead of ``event`` a consequent's candidate window
-        can still reach back to it (the legacy reference's scan bound).
-
-        The widest window among the *rules whose antecedent pattern
-        matches this event* (plus the naive/pattern windows when those
-        techniques are on): an event no rule accepts as an antecedent
-        cannot enter any later candidate list, so scanning further
-        would only re-derive identical edges.
-        """
-        config = self.engine.config
-        window = 0.0
-        if config.use_rules:
-            for rule in self.engine.rules:
-                if rule.window > window and rule.antecedent.matches(event):
-                    window = rule.window
-        if config.naive_prefix_timestamp:
-            window = max(window, config.naive_window)
-        if config.use_patterns and self.engine.miner is not None:
-            window = max(window, self.engine.miner.window)
-        return window
+        # Streaming inference lives in the parent process, so the
+        # index is ledger-tracked here.
+        self._index = EventIndex().track()
+        self._source = _IndexSource(
+            self._index, engine.config.clock_skew_tolerance
+        )
 
     def _could_affect(self, event: IOEvent, cons: IOEvent) -> bool:
         """Conservatively: can ``event`` enter ``cons``'s candidate
@@ -600,10 +526,10 @@ class StreamingInference:
         registry = obs.get_registry()
         if registry.enabled:
             watch = registry.stopwatch()
-        if self._legacy:
-            relinked = self._observe_legacy(event)
-        else:
-            relinked = self._observe_indexed(event)
+        self._index.add(event)
+        self.graph.add_event(event)
+        self._link(event)
+        relinked = self._relink_forward(event)
         if registry.enabled:
             registry.counter("inference.events_observed_total").inc()
             registry.histogram("inference.observe_seconds").observe(
@@ -613,12 +539,6 @@ class StreamingInference:
             registry.gauge("inference.hbg_edges").set(self.graph.edge_count())
         for listener in self._listeners:
             listener(event, relinked)
-
-    def _observe_indexed(self, event: IOEvent) -> Tuple[IOEvent, ...]:
-        self._index.add(event)
-        self.graph.add_event(event)
-        self._link(event)
-        return self._relink_forward(event)
 
     def _relink_forward(self, event: IOEvent) -> Tuple[IOEvent, ...]:
         """Re-link the already-observed events ``event`` may cause.
@@ -676,35 +596,6 @@ class StreamingInference:
             relinked.append(cons)
         return tuple(relinked)
 
-    def _observe_legacy(self, event: IOEvent) -> Tuple[IOEvent, ...]:
-        position = bisect.bisect_right(self._times, event.timestamp)
-        # The O(N) inserts are exactly what the indexed path exists to
-        # avoid; this branch is the differential-testing reference.
-        self._ordered.insert(position, event)  # repro: lint-ignore[PERF001] -- legacy reference path
-        self._times.insert(position, event.timestamp)  # repro: lint-ignore[PERF001] -- legacy reference path
-        self.graph.add_event(event)
-        self._link(event)
-        relinked: List[IOEvent] = []
-        skew = self._source.skew
-        if skew:
-            start = bisect.bisect_left(self._times, event.timestamp - skew)
-            for cons in self._ordered[start:position]:
-                if cons.event_id == event.event_id:
-                    continue
-                if not self._could_affect(event, cons):
-                    continue
-                self._link(cons)
-                relinked.append(cons)
-        horizon = event.timestamp + self._ahead_horizon(event)
-        index = position + 1
-        while index < len(self._ordered) and self._times[index] <= horizon:
-            cons = self._ordered[index]
-            if self._could_affect(event, cons):
-                self._link(cons)
-                relinked.append(cons)
-            index += 1
-        return tuple(relinked)
-
     def _link(self, cons: IOEvent) -> None:
         # Replace, don't accumulate: a re-link may change which
         # candidate a pick-latest rule chooses, and the superseded
@@ -714,8 +605,6 @@ class StreamingInference:
             self.graph.add_edge(ante.event_id, cons.event_id, evidence)
 
     def __len__(self) -> int:
-        if self._legacy:
-            return len(self._ordered)
         return len(self._index)
 
 

@@ -11,12 +11,12 @@ agree:
   (per-router indexed subgraphs + boundary-summary exchange, serial
   and forked) merges to a graph byte-identical to the central build
   while exchanging strictly fewer bytes than shipping every event to
-  a central collector, and partial-path root-cause traces stay
-  causally sound against the central graph.
+  a central collector, and partial-path root-cause traces name the
+  central graph's root causes.
 * ``hbg-indexed-equivalence`` — the indexed (repro.hbr.index) build
-  produces exactly the legacy window-scan's edge set and evidence,
-  and the streaming path lands on the same records as the batch
-  build.
+  produces exactly the edge set and evidence of the window-rescan
+  spec (:func:`rescan_graph`, owned by this oracle), and the
+  streaming path lands on the same records as the batch build.
 * ``whatif-replay`` — §6: the what-if engine's forked prediction of
   an injection equals actually replaying that injection live.
 * ``provenance-rollback`` — §6: reverting the provenance-identified
@@ -32,6 +32,7 @@ poison their neighbours.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from typing import (
@@ -281,12 +282,12 @@ def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
 
     The boundary-summary engine of repro.hbr.distributed claims the
     strongest form of equivalence: its merged graph is byte-identical
-    to the central indexed build (hence, transitively, to the legacy
-    scan — ``hbg-indexed-equivalence`` pins that), for both the serial
-    and the forked (workers=2) record builds.  Plus the traffic claim
-    that makes the design worthwhile — boundary bytes strictly below
-    shipping every event to a central collector — and the soundness
-    of partial-path root-cause expansion.
+    to the central indexed build (hence, transitively, to the
+    window-rescan spec — ``hbg-indexed-equivalence`` pins that), for
+    both the serial and the forked (workers=2) record builds.  Plus
+    the traffic claim that makes the design worthwhile — boundary
+    bytes strictly below shipping every event to a central collector
+    — and partial-path root-cause expansion naming the central roots.
     """
     from repro.hbr.distributed import DistributedHbg
     from repro.hbr.inference import InferenceEngine
@@ -318,15 +319,11 @@ def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
                 f"({stats.central_bytes}B)"
             )
 
-    # Root-cause soundness (walked on the forked build, the last one
-    # above) on the latest FIB update of each workload prefix.  The
-    # two walks are different algorithms by design — the central one
-    # follows every inferred edge of the global graph, while
-    # partial-path expansion crosses routers only via exactly matched
-    # send/receive pairs — so they legitimately stop at different leaf
-    # sets.  What must hold: every distributed root is causally
-    # upstream of the event in the central graph (no spurious
-    # causality), and the two walks agree on at least one root.
+    # Root causes (walked on the forked build, the last one above) of
+    # the latest FIB update of each workload prefix.  Partial-path
+    # expansion follows the cross-router in-edges build_all recorded —
+    # the very edges the central walk reads — so every distributed
+    # root must be a central ancestor; more, the leaf sets are equal.
     interesting = {str(p) for p in execution.prefixes}
     latest: Dict[Tuple[str, str], int] = {}
     for event in events:
@@ -344,17 +341,10 @@ def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
         distributed_roots = {
             e.event_id for e in distributed.trace_root_causes(event_id)
         }
-        upstream = central.ancestors(event_id, 0.0) | {event_id}
-        spurious = distributed_roots - upstream
-        if spurious:
-            problems.append(
-                f"distributed roots of event {event_id} ({key[0]}, "
-                f"{key[1]}) are not central ancestors: {sorted(spurious)}"
-            )
-        elif not (central_roots & distributed_roots):
+        if central_roots != distributed_roots:
             problems.append(
                 f"root causes of event {event_id} ({key[0]}, {key[1]}) "
-                f"are disjoint: central {sorted(central_roots)} vs "
+                f"differ: central {sorted(central_roots)} vs "
                 f"distributed {sorted(distributed_roots)}"
             )
 
@@ -366,36 +356,88 @@ def hbg_distributed(ctx: OracleContext) -> OracleVerdict:
     )
 
 
-# -- (b') legacy scan vs indexed vs streaming HBG ----------------------------
+# -- (b') window-rescan spec vs indexed vs streaming HBG ---------------------
+
+
+class WindowRescan:
+    """Executable spec of candidate lookup: rescan the ordered stream.
+
+    What the inverted indices of repro.hbr.index must be
+    indistinguishable from — every event logged within ``[cons.t -
+    window, cons.t + skew]``, in ``(timestamp, event_id)`` order,
+    minus the consequent itself and minus same-router events logged
+    after it (one router's clock does not skew against itself).  Rule
+    plans are ignored: narrowing to a bucket may only drop events the
+    rule's own ``pair_matches`` rejects anyway.
+    """
+
+    def __init__(self, ordered: Sequence[IOEvent], skew: float):
+        self.ordered = ordered
+        self.times = [event.timestamp for event in ordered]
+        self.skew = skew
+
+    def window_candidates(self, cons: IOEvent, window: float) -> List[IOEvent]:
+        start = bisect.bisect_left(self.times, cons.timestamp - window)
+        end = bisect.bisect_right(self.times, cons.timestamp + self.skew)
+        return [
+            ante
+            for ante in self.ordered[start:end]
+            if ante.event_id != cons.event_id
+            and not (
+                ante.router == cons.router
+                and (ante.timestamp, ante.event_id)
+                > (cons.timestamp, cons.event_id)
+            )
+        ]
+
+    def rule_candidates(self, cons: IOEvent, window: float, plan) -> List[IOEvent]:
+        return self.window_candidates(cons, window)
+
+
+def rescan_graph(events, engine=None):
+    """The HBG of ``events`` by definition: every event's in-edges are
+    what ``engine`` infers for it from the :class:`WindowRescan` of
+    the whole capture.  O(window) per rule per event — a reference for
+    differential tests, never a production path."""
+    from repro.hbr.graph import HappensBeforeGraph
+    from repro.hbr.inference import InferenceEngine
+
+    engine = engine or InferenceEngine()
+    ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
+    source = WindowRescan(ordered, engine.config.clock_skew_tolerance)
+    graph = HappensBeforeGraph()
+    for event in ordered:
+        graph.add_event(event)
+    for cons in ordered:
+        for ante, evidence in engine._infer_edges(cons, source):
+            graph.add_edge(ante.event_id, cons.event_id, evidence)
+    return graph
 
 
 @oracle("hbg-indexed-equivalence")
 def hbg_indexed_equivalence(ctx: OracleContext) -> OracleVerdict:
-    """The indexed build path equals the legacy scan.
+    """The indexed build path equals the window-rescan spec.
 
     The inverted indices of repro.hbr.index are pure performance
     work: for any capture they must produce exactly the edge set *and
     evidence* (technique, rule, confidence — the ambiguity discount
     depends on candidate-set equality, so confidences diverge first)
-    of the original window-rescan implementation.
+    of :func:`rescan_graph`.
     """
-    from repro.hbr.inference import InferenceConfig, InferenceEngine
+    from repro.hbr.inference import InferenceEngine
 
     execution = ctx.shared
     events = execution.events()
-    legacy = InferenceEngine(
-        config=InferenceConfig(legacy_scan=True)
-    ).build_graph(events)
     indexed_engine = InferenceEngine()
     indexed = indexed_engine.build_graph(events)
 
-    reference = _evidence_edges(legacy)
+    reference = _evidence_edges(rescan_graph(events, indexed_engine))
     problems: List[str] = []
     checked = 1 + len(reference)
     found = _evidence_edges(indexed)
     if found != reference:
         problems.append(
-            "indexed path diverges from legacy scan: "
+            "indexed path diverges from the window-rescan spec: "
             + _edge_diff(reference, found)
         )
 

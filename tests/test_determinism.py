@@ -72,28 +72,25 @@ def test_hbg_edges_byte_identical_across_processes():
     assert int(first.splitlines()[0]) > 0
 
 
-# All three build paths (legacy scan, indexed, distributed
-# boundary-summary workers=2) on one seeded scenario: each path must
-# agree with the others within a process, and the whole dump must be
-# byte-identical across hostile hash seeds (the distributed path adds
-# fork + merge and summary-exchange ordering as fresh opportunities
-# for nondeterminism; see repro.hbr.distributed).
+# Every way of building the graph, on two seeded captures: Fig. 2
+# (window-rescan spec, indexed batch, distributed boundary-summary
+# workers=2) and a route-reflector network whose capture holds a
+# skew-induced *cycle* (world seed 1: batch, streaming in arrival
+# order, streaming in reversed order, forked distributed merge).  Each
+# path must agree with the others within a process, and the whole dump
+# must be byte-identical across hostile hash seeds — so neither a
+# hash-order dependence nor an insertion-order-dependent edge decider
+# (the cycle veto add_edge used to apply) can come back unnoticed.
 _PATHS_SCRIPT = """
-from repro.hbr.distributed import DistributedHbg
-from repro.hbr.inference import InferenceConfig, InferenceEngine
-from repro.scenarios.fig2 import Fig2Scenario
+import random
 
-net = Fig2Scenario(seed=7).run_fig2a()
-events = net.collector.all_events()
-legacy = InferenceEngine(
-    config=InferenceConfig(legacy_scan=True)
-).build_graph(events)
-engine = InferenceEngine()
-indexed = engine.build_graph(events)
-dist = DistributedHbg(InferenceEngine())
-dist.ingest_all(events)
-dist.build_all(workers=2)
-distributed = dist.merged_graph()
+from repro.hbr.distributed import DistributedHbg
+from repro.hbr.graph import HbgError
+from repro.hbr.inference import InferenceEngine
+from repro.scenarios.fig2 import Fig2Scenario
+from repro.scenarios.generators import build_scaled_network, external_prefixes
+from repro.snapshot.base import VerifierView
+from repro.testkit.oracles import rescan_graph
 
 def dump(graph):
     return sorted(
@@ -107,9 +104,51 @@ def dump(graph):
         for e in graph.edges()
     )
 
-print("legacy==indexed", dump(legacy) == dump(indexed))
-print("indexed==distributed", indexed.to_records() == distributed.to_records())
+def distributed(events):
+    dist = DistributedHbg(InferenceEngine())
+    dist.ingest_all(events)
+    dist.build_all(workers=2)
+    return dist.merged_graph()
+
+def streamed(events):
+    stream = InferenceEngine().streaming()
+    for event in events:
+        stream.observe(event)
+    return stream.graph
+
+net = Fig2Scenario(seed=7).run_fig2a()
+events = net.collector.all_events()
+indexed = InferenceEngine().build_graph(events)
+print("spec==indexed", dump(rescan_graph(events)) == dump(indexed))
+print("indexed==distributed", indexed.to_records() == distributed(events).to_records())
 edges = dump(indexed)
+print(len(edges))
+for edge in edges:
+    print(edge)
+
+net, specs = build_scaled_network(32, seed=0, rng=random.Random(1))
+net.start()
+for spec in specs:
+    for prefix in external_prefixes(4, base="198.51.0.0"):
+        net.announce_prefix(spec.external, prefix, at=1.0)
+net.run(30.0)
+events = net.collector.all_events()
+rng = random.Random(0)
+view = VerifierView(
+    net.collector,
+    lags={r: rng.uniform(0.0, 0.05) for r in sorted(net.topology.internal_routers())},
+)
+arrival = sorted(events, key=lambda e: (view.arrival_time(e), e.event_id))
+batch = InferenceEngine().build_graph(events)
+try:
+    batch.topological_order()
+    print("cycle False")
+except HbgError:
+    print("cycle True")
+print("batch==streaming", batch.to_records() == streamed(arrival).to_records())
+print("batch==reversed", batch.to_records() == streamed(arrival[::-1]).to_records())
+print("batch==distributed", batch.to_records() == distributed(events).to_records())
+edges = dump(batch)
 print(len(edges))
 for edge in edges:
     print(edge)
@@ -137,9 +176,18 @@ def test_all_three_build_paths_byte_identical_across_processes():
     second = _run_paths("2")
     assert first == second
     lines = first.splitlines()
-    assert lines[0] == "legacy==indexed True"
+    assert lines[0] == "spec==indexed True"
     assert lines[1] == "indexed==distributed True"
-    assert int(lines[2]) > 0
+    fig2_edges = int(lines[2])
+    assert fig2_edges > 0
+    rr = lines[3 + fig2_edges :]
+    assert rr[:4] == [
+        "cycle True",
+        "batch==streaming True",
+        "batch==reversed True",
+        "batch==distributed True",
+    ]
+    assert int(rr[4]) > 0
 
 
 def test_graph_edges_stable_within_process():

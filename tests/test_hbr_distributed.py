@@ -11,6 +11,7 @@ from repro.hbr.distributed import (
     supports_distribution,
 )
 from repro.hbr.inference import InferenceConfig, InferenceEngine, PatternMiner
+from repro.hbr.rules import EventPattern, HbrRule
 from repro.net.addr import Prefix, parse_ip
 from repro.repair.provenance import ProvenanceTracer
 from repro.scenarios.fig2 import Fig2Scenario
@@ -56,22 +57,32 @@ class TestRouterSubgraph:
             assert graph.event(edge.cause).router == "R1"
             assert graph.event(edge.effect).router == "R1"
 
-    def test_find_matching_send(self, fig2_net):
-        r2 = RouterSubgraph("R2")
-        for event in fig2_net.collector.events_of("R2"):
-            r2.ingest(event)
-        r2.build()
+    def test_build_all_records_cross_router_parents(self, fig2_net):
+        """A subgraph keeps the cross-router in-edges build_all
+        inferred for its events: local graph + remote_parents is
+        exactly the merged graph's in-edges of this router."""
+        dist = DistributedHbg()
+        dist.ingest_all(fig2_net.collector.all_events())
+        dist.build_all()
+        merged = dist.merged_graph()
+        r1 = dist.subgraphs["R1"]
         recv = [
             e
             for e in fig2_net.collector.events_of("R1")
             if e.kind is IOKind.ROUTE_RECEIVE and e.peer == "R2"
         ][0]
-        send = r2.find_matching_send(recv)
-        assert send is not None
-        assert send.kind is IOKind.ROUTE_SEND
-        assert send.peer == "R1"
-        assert send.prefix == recv.prefix
-        assert send.timestamp <= recv.timestamp
+        (send_id,) = r1.remote_parents[recv.event_id]
+        send = merged.event(send_id)
+        assert (send.router, send.kind, send.peer, send.prefix) == (
+            "R2", IOKind.ROUTE_SEND, "R1", recv.prefix
+        )
+        for event in r1.events():
+            local = {p.event_id for p, _ in r1.graph.parents(event.event_id)}
+            remote = set(r1.remote_parents.get(event.event_id, ()))
+            assert all(merged.event(i).router != "R1" for i in remote)
+            assert local | remote == {
+                p.event_id for p, _ in merged.parents(event.event_id)
+            }
 
 
 class TestDistributedHbg:
@@ -109,9 +120,9 @@ class TestDistributedHbg:
         ).root_causes
         central_ids = {e.event_id for e in central_roots}
         distributed_ids = {e.event_id for e in distributed_roots}
-        assert config.event_id in distributed_ids
-        assert central_ids <= distributed_ids | central_ids  # sanity
         assert config.event_id in central_ids
+        # Both walks read the same inferred edges.
+        assert distributed_ids == central_ids
 
     def test_message_counter_increments(self, fig2_net):
         dist = self._build(fig2_net)
@@ -231,7 +242,13 @@ class TestDistributionSupport:
                 miner=PatternMiner(),
             ),
             lambda: InferenceEngine(
-                config=InferenceConfig(legacy_scan=True)
+                rules=[
+                    HbrRule(
+                        name="anywhere",
+                        antecedent=EventPattern(kinds=(IOKind.RIB_UPDATE,)),
+                        consequent=EventPattern(kinds=(IOKind.RIB_UPDATE,)),
+                    )
+                ]
             ),
         ],
     )
@@ -328,20 +345,34 @@ class TestClockSkewEdges:
             central = InferenceEngine().build_graph(events)
             assert dist.merged_graph().to_records() == central.to_records()
 
-    def test_find_matching_send_respects_tolerance(self):
+    def test_trace_crosses_within_tolerance_only(self):
         dist, send, recv = self._dist(10.0 + self.SKEW, 10.0)
-        dist.build_all()
-        assert dist.subgraphs["R2"].find_matching_send(recv) is send
-        dist2, send2, recv2 = self._dist(10.0 + self.SKEW + 1e-6, 10.0)
-        dist2.build_all()
-        assert dist2.subgraphs["R2"].find_matching_send(recv2) is None
+        assert dist.trace_root_causes(recv.event_id) == [send]
+        assert dist.messages_exchanged == 1
+        dist2, _send2, recv2 = self._dist(10.0 + self.SKEW + 1e-6, 10.0)
+        assert dist2.trace_root_causes(recv2.event_id) == [recv2]
+        assert dist2.messages_exchanged == 0
 
-    def test_find_matching_send_picks_latest_admissible(self):
+    def test_trace_follows_the_inferred_send(self):
         dist = DistributedHbg()
         early = _event("R2", IOKind.ROUTE_SEND, 9.0, peer="R1")
         late = _event("R2", IOKind.ROUTE_SEND, 9.9, peer="R1")
         over = _event("R2", IOKind.ROUTE_SEND, 10.1, peer="R1")
         recv = _event("R1", IOKind.ROUTE_RECEIVE, 10.0, peer="R2")
         dist.ingest_all([early, late, over, recv])
-        dist.build_all()
-        assert dist.subgraphs["R2"].find_matching_send(recv) is late
+        assert dist.trace_root_causes(recv.event_id) == [late]
+
+    def test_trace_crosses_only_where_the_rules_inferred_an_edge(self):
+        """The partial-path walk reads the recorded edges, it does not
+        re-match sends: a send outside the rule window, or one whose
+        action differs, is not a cause (the deleted find_matching_send
+        took both, so rollback could have reverted an unrelated change)."""
+        engine = InferenceEngine()
+        for send_ts, action in ((5.0, RouteAction.ANNOUNCE), (9.9, RouteAction.WITHDRAW)):
+            dist = DistributedHbg()
+            send = _event("R2", IOKind.ROUTE_SEND, send_ts, peer="R1", action=action)
+            recv = _event("R1", IOKind.ROUTE_RECEIVE, 10.0, peer="R2")
+            dist.ingest_all([send, recv])
+            central = engine.build_graph([send, recv])
+            assert central.root_causes(recv.event_id) == [recv]
+            assert dist.trace_root_causes(recv.event_id) == [recv]
