@@ -37,11 +37,21 @@ class IOKind(enum.Enum):
     FIB_UPDATE = "fib_update"
     ROUTE_SEND = "route_send"
 
+    #: Position in declaration order (assigned below the class).
+    ordinal: int
+
     @property
     def direction(self) -> "Direction":
         if self in (IOKind.CONFIG_CHANGE, IOKind.HARDWARE_STATUS, IOKind.ROUTE_RECEIVE):
             return Direction.INPUT
         return Direction.OUTPUT
+
+
+# A plain int per member, set once here: index keys and dispatch tables
+# built from ``kind.ordinal`` hash and compare at C speed, where the
+# member itself pays a Python-level ``Enum.__hash__`` per lookup.
+for _ordinal, _kind in enumerate(IOKind):
+    _kind.ordinal = _ordinal
 
 
 class Direction(enum.Enum):

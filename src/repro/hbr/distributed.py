@@ -25,7 +25,7 @@ central build:
   index alone, whose ``(router, kind[, prefix])`` buckets are
   *identical* to the central index's — or ``peer`` — answerable from
   the neighbor's boundary bucket, because the engine filters
-  candidates through ``rule.pair_matches`` whose ``peer_symmetric``
+  candidates through ``rule.antecedes``, whose ``peer_symmetric``
   relation keeps exactly the antecedents with ``peer ==
   cons.router``, which is precisely what the summary contains.  The
   post-filter candidate lists (the only input to edge choice *and*
@@ -251,7 +251,7 @@ class _DistributedSource:
     ``same``-plan lookups read the local index (bucket contents are
     identical to the central index's — buckets are keyed by the
     consequent's own router).  ``peer``-plan lookups read the boundary
-    index built from neighbor summaries; the engine's ``pair_matches``
+    index built from neighbor summaries; the engine's ``antecedes``
     post-filter makes the resulting candidate lists identical to the
     central build's (see module docstring).  There is no entry for
     ``any``-router plans and no ``window_candidates`` (naive/pattern

@@ -4,24 +4,21 @@ The paper's premise is that HBG construction runs *online inside the
 control plane* (§4–§5), which rules out re-scanning a time window of
 every captured I/O for each rule on each event.  Delta-net (see
 PAPERS.md) makes the same argument for data-plane verification: real
-time hinges on incremental, indexed state rather than rescans.  This
-module supplies the two pieces the inference engine needs:
+time hinges on incremental, indexed state rather than rescans — a
+query is a C-speed dict hit plus a bisect, never a per-item
+interpreter round trip.  This module supplies:
 
-* :class:`SortedEventList` — an order-maintaining container keyed by
-  ``(timestamp, event_id)``.  It is a miniature list-of-chunks sorted
-  sequence (the classic ``SortedContainers`` layout): inserts bisect
-  into a bounded chunk, so the per-event cost is O(sqrt N) instead of
-  the O(N) ``list.insert`` the streaming path used to pay.
+* :class:`SortedEventList` — events ordered by ``(timestamp,
+  event_id)`` in a list of bounded chunks (the ``SortedContainers``
+  layout): O(sqrt N) inserts, range reads answered by slicing.
 * :class:`EventIndex` — inverted indices over the event stream keyed
-  by ``(router, kind)``, ``(router, kind, prefix)`` and ``(kind,)``,
-  each bucket a :class:`SortedEventList`.  A rule whose antecedent
-  constrains router/kind/prefix reads only its bucket's time window
-  instead of the whole stream's.
-* :class:`RulePlan` / :func:`plan_for_rule` — the per-rule query plan:
-  which bucket a rule's antecedent can be answered from, precomputed
-  once so the hot path does no reflection.
+  by ``(router, kind)`` and ``(router, kind, prefix)``, each bucket a
+  :class:`SortedEventList`, so a rule whose antecedent constrains
+  router/kind/prefix reads only its bucket's time window.
+* :class:`RulePlan` / :func:`plan_for_rule` — which bucket a rule's
+  antecedent can be answered from, precomputed once per rule.
 
-Every query yields events in ``(timestamp, event_id)`` order — the
+Every query returns events in ``(timestamp, event_id)`` order — the
 exact order a rescan of the ordered stream produces — so the index is
 pure performance work (the ``hbg-indexed-equivalence`` testkit oracle,
 which owns that rescan as an executable spec, and
@@ -30,7 +27,7 @@ tests/test_hbr_index.py hold it to that).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -49,102 +46,87 @@ Key = Tuple[float, int]
 #: Sentinel event id sorting after every real id at equal timestamps.
 MAX_ID = float("inf")
 
-#: Chunk split threshold.  Chunks are kept at most this long, so the
-#: bounded ``list.insert`` inside a chunk moves at most _CHUNK items.
-_CHUNK = 512
+#: Chunk split threshold.  Chunks are kept at most twice this long, so
+#: the bounded ``list.insert`` inside a chunk moves at most that many.
+CHUNK = 512
 
 
 class SortedEventList:
     """Events kept sorted by ``(timestamp, event_id)``.
 
-    List-of-chunks layout: ``_maxes[i]`` caches the largest key in
-    ``_chunks[i]``; ``add`` bisects to the right chunk and then within
-    it, splitting chunks that exceed ``2 * _CHUNK``.  Appending in
-    (mostly) timestamp order — the common streaming case — hits the
-    tail-append fast path.
+    Keys and events live in *parallel* chunks: ``_keys[i][j]`` is the
+    key of ``_events[i][j]`` and ``_maxes[i]`` the largest key of
+    chunk ``i``.  A range query bisects the keys and answers with a
+    slice of the events, so it costs no interpreter work per item.
+    ``add`` bisects to the right chunk and then within it, splitting
+    chunks that exceed ``2 * CHUNK``.
     """
 
-    __slots__ = ("_chunks", "_maxes", "_len")
+    __slots__ = ("_keys", "_events", "_maxes", "_len")
 
     def __init__(self) -> None:
-        self._chunks: List[List[Tuple[float, int, IOEvent]]] = []
+        self._keys: List[List[Key]] = []
+        self._events: List[List[IOEvent]] = []
         self._maxes: List[Key] = []
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
 
-    def add(self, event: IOEvent) -> None:
-        entry = (event.timestamp, event.event_id, event)
-        key = (event.timestamp, event.event_id)
-        if not self._chunks:
-            self._chunks.append([entry])
-            self._maxes.append(key)
-            self._len += 1
-            return
-        if key >= self._maxes[-1]:
+    def add(self, event: IOEvent, key: Optional[Key] = None) -> None:
+        """File ``event``; ``key`` lets an event's several buckets
+        share one key tuple."""
+        if key is None:
+            key = (event.timestamp, event.event_id)
+        maxes = self._maxes
+        if not maxes:
+            self._keys.append([])
+            self._events.append([])
+            maxes.append(key)
+        if key >= maxes[-1]:
             # Tail append — the common case for in-order arrival.
-            position = len(self._chunks) - 1
-            chunk = self._chunks[position]
-            chunk.append(entry)
-            self._maxes[position] = key
+            position = len(maxes) - 1
+            at = len(self._keys[position])
+            maxes[position] = key
         else:
-            position = bisect_left(self._maxes, key)
-            chunk = self._chunks[position]
-            # Bounded by the chunk-split threshold, so this is the
-            # sanctioned O(sqrt N) positional insert.  Event ids are
-            # unique, so tuple comparison settles on (timestamp, id)
-            # and never reaches the IOEvent element.
-            insort(chunk, entry)  # repro: lint-ignore[PERF001] -- bounded chunk
+            position = bisect_left(maxes, key)
+            at = bisect_left(self._keys[position], key)
+        keys, events = self._keys[position], self._events[position]
+        # Bounded by the split threshold: the sanctioned O(sqrt N) inserts.
+        keys.insert(at, key)  # repro: lint-ignore[PERF001] -- bounded chunk
+        events.insert(at, event)  # repro: lint-ignore[PERF001] -- bounded chunk
         self._len += 1
-        if len(chunk) > 2 * _CHUNK:
-            self._split(position)
+        if len(keys) > 2 * CHUNK:
+            half = len(keys) // 2
+            self._keys[position : position + 1] = [keys[:half], keys[half:]]
+            self._events[position : position + 1] = [events[:half], events[half:]]
+            maxes.insert(position, keys[half - 1])  # repro: lint-ignore[PERF001] -- O(#chunks)
 
-    def _split(self, position: int) -> None:
-        chunk = self._chunks[position]
-        half = len(chunk) // 2
-        left, right = chunk[:half], chunk[half:]
-        self._chunks[position] = left
-        self._chunks.insert(position + 1, right)  # repro: lint-ignore[PERF001] -- O(#chunks)
-        self._maxes[position] = (left[-1][0], left[-1][1])
-        self._maxes.insert(position + 1, (right[-1][0], right[-1][1]))  # repro: lint-ignore[PERF001] -- O(#chunks)
-
-    def irange(self, lo: Key, hi: Key) -> Iterator[IOEvent]:
-        """Yield events with ``lo <= (timestamp, event_id) <= hi``."""
-        if not self._chunks or lo > hi:
-            return
-        start = bisect_left(self._maxes, lo)
-        for index in range(start, len(self._chunks)):
-            chunk = self._chunks[index]
-            if (chunk[0][0], chunk[0][1]) > hi:
-                return
-            begin = 0
-            if index == start:
-                begin = bisect_left(chunk, (lo[0], lo[1], _KEY_FLOOR))
-            for ts, event_id, event in chunk[begin:]:
-                if (ts, event_id) > hi:
-                    return
-                yield event
+    def irange(self, lo: Key, hi: Key) -> List[IOEvent]:
+        """Events with ``lo <= (timestamp, event_id) <= hi``, in key
+        order, as a fresh list (empty when ``lo > hi``)."""
+        maxes = self._maxes
+        start = bisect_left(maxes, lo)
+        if start == len(maxes):
+            return []
+        keys = self._keys[start]
+        begin = bisect_left(keys, lo)
+        if hi < maxes[start]:
+            # The whole range lies inside one chunk: one slice.
+            return self._events[start][begin : bisect_right(keys, hi, begin)]
+        found = self._events[start][begin:]
+        for index in range(start + 1, len(maxes)):
+            if hi < maxes[index]:
+                found += self._events[index][
+                    : bisect_right(self._keys[index], hi)
+                ]
+                break
+            found += self._events[index]
+        return found
 
     def __iter__(self) -> Iterator[IOEvent]:
-        for chunk in self._chunks:
-            for _ts, _event_id, event in chunk:
-                yield event
-
-
-class _KeyFloor:
-    """Sorts below any IOEvent so range bisects never compare events."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-
-_KEY_FLOOR = _KeyFloor()
+        for chunk in self._events:
+            yield from chunk
 
 
 @dataclass(frozen=True)
@@ -162,13 +144,6 @@ class RulePlan:
     router_from: str
     kinds: Tuple[IOKind, ...]
     prefix_narrowed: bool
-
-    def router_key(self, cons: IOEvent) -> Optional[str]:
-        if self.router_from == "same":
-            return cons.router
-        if self.router_from == "peer":
-            return cons.peer
-        return None
 
 
 def _plan(rule: HbrRule, kinds: Tuple[IOKind, ...]) -> RulePlan:
@@ -216,23 +191,26 @@ def forward_plan_for_rule(rule: HbrRule) -> RulePlan:
 class EventIndex:
     """Inverted per-(router, kind[, prefix]) indices over the stream.
 
-    ``add`` registers one event in every bucket it belongs to;
-    :meth:`candidates` answers a :class:`RulePlan` from the narrowest
-    bucket that covers it.  All answers come back in
-    ``(timestamp, event_id)`` order.
+    ``add`` files one event under ``(router, kind.ordinal)`` and, when
+    it has a prefix, ``(router, kind.ordinal, address, length)`` —
+    tuples of a str and ints, so a bucket lookup hashes at C speed.
+    The two *wide* tiers (whole stream, per kind) serve only
+    router-free plans and the naive/pattern window scan, which the
+    default rule set never issues: events wait in ``_unfiled`` until a
+    query needs those tiers.  :meth:`candidates` answers a
+    :class:`RulePlan` from the narrowest bucket that covers it.  All
+    answers come back in ``(timestamp, event_id)`` order.
     """
 
     # ``__weakref__`` so the resource ledger can hold this index
     # without extending its lifetime.
-    __slots__ = ("_all", "_by_kind", "_by_router_kind", "_by_rkp", "__weakref__")
+    __slots__ = ("_all", "_by_kind", "_buckets", "_unfiled", "__weakref__")
 
     def __init__(self) -> None:
         self._all = SortedEventList()
-        self._by_kind: Dict[IOKind, SortedEventList] = {}
-        self._by_router_kind: Dict[Tuple[str, IOKind], SortedEventList] = {}
-        self._by_rkp: Dict[
-            Tuple[str, IOKind, object], SortedEventList
-        ] = {}
+        self._by_kind = [SortedEventList() for _ in IOKind]
+        self._buckets: Dict[tuple, SortedEventList] = {}
+        self._unfiled: List[IOEvent] = []
 
     def track(self) -> "EventIndex":
         """Register with the resource ledger; returns ``self``.
@@ -253,44 +231,48 @@ class EventIndex:
     def account_bytes(self, audit: bool = False) -> int:
         """Resident bytes of every bucket (ledger callback).
 
-        The per-kind/per-router buckets share chunk entries with
-        ``_all`` only at the tuple level — each bucket owns its own
-        chunk lists — so the walk's shared-object dedup does the
-        right thing without special-casing.
+        An event's buckets share the event and its key tuple and each
+        owns its chunk lists; the walk's shared-object dedup does the
+        right thing.  The tiers that hold every event exactly once go
+        first, so the sampled estimate meets events there and not in
+        a sample of the buckets that share them.
         """
         from repro.obs import resources
 
         return resources.combined_sizeof(
-            (self._all, self._by_kind, self._by_router_kind, self._by_rkp),
+            (self._unfiled, self._all, self._by_kind, self._buckets),
             sample=None if audit else obs.get_ledger().sample,
         )
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._all) + len(self._unfiled)
 
     def add(self, event: IOEvent) -> None:
-        self._all.add(event)
-        kind = event.kind
-        bucket = self._by_kind.get(kind)
-        if bucket is None:
-            bucket = self._by_kind[kind] = SortedEventList()
-        bucket.add(event)
-        rk = (event.router, kind)
-        bucket = self._by_router_kind.get(rk)
-        if bucket is None:
-            bucket = self._by_router_kind[rk] = SortedEventList()
-        bucket.add(event)
-        if event.prefix is not None:
-            rkp = (event.router, kind, event.prefix)
-            bucket = self._by_rkp.get(rkp)
+        self._unfiled.append(event)
+        key = (event.timestamp, event.event_id)
+        names = [(event.router, event.kind.ordinal)]
+        prefix = event.prefix
+        if prefix is not None:
+            names.append(names[0] + (prefix.address, prefix.length))
+        for name in names:
+            bucket = self._buckets.get(name)
             if bucket is None:
-                bucket = self._by_rkp[rkp] = SortedEventList()
-            bucket.add(event)
+                bucket = self._buckets[name] = SortedEventList()
+            bucket.add(event, key)
+
+    def _file_wide(self) -> None:
+        """Bring the whole-stream and per-kind tiers up to date."""
+        for event in self._unfiled:
+            key = (event.timestamp, event.event_id)
+            self._all.add(event, key)
+            self._by_kind[event.kind.ordinal].add(event, key)
+        self._unfiled.clear()
 
     # -- queries -----------------------------------------------------------
 
-    def window(self, lo: Key, hi: Key) -> Iterator[IOEvent]:
+    def window(self, lo: Key, hi: Key) -> List[IOEvent]:
         """All events in the key range (the naive/pattern-mode scan)."""
+        self._file_wide()
         return self._all.irange(lo, hi)
 
     def candidates(
@@ -299,44 +281,37 @@ class EventIndex:
         """Events in the window that the plan's buckets can contain.
 
         Returns a superset of the rule's true antecedents (the engine
-        still applies ``rule.pair_matches``), narrowed as far as the
-        plan allows, in ``(timestamp, event_id)`` order.
+        still applies ``rule.antecedes``), narrowed as far as the plan
+        allows, in ``(timestamp, event_id)`` order, as a fresh list.
         """
+        kinds = plan.kinds
         if plan.router_from == "any":
-            if not plan.kinds:
-                return list(self._all.irange(lo, hi))
-            buckets = [
-                self._by_kind.get(kind) for kind in plan.kinds
-            ]
+            if not kinds:
+                return self.window(lo, hi)
+            self._file_wide()
+            buckets = [self._by_kind[kind.ordinal] for kind in kinds]
         else:
-            router = plan.router_key(cons)
+            router = cons.router if plan.router_from == "same" else cons.peer
             if router is None:
                 # peer_symmetric with no peer on the consequent: no
                 # event can satisfy the relation.
                 return []
+            narrow: tuple = ()
             if plan.prefix_narrowed:
-                if cons.prefix is None:
+                prefix = cons.prefix
+                if prefix is None:
                     # same_prefix requires a concrete shared prefix.
                     return []
-                buckets = [
-                    self._by_rkp.get((router, kind, cons.prefix))
-                    for kind in plan.kinds
-                ]
-            else:
-                buckets = [
-                    self._by_router_kind.get((router, kind))
-                    for kind in plan.kinds
-                ]
-        live = [b for b in buckets if b is not None]
-        if not live:
-            return []
-        if len(live) == 1:
-            return list(live[0].irange(lo, hi))
-        merged: List[Tuple[float, int, IOEvent]] = []
-        for bucket in live:
-            merged.extend(
-                (e.timestamp, e.event_id, e)
-                for e in bucket.irange(lo, hi)
-            )
-        merged.sort(key=lambda item: (item[0], item[1]))
-        return [event for _ts, _eid, event in merged]
+                narrow = (prefix.address, prefix.length)
+            if len(kinds) == 1:
+                # Every default rule, both directions: one dict hit.
+                bucket = self._buckets.get((router, kinds[0].ordinal) + narrow)
+                return bucket.irange(lo, hi) if bucket is not None else []
+            names = [(router, kind.ordinal) + narrow for kind in kinds]
+            buckets = [self._buckets[n] for n in names if n in self._buckets]
+        merged: List[IOEvent] = []
+        for bucket in buckets:
+            merged += bucket.irange(lo, hi)
+        if len(buckets) > 1:
+            merged.sort(key=lambda e: (e.timestamp, e.event_id))
+        return merged

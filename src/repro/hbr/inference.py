@@ -161,23 +161,19 @@ def _prefix_compatible(a: IOEvent, b: IOEvent) -> bool:
 def _admissible(
     cons: IOEvent, candidates: Iterable[IOEvent]
 ) -> List[IOEvent]:
-    """The per-candidate filters every candidate source applies.
-
-    Excludes the consequent itself and enforces the shared-clock
-    constraint: same-router antecedents must not be later than the
-    consequent (no skew allowance on one router's own clock).
-    """
-    result = []
-    for ante in candidates:
-        if ante.event_id == cons.event_id:
-            continue
-        if ante.router == cons.router and (
-            ante.timestamp,
-            ante.event_id,
-        ) > (cons.timestamp, cons.event_id):
-            continue
-        result.append(ante)
-    return result
+    """Candidates minus the consequent itself and minus same-router
+    events keyed after it: one router's clock does not skew against
+    itself, so its later events cannot be causes."""
+    cons_key = (cons.timestamp, cons.event_id)
+    return [
+        ante
+        for ante in candidates
+        if ante.event_id != cons.event_id
+        and not (
+            ante.router == cons.router
+            and (ante.timestamp, ante.event_id) > cons_key
+        )
+    ]
 
 
 class _IndexSource:
@@ -191,7 +187,13 @@ class _IndexSource:
     The window is ``[cons.t - window, cons.t + skew]``: the forward
     allowance is the timestamp technique's skew tolerance — a cause on
     another (skewed) router may carry a slightly *later* logged
-    timestamp than its effect.
+    timestamp than its effect.  Where the plan pins the router,
+    :func:`_admissible` is a property of the bucket, not a filter: a
+    ``same`` bucket holds only the consequent's router, so the
+    admissible events are exactly those keyed below the consequent
+    (which bounds the read, with the consequent itself last when the
+    rule's antecedent kind is its own); a ``peer`` bucket holds only
+    another router's events, all admissible.
     """
 
     __slots__ = ("index", "skew")
@@ -204,10 +206,19 @@ class _IndexSource:
         self, cons: IOEvent, window: float, plan: "RulePlan"
     ) -> List[IOEvent]:
         lo = (cons.timestamp - window, 0)
-        hi = (cons.timestamp + self.skew, MAX_ID)
-        return _admissible(
-            cons, self.index.candidates(plan, cons, lo, hi)
+        if plan.router_from == "same":
+            found = self.index.candidates(
+                plan, cons, lo, (cons.timestamp, cons.event_id)
+            )
+            if found and found[-1].event_id == cons.event_id:
+                found.pop()
+            return found
+        found = self.index.candidates(
+            plan, cons, lo, (cons.timestamp + self.skew, MAX_ID)
         )
+        if plan.router_from == "peer" and cons.peer != cons.router:
+            return found
+        return _admissible(cons, found)
 
     def window_candidates(
         self, cons: IOEvent, window: float
@@ -218,6 +229,19 @@ class _IndexSource:
 
 
 # -- the combined engine ----------------------------------------------------------
+
+
+def _dispatch(rules, plans, side) -> Tuple[Tuple[tuple, ...], ...]:
+    """``kind.ordinal`` -> the ``(rule, plan)`` pairs whose ``side``
+    pattern (antecedent or consequent) admits that kind."""
+    return tuple(
+        tuple(
+            (rule, plan)
+            for rule, plan in zip(rules, plans)
+            if not side(rule).kinds or kind in side(rule).kinds
+        )
+        for kind in IOKind
+    )
 
 
 class InferenceEngine:
@@ -240,25 +264,25 @@ class InferenceEngine:
         self._plans: Tuple[RulePlan, ...] = tuple(
             plan_for_rule(rule) for rule in self.rules
         )
-        #: Rule dispatch buckets: consequent kind -> rule positions.
-        #: A rule whose consequent declares no kinds fires for every
-        #: kind.  Dispatching by kind skips only rules whose
+        #: Rule dispatch: ``kind.ordinal`` -> the (rule, plan) pairs
+        #: whose consequent can be of that kind (a pattern declaring no
+        #: kinds fires for every kind).  Skips only rules whose
         #: ``consequent.matches`` would have rejected the event anyway,
         #: so results (and per-rule obs timings) are unchanged.
-        buckets: Dict[IOKind, List[int]] = {kind: [] for kind in IOKind}
-        for position, rule in enumerate(self.rules):
-            kinds = rule.consequent.kinds or tuple(IOKind)
-            for kind in kinds:
-                buckets[kind].append(position)
-        self._rules_by_kind: Dict[IOKind, Tuple[int, ...]] = {
-            kind: tuple(positions) for kind, positions in buckets.items()
-        }
+        self._by_consequent = _dispatch(
+            self.rules, self._plans, lambda rule: rule.consequent
+        )
+        #: (rule name, confidence) -> the one evidence object for it:
+        #: a capture has tens of thousands of edges and a handful of
+        #: distinct evidences.
+        self._evidence: Dict[Tuple[str, float], EdgeEvidence] = {}
 
     # -- batch ------------------------------------------------------------
 
     def build_graph(self, events: Iterable[IOEvent]) -> HappensBeforeGraph:
         """Infer the full HBG for a finished capture."""
         registry = obs.get_registry()
+        recorder = obs.get_recorder()
         if registry.enabled:
             watch = registry.stopwatch()
         ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
@@ -274,7 +298,9 @@ class InferenceEngine:
             index.track(), self.config.clock_skew_tolerance
         )
         for cons in ordered:
-            for ante, evidence in self._edges_into(cons, source):
+            for ante, evidence in self._edges_into(
+                cons, source, registry, recorder
+            ):
                 graph.add_edge(ante.event_id, cons.event_id, evidence)
         if registry.enabled:
             registry.counter("inference.batch_builds_total").inc()
@@ -287,9 +313,16 @@ class InferenceEngine:
         return graph
 
     def _edges_into(
-        self, cons: IOEvent, source
+        self, cons: IOEvent, source, registry, recorder
     ) -> List[Tuple[IOEvent, EdgeEvidence]]:
-        registry = obs.get_registry()
+        """``_infer_edges`` plus what the obs layer hears about it.
+
+        The caller resolves ``registry`` / ``recorder`` once (per
+        observe, per batch build) and hands them down; with both off
+        this is a straight call into the inference.
+        """
+        if not (registry.enabled or recorder.enabled):
+            return self._infer_edges(cons, source)
         timing_sink = None
         if registry.enabled:
             # Batch/streaming path: per-rule wall time goes straight
@@ -310,7 +343,6 @@ class InferenceEngine:
                     "inference.edges_by_technique",
                     technique=evidence.technique,
                 ).inc()
-        recorder = obs.get_recorder()
         if edges and recorder.enabled:
             for ante, evidence in edges:
                 recorder.record(
@@ -355,55 +387,54 @@ class InferenceEngine:
             return edges
 
         if self.config.use_rules:
+            link_all = self.config.link_all_candidates
+            discount = self.config.ambiguity_discount
             # Per-rule wall time is only clocked when a sink asks for
             # it; the disabled path pays one None check per call.
-            for position in self._rules_by_kind[cons.kind]:
-                rule = self.rules[position]
+            for rule, plan in self._by_consequent[cons.kind.ordinal]:
                 if not rule.consequent.matches(cons):
                     continue
                 if timing_sink is not None:
                     rule_watch = obs.get_registry().stopwatch()
                 try:
-                    candidates = [
-                        ante
-                        for ante in source.rule_candidates(
-                            cons, rule.window, self._plans[position]
-                        )
-                        if rule.pair_matches(ante, cons)
-                    ]
-                    if not candidates:
-                        continue
-                    if self.config.link_all_candidates or rule.pick == "all":
-                        chosen = candidates
-                    else:
-                        chosen = [
-                            max(
-                                candidates,
-                                key=lambda e: (e.timestamp, e.event_id),
-                            )
-                        ]
+                    candidates = source.rule_candidates(
+                        cons, rule.window, plan
+                    )
+                    antecedes = rule.antecedes
                     confidence = rule.base_confidence
-                    if self.config.ambiguity_discount and len(candidates) > 1:
-                        if len(chosen) > 1:
+                    if link_all or rule.pick == "all":
+                        chosen = [
+                            ante for ante in candidates if antecedes(ante, cons)
+                        ]
+                        if discount and len(chosen) > 1:
                             # Linking all of N candidates: each is 1/N likely.
-                            confidence = max(0.05, confidence / len(candidates))
-                        else:
-                            # Picked the latest of several: mildly less sure.
-                            confidence *= 0.9
-                    for ante in chosen:
-                        if ante.event_id in linked:
-                            continue
-                        linked.add(ante.event_id)
-                        edges.append(
-                            (
-                                ante,
-                                EdgeEvidence(
-                                    technique="rule",
-                                    rule=rule.name,
-                                    confidence=confidence,
-                                ),
-                            )
+                            confidence = max(0.05, confidence / len(chosen))
+                    else:
+                        # Candidates come in key order, so the latest
+                        # match is the first one met walking backwards;
+                        # the discount only asks whether a second exists.
+                        chosen = []
+                        for ante in reversed(candidates):
+                            if antecedes(ante, cons):
+                                if chosen:
+                                    # Picked the latest of several:
+                                    # mildly less sure.
+                                    confidence *= 0.9
+                                    break
+                                chosen.append(ante)
+                                if not discount:
+                                    break
+                    if not chosen:
+                        continue
+                    evidence = self._evidence.get((rule.name, confidence))
+                    if evidence is None:
+                        evidence = self._evidence[rule.name, confidence] = (
+                            EdgeEvidence("rule", rule.name, confidence)
                         )
+                    for ante in chosen:
+                        if ante.event_id not in linked:
+                            linked.add(ante.event_id)
+                            edges.append((ante, evidence))
                 finally:
                     if timing_sink is not None:
                         timing_sink(rule.name, rule_watch.elapsed())
@@ -467,10 +498,13 @@ class StreamingInference:
     def __init__(self, engine: InferenceEngine):
         self.engine = engine
         self.graph = HappensBeforeGraph()
-        #: Forward (antecedent → consequent-bucket) query plans,
-        #: parallel to engine.rules.
-        self._fplans: Tuple[RulePlan, ...] = tuple(
-            forward_plan_for_rule(rule) for rule in engine.rules
+        #: Forward dispatch: ``kind.ordinal`` -> (rule, forward plan)
+        #: for the rules an event of that kind can antecede; the plan
+        #: names the buckets that can hold the rule's consequents.
+        self._by_antecedent = _dispatch(
+            engine.rules,
+            [forward_plan_for_rule(rule) for rule in engine.rules],
+            lambda rule: rule.antecedent,
         )
         #: ``listener(event, relinked)`` callbacks, notified after each
         #: observe() — the delta feed the incremental verifier rides.
@@ -481,36 +515,6 @@ class StreamingInference:
         self._source = _IndexSource(
             self._index, engine.config.clock_skew_tolerance
         )
-
-    def _could_affect(self, event: IOEvent, cons: IOEvent) -> bool:
-        """Conservatively: can ``event`` enter ``cons``'s candidate
-        lists?  False means re-linking ``cons`` is provably a no-op.
-
-        Mirrors the admissibility + per-rule filters of
-        ``_infer_edges``: a same-router antecedent later than the
-        consequent is excluded everywhere (`_admissible`), and a rule
-        only considers antecedents within its own window that
-        ``pair_matches``.  Naive/pattern techniques are prefix-gated
-        only (their confidence checks stay inside the re-link).
-        """
-        if cons.router == event.router and (
-            (event.timestamp, event.event_id)
-            > (cons.timestamp, cons.event_id)
-        ):
-            return False
-        config = self.engine.config
-        if config.naive_prefix_timestamp or (
-            config.use_patterns and self.engine.miner is not None
-        ):
-            if _prefix_compatible(event, cons):
-                return True
-        if config.use_rules:
-            delta = cons.timestamp - event.timestamp
-            for position in self.engine._rules_by_kind[cons.kind]:
-                rule = self.engine.rules[position]
-                if delta <= rule.window and rule.pair_matches(event, cons):
-                    return True
-        return False
 
     def subscribe(self, listener) -> None:
         """Register ``listener(event, relinked)``.
@@ -524,12 +528,13 @@ class StreamingInference:
 
     def observe(self, event: IOEvent) -> None:
         registry = obs.get_registry()
+        recorder = obs.get_recorder()
         if registry.enabled:
             watch = registry.stopwatch()
         self._index.add(event)
         self.graph.add_event(event)
-        self._link(event)
-        relinked = self._relink_forward(event)
+        self._link(event, registry, recorder)
+        relinked = self._relink_forward(event, registry, recorder)
         if registry.enabled:
             registry.counter("inference.events_observed_total").inc()
             registry.histogram("inference.observe_seconds").observe(
@@ -540,7 +545,9 @@ class StreamingInference:
         for listener in self._listeners:
             listener(event, relinked)
 
-    def _relink_forward(self, event: IOEvent) -> Tuple[IOEvent, ...]:
+    def _relink_forward(
+        self, event: IOEvent, registry, recorder
+    ) -> Tuple[IOEvent, ...]:
         """Re-link the already-observed events ``event`` may cause.
 
         A consequent's candidate window is ``[cons.t - rule.window,
@@ -550,58 +557,75 @@ class StreamingInference:
         event can antecede (a FIB update does not pay the 60 s config
         window), read the consequent buckets the forward plan names
         over ``[event.t - skew, event.t + rule.window]`` — a superset
-        of every candidate list the event can enter — then keep exactly
-        the consequents :meth:`_could_affect` confirms; skipping the
-        rest is sound because ``_infer_edges`` is a pure function of
-        each rule's candidate list.  Equivalent to scanning the widest
-        window of the whole stream, at the cost of a few bucket reads
-        per observe.
+        of every candidate list the event can enter; a same-router
+        read starts at the event's own key — and keep the
+        consequents for which *that rule* would admit the event: inside
+        the rule's window and matching the rule both ways.  Skipping
+        the rest is sound because ``_infer_edges`` is a pure function
+        of each rule's candidate list.  The naive/pattern techniques
+        are prefix-gated only (their confidence checks stay inside the
+        re-link).  Whatever the technique, the event must be
+        :func:`_admissible` to the consequent.
         """
-        collected: Dict[int, IOEvent] = {}
-        lo = (event.timestamp - self._source.skew, 0)
+        confirmed: Dict[Tuple[float, int], IOEvent] = {}
+        event_at = event.timestamp
+        event_key = (event_at, event.event_id)
+        lo = (event_at - self._source.skew, 0)
         config = self.engine.config
         if config.use_rules:
-            for position, rule in enumerate(self.engine.rules):
+            for rule, fplan in self._by_antecedent[event.kind.ordinal]:
                 if not rule.antecedent.matches(event):
                     continue
-                hi = (event.timestamp + rule.window, MAX_ID)
-                fplan = self._fplans[position]
+                window = rule.window
+                hi = (event_at + window, MAX_ID)
                 if fplan.kinds:
+                    # Same-router consequents keyed below the event
+                    # could not admit it: start the read at its key.
                     candidates = self._index.candidates(
-                        fplan, event, lo, hi
+                        fplan,
+                        event,
+                        event_key if fplan.router_from == "same" else lo,
+                        hi,
                     )
                 else:
                     # A kind-free consequent pattern has no bucket.
                     candidates = self._index.window(lo, hi)
                 for cons in candidates:
-                    collected.setdefault(cons.event_id, cons)
+                    if (
+                        cons.timestamp - window <= event_at
+                        and rule.consequent.matches(cons)
+                        and rule.antecedes(event, cons)
+                    ):
+                        confirmed[cons.timestamp, cons.event_id] = cons
         naive_window = 0.0
         if config.naive_prefix_timestamp:
             naive_window = config.naive_window
         if config.use_patterns and self.engine.miner is not None:
             naive_window = max(naive_window, self.engine.miner.window)
         if naive_window:
-            hi = (event.timestamp + naive_window, MAX_ID)
+            hi = (event_at + naive_window, MAX_ID)
             for cons in self._index.window(lo, hi):
                 if _prefix_compatible(event, cons):
-                    collected.setdefault(cons.event_id, cons)
-        collected.pop(event.event_id, None)
-        relinked: List[IOEvent] = []
-        for cons in sorted(
-            collected.values(), key=lambda e: (e.timestamp, e.event_id)
-        ):
-            if not self._could_affect(event, cons):
-                continue
-            self._link(cons)
-            relinked.append(cons)
-        return tuple(relinked)
+                    confirmed[cons.timestamp, cons.event_id] = cons
+        if not confirmed:
+            return ()
+        relinked = tuple(
+            confirmed[key]
+            for key in sorted(confirmed)
+            if _admissible(confirmed[key], (event,))
+        )
+        for cons in relinked:
+            self._link(cons, registry, recorder)
+        return relinked
 
-    def _link(self, cons: IOEvent) -> None:
+    def _link(self, cons: IOEvent, registry, recorder) -> None:
         # Replace, don't accumulate: a re-link may change which
         # candidate a pick-latest rule chooses, and the superseded
         # edge must go (clear is a no-op for a fresh event).
         self.graph.clear_in_edges(cons.event_id)
-        for ante, evidence in self.engine._edges_into(cons, self._source):
+        for ante, evidence in self.engine._edges_into(
+            cons, self._source, registry, recorder
+        ):
             self.graph.add_edge(ante.event_id, cons.event_id, evidence)
 
     def __len__(self) -> int:

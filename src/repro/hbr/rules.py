@@ -15,8 +15,8 @@ advertises only after the FIB install.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
 
@@ -24,27 +24,56 @@ from repro.capture.io_events import IOEvent, IOKind, RouteAction
 PairPredicate = Callable[[IOEvent, IOEvent], bool]
 
 
+def _compile(params: str, terms: Sequence[str], scope: Dict[str, object]):
+    """``lambda <params>: <term> and <term> ...`` as one flat function.
+
+    Patterns and rules are matched once per *candidate*, the hottest
+    loop of inference, so each compiles its declared fields into a
+    single expression here instead of interpreting them per call.
+    """
+    return eval(f"lambda {params}: {' and '.join(terms) or 'True'}", scope)
+
+
 @dataclass(frozen=True)
 class EventPattern:
-    """A predicate over single events, built from field constraints."""
+    """A predicate over single events, built from field constraints.
+
+    An empty tuple leaves that field unconstrained; ``requires_prefix``
+    demands a prefix (True), its absence (False) or neither (None).
+    """
 
     kinds: Tuple[IOKind, ...] = ()
     protocols: Tuple[Optional[str], ...] = ()
     actions: Tuple[Optional[RouteAction], ...] = ()
     requires_prefix: Optional[bool] = None
+    #: ``matches(event) -> bool``, compiled from the fields above.
+    matches: Callable[[IOEvent], bool] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def matches(self, event: IOEvent) -> bool:
-        if self.kinds and event.kind not in self.kinds:
-            return False
-        if self.protocols and event.protocol not in self.protocols:
-            return False
-        if self.actions and event.action not in self.actions:
-            return False
-        if self.requires_prefix is True and event.prefix is None:
-            return False
-        if self.requires_prefix is False and event.prefix is not None:
-            return False
-        return True
+    def __post_init__(self) -> None:
+        scope: Dict[str, object] = {}
+        object.__setattr__(
+            self, "matches", _compile("e", self._terms("e", scope), scope)
+        )
+
+    def _terms(self, var: str, scope: Dict[str, object]) -> List[str]:
+        """Source terms testing the event named ``var``; the tuples
+        they read are bound into ``scope``.  Membership is on the
+        tuple, so kinds compare by identity and are never hashed."""
+        terms = []
+        for attribute, allowed in (
+            ("kind", self.kinds),
+            ("protocol", self.protocols),
+            ("action", self.actions),
+        ):
+            if allowed:
+                scope[f"{var}_{attribute}s"] = allowed
+                terms.append(f"{var}.{attribute} in {var}_{attribute}s")
+        if self.requires_prefix is not None:
+            negate = "not " if self.requires_prefix else ""
+            terms.append(f"{var}.prefix is {negate}None")
+        return terms
 
 
 def same_router(a: IOEvent, b: IOEvent) -> bool:
@@ -76,6 +105,22 @@ def same_lsa(a: IOEvent, b: IOEvent) -> bool:
     )
 
 
+#: The stock relations as source over ``a`` (antecedent) and ``c``
+#: (consequent): a rule inlines the ones it recognises by identity.
+#: ``same_prefix`` tries identity first — events of one route usually
+#: share the Prefix object — before the Python-level ``Prefix.__eq__``.
+_INLINE: Dict[PairPredicate, str] = {
+    same_router: "a.router == c.router",
+    different_router: "a.router != c.router",
+    same_prefix: (
+        "a.prefix is not None"
+        " and (a.prefix is c.prefix or a.prefix == c.prefix)"
+    ),
+    peer_symmetric: "a.peer == c.router and c.peer == a.router",
+    same_action: "a.action == c.action",
+}
+
+
 @dataclass(frozen=True)
 class HbrRule:
     """One happens-before rule: antecedent → consequent.
@@ -92,16 +137,29 @@ class HbrRule:
     window: float = 5.0
     pick: str = "latest"
     base_confidence: float = 1.0
+    #: ``antecedes(ante, cons)``: ``ante`` matches the antecedent
+    #: pattern and every relation holds for the pair — one flat
+    #: function (stock relations inlined, custom ones called), for
+    #: callers that already matched ``cons`` against the consequent.
+    antecedes: PairPredicate = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scope: Dict[str, object] = {}
+        terms = self.antecedent._terms("a", scope)
+        for position, relation in enumerate(self.relations):
+            inline = _INLINE.get(relation)
+            if inline is None:
+                scope[f"relation_{position}"] = relation
+                inline = f"relation_{position}(a, c)"
+            terms.append(inline)
+        object.__setattr__(
+            self, "antecedes", _compile("a, c", terms, scope)
+        )
 
     def pair_matches(self, ante: IOEvent, cons: IOEvent) -> bool:
-        if not self.antecedent.matches(ante):
-            return False
-        if not self.consequent.matches(cons):
-            return False
-        for relation in self.relations:
-            if not relation(ante, cons):
-                return False
-        return True
+        return bool(
+            self.consequent.matches(cons) and self.antecedes(ante, cons)
+        )
 
 
 #: Window generous enough to span the ~25 s config→reconfiguration lag

@@ -86,6 +86,10 @@ class WatermarkTracker:
         self.events_seen = 0
         #: Min-heap of event timestamps not yet <= the frontier.
         self._pending: List[float] = []
+        #: The registry the gauges below were bound on (see _publish).
+        self._registry: Optional[Any] = None
+        self._lag_gauges: Dict[str, Any] = {}
+        self._scalar_gauges: Tuple[Any, ...] = ()
 
     # -- wiring -----------------------------------------------------------
 
@@ -153,15 +157,32 @@ class WatermarkTracker:
         registry = obs.get_registry()
         if not registry.enabled:
             return
-        for router in sorted(self._watermarks):
-            registry.gauge(
-                "stream.watermark_lag_seconds", router=router
-            ).set(self.lag_of(router))
-        registry.gauge("stream.watermark_frontier").set(frontier)
-        registry.gauge("stream.backlog_depth").set(len(self._pending))
-        registry.gauge("stream.newest_event_time").set(
-            self.newest_event_time
-        )
+        if registry is not self._registry:
+            # Bind instruments once per registry: looking a labelled
+            # gauge up costs a label-key sort, per router, per event.
+            self._registry = registry
+            self._lag_gauges = {}
+            self._scalar_gauges = (
+                registry.gauge("stream.watermark_frontier"),
+                registry.gauge("stream.backlog_depth"),
+                registry.gauge("stream.newest_event_time"),
+            )
+        lag_gauges = self._lag_gauges
+        if len(lag_gauges) != len(self._watermarks):
+            for router in sorted(self._watermarks):
+                if router not in lag_gauges:
+                    lag_gauges[router] = registry.gauge(
+                        "stream.watermark_lag_seconds", router=router
+                    )
+        # lag_of() for every router, minus a call and a lookup each.
+        clock, tolerance = self.clock, self.skew_tolerance
+        watermarks = self._watermarks
+        for router, gauge in lag_gauges.items():
+            gauge.set(max(0.0, clock - watermarks[router] - tolerance))
+        frontier_gauge, backlog_gauge, newest_gauge = self._scalar_gauges
+        frontier_gauge.set(frontier)
+        backlog_gauge.set(len(self._pending))
+        newest_gauge.set(self.newest_event_time)
 
 
 class ContinuousMonitor:

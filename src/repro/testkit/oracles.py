@@ -368,7 +368,7 @@ class WindowRescan:
     minus the consequent itself and minus same-router events logged
     after it (one router's clock does not skew against itself).  Rule
     plans are ignored: narrowing to a bucket may only drop events the
-    rule's own ``pair_matches`` rejects anyway.
+    rule's own ``antecedes`` rejects anyway.
     """
 
     def __init__(self, ordered: Sequence[IOEvent], skew: float):

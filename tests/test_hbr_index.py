@@ -4,6 +4,7 @@ import random
 
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.hbr.index import (
+    CHUNK,
     MAX_ID,
     EventIndex,
     SortedEventList,
@@ -60,16 +61,60 @@ class TestSortedEventList:
     def test_chunk_splits_preserve_iteration_and_ranges(self):
         lst = SortedEventList()
         events = [_event(t=float(i)) for i in range(3000)]
+        assert len(events) > 2 * CHUNK  # shuffled inserts must split
         shuffled = events[:]
         random.Random(7).shuffle(shuffled)
         for event in shuffled:
             lst.add(event)
-        assert len(lst._chunks) > 1  # the split path actually ran
         assert _keys(lst) == _keys(events)
         window = list(
             lst.irange((100.0, 0), (200.0, MAX_ID))
         )
         assert _keys(window) == _keys(events[100:201])
+
+    def test_irange_is_the_brute_force_filter(self):
+        """Slice reads over parallel key/event chunks: every range
+        answer equals filtering the whole list by key, wherever the
+        range starts or ends relative to a chunk."""
+        rng = random.Random(11)
+        # Three events per timestamp, so ties are broken by event id.
+        events = [_event(t=float(i // 3)) for i in range(3000)]
+        lst = SortedEventList()
+        shuffled = events[:]
+        rng.shuffle(shuffled)
+        for event in shuffled:
+            lst.add(event)
+        keys = _keys(events)
+        assert keys == sorted(keys)
+
+        def brute(lo, hi):
+            return [e for e, key in zip(events, keys) if lo <= key <= hi]
+
+        # Every key as an inclusive upper bound, so some range ends on
+        # the last event of a chunk, some just inside, some just past
+        # (the slice is the filter because ``events`` is key-sorted;
+        # the random queries below run the filter itself).
+        for stop, hi in enumerate(keys):
+            assert lst.irange(keys[0], hi) == events[: stop + 1]
+            assert lst.irange(hi, hi) == [events[stop]]
+        for start, lo in enumerate(keys[::7]):
+            assert lst.irange(lo, keys[-1]) == events[start * 7 :]
+        for _ in range(300):
+            lo_t, hi_t = rng.uniform(-5, 1005), rng.uniform(-5, 1005)
+            low_id = rng.choice([0, rng.choice(events).event_id])
+            high_id = rng.choice([MAX_ID, rng.choice(events).event_id, 0])
+            lo, hi = (lo_t, low_id), (hi_t, high_id)
+            assert lst.irange(lo, hi) == brute(lo, hi), (lo, hi)
+            # Bounds that are real keys, in either order (lo > hi is
+            # an empty range, not an error).
+            a, b = rng.choice(keys), rng.choice(keys)
+            assert lst.irange(a, b) == brute(a, b), (a, b)
+            assert lst.irange(a, (b[0], MAX_ID)) == brute(a, (b[0], MAX_ID))
+        got = lst.irange(keys[10], keys[20])
+        got.clear()  # a fresh list: the caller may mutate it
+        assert lst.irange(keys[10], keys[20]) == events[10:21]
+        assert lst.irange((2000.0, 0), (3000.0, MAX_ID)) == []
+        assert SortedEventList().irange((0.0, 0), (9.0, MAX_ID)) == []
 
     def test_irange_bounds_are_inclusive(self):
         lst = SortedEventList()
@@ -92,6 +137,42 @@ class TestEventIndex:
             index.add(event)
         assert len(index) == 12
         assert list(index.window((0.0, 0), (99.0, MAX_ID))) == events
+
+    def test_wide_tiers_are_filed_on_first_use(self):
+        """``window`` and router-free plans see events added before
+        *and* after the first wide query (the tiers behind them are
+        filed lazily), interleaved with bucket queries."""
+        from repro.hbr.rules import EventPattern, HbrRule
+
+        free = plan_for_rule(
+            HbrRule(
+                name="router-free",
+                antecedent=EventPattern(kinds=(IOKind.RIB_UPDATE,)),
+                consequent=EventPattern(kinds=(IOKind.FIB_UPDATE,)),
+            )
+        )
+        assert free.router_from == "any"
+        index = EventIndex()
+        early = [
+            _event(router=f"R{i % 2}", kind=IOKind.RIB_UPDATE, t=float(i))
+            for i in range(4)
+        ]
+        for event in early:
+            index.add(event)
+        cons = _event(router="R9", kind=IOKind.FIB_UPDATE, t=9.0)
+        bounds = ((0.0, 0), (99.0, MAX_ID))
+        assert index.candidates(free, cons, *bounds) == early
+        late = _event(router="R3", kind=IOKind.RIB_UPDATE, t=1.5)
+        fib = _event(router="R3", kind=IOKind.FIB_UPDATE, t=0.5)
+        index.add(late)
+        index.add(fib)
+        assert len(index) == 6
+        assert index.candidates(free, cons, *bounds) == (
+            early[:2] + [late] + early[2:]
+        )
+        assert index.window(*bounds) == (
+            [early[0], fib, early[1], late] + early[2:]
+        )
 
     def test_same_router_plan_reads_only_that_router(self):
         rules = {r.name: r for r in default_rules()}

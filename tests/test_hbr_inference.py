@@ -317,6 +317,185 @@ class TestStreaming:
             obs.disable()
 
 
+    def test_hbr_calls_per_event_stay_within_budget(self):
+        """Interpreter calls inside ``repro/hbr/`` per observed event,
+        counted by cProfile on a fixed seeded capture — a count, so it
+        repeats exactly and cannot be blamed on a noisy box.  The
+        capture (route reflectors n=8, 40 churn events, fed in arrival
+        order with per-router lag so the forward re-link runs: 1,033
+        events, 130 re-links) costs 20.4 calls/event as of the PR that
+        compiled the rules and made bucket reads slices (104.0 before
+        it); the budget is ~1.3x that, so a per-candidate call
+        creeping back in fails here before it shows up as a slower
+        benchmark."""
+        import cProfile
+        import os
+        import pstats
+        import random
+
+        import repro.hbr
+        from repro.capture.io_events import reset_event_ids
+        from repro.scenarios.generators import (
+            build_scaled_network,
+            churn_workload,
+            external_prefixes,
+        )
+        from repro.snapshot.base import VerifierView
+
+        reset_event_ids()
+        net, specs = build_scaled_network(8, seed=0)
+        net.start()
+        churn_workload(net, specs, external_prefixes(4), 40, start=5.0)
+        net.run(85)
+        rng = random.Random(0)
+        lags = {
+            router: rng.uniform(0.0, 0.05)
+            for router in sorted(net.topology.internal_routers())
+        }
+        view = VerifierView(net.collector, lags=lags)
+        events = sorted(
+            net.collector.all_events(),
+            key=lambda e: (view.arrival_time(e), e.event_id),
+        )
+        assert len(events) > 1000
+        stream = InferenceEngine().streaming()
+        profile = cProfile.Profile()
+        profile.enable()
+        for event in events:
+            stream.observe(event)
+        profile.disable()
+        assert stream.graph.edge_count() > len(events) // 2
+        package = os.path.dirname(repro.hbr.__file__) + os.sep
+        calls = sum(
+            total_calls
+            for (filename, _line, _name), (
+                _primitive, total_calls, _tt, _ct, _callers
+            ) in pstats.Stats(profile).stats.items()
+            if filename.startswith(package)
+        )
+        assert calls / len(events) <= 26.0, calls / len(events)
+
+
+def _agreed_graph(events, engine):
+    """The one graph of ``events``: streaming forwards and backwards,
+    the batch build and the window-rescan spec must all hold it."""
+    from repro.testkit.oracles import rescan_graph
+
+    reference = rescan_graph(events, engine).to_records()
+    assert engine.build_graph(events).to_records() == reference
+    for order in (events, events[::-1]):
+        stream = engine.streaming()
+        for event in order:
+            stream.observe(event)
+        assert stream.graph.to_records() == reference
+    return stream.graph
+
+
+def _io(kind, router, t, protocol="bgp", peer=None, prefix=P):
+    return IOEvent.create(
+        router, kind, t, protocol=protocol, prefix=prefix,
+        action=RouteAction.ANNOUNCE, peer=peer,
+    )
+
+
+class TestAdmissibilityIsTheBound:
+    """Same-router lookups stop at the consequent's own key instead of
+    filtering what lies beyond it; peer lookups filter nothing."""
+
+    def test_consequent_in_its_own_antecedent_bucket(self):
+        # redistribute-rib-to-rib: antecedent and consequent are both
+        # RIB updates of one router and prefix, i.e. one bucket.
+        igp = _io(IOKind.RIB_UPDATE, "R1", 1.0, protocol="ospf")
+        bgp = _io(IOKind.RIB_UPDATE, "R1", 1.5)
+        later = _io(IOKind.RIB_UPDATE, "R1", 1.52, protocol="ospf")
+        graph = _agreed_graph([igp, bgp, later], InferenceEngine())
+        assert [
+            (e.cause, e.evidence.rule) for e in graph.edges()
+            if e.effect == bgp.event_id
+        ] == [(igp.event_id, "redistribute-rib-to-rib")]
+
+    def test_equal_timestamps_are_ordered_by_event_id(self):
+        before = _io(IOKind.RIB_UPDATE, "R1", 1.0)
+        fib = _io(IOKind.FIB_UPDATE, "R1", 1.0)
+        after = _io(IOKind.RIB_UPDATE, "R1", 1.0)
+        assert before.event_id < fib.event_id < after.event_id
+        graph = _agreed_graph([before, fib, after], InferenceEngine())
+        assert graph.edge_set() == {(before.event_id, fib.event_id)}
+
+    def test_peer_that_is_the_consequents_own_router(self):
+        # A peer plan whose bucket is the consequent's router: the
+        # same-clock filter still applies (the send stamped after the
+        # receive is inside the skew allowance, but not admissible).
+        from repro.hbr.rules import (
+            EventPattern, HbrRule, peer_symmetric, same_prefix,
+        )
+
+        rule = HbrRule(
+            name="loopback",
+            antecedent=EventPattern(kinds=(IOKind.ROUTE_SEND,)),
+            consequent=EventPattern(kinds=(IOKind.ROUTE_RECEIVE,)),
+            relations=(peer_symmetric, same_prefix),
+        )
+        send = _io(IOKind.ROUTE_SEND, "R1", 1.0, peer="R1")
+        recv = _io(IOKind.ROUTE_RECEIVE, "R1", 1.2, peer="R1")
+        echo = _io(IOKind.ROUTE_SEND, "R1", 1.22, peer="R1")
+        graph = _agreed_graph(
+            [send, recv, echo], InferenceEngine(rules=[rule])
+        )
+        assert graph.edge_set() == {(send.event_id, recv.event_id)}
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"link_all_candidates": True},
+            {"ambiguity_discount": False},
+            {"use_patterns": True, "pattern_confidence_threshold": 0.3},
+            {"naive_prefix_timestamp": True},
+        ],
+        ids=lambda knobs: next(iter(knobs)),
+    )
+    def test_late_cause_under_non_default_configs(self, knobs, fast_delays):
+        """Two sends compete for one receive and the winning one is
+        logged after it (within skew), plus a whole skewed capture:
+        every config walks the same candidates, whichever way fed."""
+        net = build_paper_network(
+            seed=0, delays=fast_delays, clock_skews={"R1": 0.02}
+        )
+        net.start()
+        net.announce_prefix("Ext1", P)
+        net.run(5)
+        capture = net.collector.all_events()
+        miner = PatternMiner()
+        miner.train(capture)
+        engine = InferenceEngine(
+            config=InferenceConfig(**knobs),
+            miner=miner if "use_patterns" in knobs else None,
+        )
+        stale = _io(IOKind.ROUTE_SEND, "R1", 100.0, peer="R2")
+        recv = _io(IOKind.ROUTE_RECEIVE, "R2", 101.0, peer="R1")
+        rib = _io(IOKind.RIB_UPDATE, "R2", 101.01)
+        late = _io(IOKind.ROUTE_SEND, "R1", 101.03, peer="R2")
+        graph = _agreed_graph(capture + [stale, recv, rib, late], engine)
+        causes = {
+            cause: evidence
+            for cause, evidence in (
+                (e.cause, e.evidence) for e in graph.edges()
+                if e.effect == recv.event_id
+            )
+        }
+        if "naive_prefix_timestamp" in knobs:
+            assert late.event_id in causes
+        elif "link_all_candidates" in knobs:
+            assert set(causes) == {stale.event_id, late.event_id}
+            assert causes[late.event_id].confidence == 0.5
+        elif "ambiguity_discount" in knobs:
+            assert set(causes) == {late.event_id}
+            assert causes[late.event_id].confidence == 1.0
+        else:
+            assert causes[late.event_id].confidence == 0.9
+            assert stale.event_id not in causes
+
+
 class TestScoring:
     def test_empty_graph_scores(self, converged_fig1):
         net = converged_fig1

@@ -140,3 +140,136 @@ class TestRuleMatching:
         assert IOKind.FIB_UPDATE in consequent_kinds
         assert IOKind.ROUTE_SEND in consequent_kinds
         assert IOKind.ROUTE_RECEIVE in consequent_kinds
+
+
+# -- the compiled predicates are the declared semantics ----------------------
+
+
+def _pattern_reference(pattern, event):
+    """EventPattern, read straight off its field definitions: an empty
+    tuple leaves the field free; requires_prefix True/False/None."""
+    return (
+        (not pattern.kinds or event.kind in pattern.kinds)
+        and (not pattern.protocols or event.protocol in pattern.protocols)
+        and (not pattern.actions or event.action in pattern.actions)
+        and pattern.requires_prefix in (None, event.prefix is not None)
+    )
+
+
+def _antecedes_reference(rule, ante, cons):
+    """Antecedent pattern, then every relation *function* in order."""
+    return _pattern_reference(rule.antecedent, ante) and all(
+        relation(ante, cons) for relation in rule.relations
+    )
+
+
+def _logged_earlier(a, c):
+    return a.timestamp < c.timestamp
+
+
+COMPILED_RULES = default_rules() + eigrp_style_rules() + (
+    HbrRule(
+        name="custom-relation",
+        antecedent=EventPattern(kinds=(IOKind.RIB_UPDATE, IOKind.FIB_UPDATE)),
+        consequent=EventPattern(kinds=(IOKind.ROUTE_SEND,)),
+        relations=(same_router, _logged_earlier, same_prefix),
+    ),
+    HbrRule(
+        name="kind-free",
+        antecedent=EventPattern(protocols=("bgp", None)),
+        consequent=EventPattern(actions=(RouteAction.WITHDRAW, None)),
+        relations=(different_router,),
+    ),
+    HbrRule(
+        name="prefix-less",
+        antecedent=EventPattern(requires_prefix=False),
+        consequent=EventPattern(
+            kinds=(IOKind.RIB_UPDATE,), requires_prefix=True
+        ),
+        relations=(same_router,),
+    ),
+    HbrRule(
+        name="no-constraint",
+        antecedent=EventPattern(),
+        consequent=EventPattern(),
+    ),
+)
+
+LSA = {"lsa_origin": "R7", "lsa_seq": 3}
+
+
+def _grid(placements, kinds, protocols, timestamp):
+    """Every combination of the fields a pattern or relation reads.
+    The prefix axis holds two equal-but-distinct Prefix objects (the
+    compiled same_prefix tries identity before equality), another
+    prefix, and none."""
+    prefixes = (P, Prefix.parse(str(P)), Q, None)
+    return [
+        _event(
+            router=router, peer=peer, kind=kind, protocol=protocol,
+            prefix=prefix, action=action, attrs=attrs, t=timestamp,
+        )
+        for router, peer in placements
+        for kind in kinds
+        for protocol in protocols
+        for action in (RouteAction.ANNOUNCE, RouteAction.WITHDRAW, None)
+        for prefix in prefixes
+        for attrs in (None, LSA)
+    ]
+
+
+PROTOCOLS = ("bgp", "ospf", "eigrp", "ibgp", "connected", "static", None)
+#: Consequents sit on R1 and were sent to / heard from R2; antecedents
+#: come from the same router, the symmetric peer, a third router, and
+#: the peer router talking to somebody else.
+ANTECEDENTS = _grid(
+    (("R1", "R2"), ("R2", "R1"), ("R3", "R1"), ("R2", "R3"), ("R1", None)),
+    tuple(IOKind),
+    PROTOCOLS,
+    timestamp=1.0,
+)
+#: A relation reads only these fields of the consequent.
+RELATED_CONSEQUENTS = _grid(
+    (("R1", "R2"), ("R1", None)), (IOKind.RIB_UPDATE,), ("bgp",), 0.5
+) + _grid((("R1", "R2"),), (IOKind.RIB_UPDATE,), ("bgp",), 2.0)
+ALL_CONSEQUENTS = _grid((("R1", "R2"),), tuple(IOKind), PROTOCOLS, 2.0)
+
+
+class TestCompiledPredicates:
+    @pytest.mark.parametrize("rule", COMPILED_RULES, ids=lambda r: r.name)
+    def test_antecedes_is_pattern_plus_relations(self, rule):
+        matched = 0
+        for cons in RELATED_CONSEQUENTS:
+            for ante in ANTECEDENTS:
+                want = _antecedes_reference(rule, ante, cons)
+                assert bool(rule.antecedes(ante, cons)) is want, (ante, cons)
+                matched += want
+        # Non-vacuous: the grid holds pairs on both sides of every rule.
+        assert 0 < matched
+        if rule.name != "no-constraint":
+            assert matched < len(RELATED_CONSEQUENTS) * len(ANTECEDENTS)
+
+    @pytest.mark.parametrize("rule", COMPILED_RULES, ids=lambda r: r.name)
+    def test_patterns_and_pair_matches_delegate(self, rule):
+        for pattern in (rule.antecedent, rule.consequent):
+            for event in ANTECEDENTS:
+                assert pattern.matches(event) is _pattern_reference(
+                    pattern, event
+                ), event
+        # pair_matches = consequent pattern + antecedes, for antecedents
+        # on both sides of the predicate.
+        some = [a for a in ANTECEDENTS if rule.antecedes(a, ALL_CONSEQUENTS[0])]
+        probes = ANTECEDENTS[::97] + some[:5]
+        for cons in ALL_CONSEQUENTS:
+            accepts = _pattern_reference(rule.consequent, cons)
+            for ante in probes:
+                assert rule.pair_matches(ante, cons) is (
+                    accepts and _antecedes_reference(rule, ante, cons)
+                ), (ante, cons)
+
+    def test_compiled_fields_stay_out_of_equality_and_repr(self):
+        first, second = default_rules()[0], default_rules()[0]
+        assert first == second and hash(first) == hash(second)
+        assert first.antecedent == second.antecedent
+        assert "antecedes" not in repr(first)
+        assert "matches" not in repr(first.antecedent)

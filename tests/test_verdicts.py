@@ -342,6 +342,44 @@ class TestWatermarkTracker:
         assert by_name[("stream.watermark_frontier", None)] == 4.0
         assert by_name[("stream.backlog_depth", None)] == 0.0
 
+    def test_bound_gauges_follow_new_routers_and_a_new_registry(self):
+        """The tracker binds its gauges once per registry: a router
+        first seen later still gets its gauge, every publish sets
+        every router's ``lag_of``, and a fresh registry (``enable``
+        again) is published into from its first event on."""
+
+        def published(registry):
+            return {
+                (g.name, dict(g.labels).get("router")): g.value
+                for g in registry.gauges()
+                if g.name.startswith("stream.")
+            }
+
+        def expected(tracker):
+            want = {
+                ("stream.watermark_lag_seconds", router): tracker.lag_of(router)
+                for router in tracker.frontier_by_router()
+            }
+            want["stream.watermark_frontier", None] = tracker.frontier()
+            want["stream.backlog_depth", None] = tracker.backlog_depth()
+            want["stream.newest_event_time", None] = tracker.newest_event_time
+            return want
+
+        tracker = WatermarkTracker(skew_tolerance=0.5)
+        tracker.observe(_Event("RIB_UPDATE", "R9", 0.5))  # registry off
+        first, _tracer = obs.enable()
+        tracker.observe(_Event("RIB_UPDATE", "R2", 1.0))
+        assert published(first) == expected(tracker)
+        tracker.observe(_Event("RIB_UPDATE", "R1", 7.0))  # new router
+        tracker.observe(_Event("RIB_UPDATE", "R2", 9.0))
+        assert published(first) == expected(tracker)
+        assert published(first)["stream.watermark_lag_seconds", "R9"] == 8.0
+        frozen = published(first)
+        second, _tracer = obs.enable()
+        tracker.observe(_Event("RIB_UPDATE", "R3", 12.0))
+        assert published(second) == expected(tracker)
+        assert published(first) == frozen
+
 
 # -- detection / exposure / staleness, hand-computed --------------------------
 
