@@ -162,7 +162,7 @@ class IntegratedControlPlane:
         prediction = self.predictor.predict(event)
         if not prediction.will_violate:
             return
-        change = self._find_change_by_id(int(change_id))
+        change = self.network.configs.change(int(change_id))
         if change is None:
             return
         self._reverted_change_ids.add(int(change_id))
@@ -191,13 +191,6 @@ class IntegratedControlPlane:
         if registry.enabled:
             registry.counter("repair.incidents_total").inc()
             registry.counter("repair.predicted_reverts_total").inc()
-
-    def _find_change_by_id(self, change_id: int):
-        for router in self.network.configs.routers():
-            for change in self.network.configs.changes(router):
-                if change.change_id == change_id:
-                    return change
-        return None
 
     # -- lifecycle -------------------------------------------------------------
 

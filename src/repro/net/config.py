@@ -405,6 +405,8 @@ class ConfigStore:
     def __init__(self, configs: Iterable[RouterConfig]):
         self._current: Dict[str, RouterConfig] = {}
         self._history: Dict[str, List[Tuple[Optional[ConfigChange], RouterConfig]]] = {}
+        #: change id -> every change :meth:`apply` recorded, reverts included.
+        self._changes: Dict[int, ConfigChange] = {}
         for config in configs:
             if config.router in self._current:
                 raise ConfigError(f"duplicate config for {config.router}")
@@ -428,6 +430,7 @@ class ConfigStore:
         config = self.get(change.router)
         config.apply(change)
         self._history[change.router].append((change, config.snapshot()))
+        self._changes[change.change_id] = change
         return config
 
     def revert_change(self, change: ConfigChange) -> ConfigChange:
@@ -454,3 +457,7 @@ class ConfigStore:
 
     def changes(self, router: str) -> List[ConfigChange]:
         return [c for c, _ in self._history[router] if c is not None]
+
+    def change(self, change_id: int) -> Optional[ConfigChange]:
+        """The recorded change with this id, on whichever router."""
+        return self._changes.get(change_id)

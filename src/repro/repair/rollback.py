@@ -76,8 +76,8 @@ class RepairEngine:
     """Applies root-cause reverts to a live network and re-verifies.
 
     ``snapshotters`` registers cache-holding verification components —
-    persistent-memo :class:`~repro.snapshot.consistent.ConsistentSnapshotter`
-    instances and :class:`~repro.verify.incremental.IncrementalVerifier`
+    :class:`~repro.snapshot.consistent.ConsistentSnapshotter` instances
+    fed incrementally and :class:`~repro.verify.incremental.IncrementalVerifier`
     wrappers — whose ``invalidate()`` is called after any revert is
     applied.  A revert re-converges the network and later replays
     re-use event ids, so every memo keyed by event id or
@@ -96,13 +96,6 @@ class RepairEngine:
         self.network = network
         self.verifier = verifier
         self.snapshotters = list(snapshotters)
-
-    def _find_change(self, change_id: int) -> Optional[ConfigChange]:
-        for router in self.network.configs.routers():
-            for change in self.network.configs.changes(router):
-                if change.change_id == change_id:
-                    return change
-        return None
 
     def repair(
         self,
@@ -146,7 +139,7 @@ class RepairEngine:
                     )
                 )
                 continue
-            change = self._find_change(int(change_id))
+            change = self.network.configs.change(int(change_id))
             if change is None:
                 actions.append(
                     RepairAction(

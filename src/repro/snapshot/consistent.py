@@ -23,21 +23,23 @@ This is a Chandy–Lamport-style consistent-cut condition specialised
 to the HBG: the visible event set must be causally closed along
 advertisement edges.
 
-Two memoization regimes share the walk:
+One walk serves two callers:
 
-* **batch** (default): memos are scoped to one :meth:`check` call and
-  reset at its top — the historical behaviour, correct for any graph.
-* **persistent** (``persistent_memo=True``): memos survive across
-  checks so the incremental verifier can re-check one prefix per FIB
-  delta at near-constant cost.  Correctness then depends on
-  *invalidation*: every cached walk records the event ids and FIB
-  buckets it traversed, and :meth:`invalidate_event` /
-  :meth:`note_fib_event` drop exactly the entries whose inputs
-  changed.  :meth:`invalidate` is the big hammer for rollback replay
-  (see docs/INCREMENTAL_VERIFY.md): replaying a capture re-uses event
-  ids, so any memo entry may silently describe a different event —
-  persistent snapshotters must be invalidated wholesale before a
-  replay's events are fed.
+* :meth:`ConsistentSnapshotter.check` is the from-scratch reference:
+  it derives the cut front, the FIB history and the unmatched sends
+  from the visible stream, walks on call-scoped memos, and leaves no
+  trace on the instance.
+* :meth:`ConsistentSnapshotter.check_incremental` reads the same
+  three facts from state :meth:`ConsistentSnapshotter.observe`
+  maintains per event, against memos that survive across checks so a
+  FIB delta re-checks one prefix at near-constant cost.  **The prefix
+  is the unit of caching and of invalidation** (a walk never crosses
+  prefixes): re-linking an event of prefix P, or a straggler FIB
+  update for P landing at or before a cutoff a cached walk queried,
+  drops P's memos and nothing else.  :meth:`invalidate` is the big
+  hammer for rollback replay (docs/INCREMENTAL_VERIFY.md): a replayed
+  capture re-uses event ids, so every maintained entry may silently
+  describe a different event and must go before the replay is fed.
 """
 
 from __future__ import annotations
@@ -57,8 +59,48 @@ from repro.snapshot.base import DataPlaneSnapshot, VerifierView
 #: Distinguishes "memoized as absent" from "not yet memoized".
 _UNSET: object = object()
 
-#: Sorts after every real event id in the FIB-table bisect probes.
+#: Sorts after every real event id in the FIB-history bisect probes.
 _AFTER_ANY_ID = float("inf")
+
+#: Sorts before every cutoff a walk can query.
+_BEFORE_ANY_TIME = float("-inf")
+
+#: FIB protocols participating in the §5 BGP closure recursion.
+_BGP_PROTOCOLS = ("ebgp", "ibgp", "bgp")
+
+#: Per-(router, prefix) FIB updates, sorted by (timestamp, event id).
+FibHistory = Dict[Tuple[str, Prefix], List[Tuple[float, int, IOEvent]]]
+
+# Problem kinds a report records; ``(kind, event[, in_flight])``.
+_UNMATCHED_SEND = "unmatched-send"
+_RECEIVE_WITHOUT_SEND = "receive-without-send"
+_SENDER_WITHOUT_FIB = "sender-without-fib"
+
+
+def _describe(problem: tuple) -> str:
+    """The human-readable explanation of one recorded problem."""
+    kind, event = problem[0], problem[1]
+    if kind == _UNMATCHED_SEND:
+        why = (
+            "may still be in flight"
+            if problem[2]
+            else "has not reached the verifier"
+        )
+        return (
+            f"{event.router} sent {event.action.value if event.action else '?'} "
+            f"for {event.prefix} to {event.peer} at {event.timestamp:.3f}s "
+            f"but {event.peer}'s receive {why}"
+        )
+    if kind == _RECEIVE_WITHOUT_SEND:
+        return (
+            f"{event.router}'s HBG contains a route for "
+            f"{event.prefix} via {event.peer} that has not been "
+            f"announced in the HBG received from {event.peer}"
+        )
+    return (
+        f"{event.peer} announced {event.prefix} but its own FIB "
+        f"update has not reached the verifier"
+    )
 
 
 @dataclass
@@ -68,16 +110,52 @@ class ConsistencyReport:
     consistent: bool
     #: Internal routers whose logs the verifier must wait for.
     missing_routers: Set[str] = field(default_factory=set)
-    #: Human-readable explanations, one per problem found.
-    reasons: List[str] = field(default_factory=list)
+    #: Offending event id -> one ``(kind, event[, in_flight])`` tuple
+    #: per problem found; :attr:`reasons` phrases them.  Keyed so the
+    #: cached sub-reports several walks share merge in once.
+    problems: Dict[int, tuple] = field(default_factory=dict)
     #: Number of walk steps performed (benchmark instrumentation).
     steps: int = 0
+
+    @property
+    def reasons(self) -> List[str]:
+        """Human-readable explanations, one per problem found."""
+        return [_describe(problem) for problem in self.problems.values()]
+
+    def first_reason(self) -> Optional[str]:
+        """``reasons[0]`` without phrasing the rest (the verdict ledger)."""
+        for problem in self.problems.values():
+            return _describe(problem)
+        return None
+
+    def defer(self, router: str, *problem) -> None:
+        """Record one problem; the verifier must wait for ``router``."""
+        self.consistent = False
+        self.missing_routers.add(router)
+        self.problems[problem[1].event_id] = problem
 
     def merge(self, other: "ConsistencyReport") -> None:
         self.consistent = self.consistent and other.consistent
         self.missing_routers.update(other.missing_routers)
-        self.reasons.extend(other.reasons)
+        self.problems.update(other.problems)
         self.steps += other.steps
+
+
+class _PrefixMemo:
+    """One prefix's cached walk results: the unit of invalidation."""
+
+    __slots__ = ("ancestors", "sends", "closures", "cutoffs")
+
+    def __init__(self) -> None:
+        #: FIB update id -> the receives it depends on.
+        self.ancestors: Dict[int, List[IOEvent]] = {}
+        #: receive id -> its matching send (or None).
+        self.sends: Dict[int, Optional[IOEvent]] = {}
+        #: FIB update id -> the verdict of its closed subwalk.
+        self.closures: Dict[int, ConsistencyReport] = {}
+        #: router -> largest ``when + slack`` a cached walk queried its
+        #: FIB history with; an update at or before it can change them.
+        self.cutoffs: Dict[str, float] = {}
 
 
 class ConsistentSnapshotter:
@@ -90,7 +168,6 @@ class ConsistentSnapshotter:
         engine: Optional[InferenceEngine] = None,
         inflight_bound: float = 0.1,
         max_unmatched_age: Optional[float] = 30.0,
-        persistent_memo: bool = False,
     ):
         self.view = view
         self.internal_routers = set(internal_routers)
@@ -101,38 +178,20 @@ class ConsistentSnapshotter:
         #: After this long, an unmatched send is presumed lost (e.g. a
         #: partition swallowed it) and stops deferring snapshots.
         self.max_unmatched_age = max_unmatched_age
-        #: Keep memos across checks (the incremental verifier's mode).
-        #: The owner must then feed :meth:`note_fib_event` for every
-        #: FIB update and :meth:`invalidate_event` for every event
-        #: whose in-edges the streaming layer re-inferred; batch
-        #: :meth:`snapshot` is unsupported (it builds a fresh graph
-        #: per call, which would poison the caches).
-        self.persistent_memo = persistent_memo
-        # §5 recursion memos, bucketed per prefix (a walk never
-        # crosses prefixes: advertisement ancestry follows same-prefix
-        # route events only).  Per-prefix buckets make both the batch
-        # reset and the persistent invalidation O(1) per bucket.
-        # Ancestor entries are (receives, traversed-ids); closure
-        # entries are (report, dependency-keys).
-        self._ancestor_memo: Dict[
-            Optional[Prefix], Dict[int, Tuple[List[IOEvent], frozenset]]
-        ] = {}
-        self._send_memo: Dict[Optional[Prefix], Dict[int, object]] = {}
-        self._closure_memo: Dict[
-            Optional[Prefix], Dict[int, Tuple[ConsistencyReport, frozenset]]
-        ] = {}
-        #: prefix -> dependency key -> memo entries to drop when the
-        #: dependency changes.  Keys are traversed event ids, plus
-        #: ("fib", router) for FIB-table reads.  Entries for already
-        #: dropped memos linger harmlessly (pops are no-ops).
-        self._dep_index: Dict[Optional[Prefix], Dict[object, Set[Tuple[str, int]]]] = {}
-        #: (router, prefix) -> largest ``when + slack`` cutoff any
-        #: cached walk queried the FIB table with; a new FIB event at
-        #: or before it can change those walks' answers.
-        self._max_cutoff: Dict[Tuple[str, Prefix], float] = {}
-        self._fib_table: Optional[
-            Dict[Tuple[str, Prefix], List[Tuple[float, int, IOEvent]]]
-        ] = {} if persistent_memo else None
+        # The §5 facts :meth:`observe` maintains and
+        # :meth:`check_incremental` reads (:meth:`check` derives its
+        # own from the visible stream and touches none of this).
+        self._fib: FibHistory = {}
+        #: prefix -> router -> its latest BGP-protocol FIB update.
+        self._front: Dict[Prefix, Dict[str, IOEvent]] = {}
+        #: prefix -> id -> internal BGP send with no receive linked yet.
+        self._unmatched: Dict[Optional[Prefix], Dict[int, IOEvent]] = {}
+        #: receive id -> the sends its in-edges currently credit, so a
+        #: re-link of the receive can revoke (and re-derive) credit.
+        self._credited: Dict[int, List[IOEvent]] = {}
+        #: prefix -> memos of the walks over the facts above.
+        self._memos: Dict[Optional[Prefix], _PrefixMemo] = {}
+        # Per-call tallies behind snapshot.closure_cache_hits/_misses.
         self._memo_hits = 0
         self._memo_misses = 0
         ledger = obs.get_ledger()
@@ -140,16 +199,16 @@ class ConsistentSnapshotter:
             ledger.register("snapshot.closure_cache", self)
 
     def account_bytes(self, audit: bool = False) -> int:
-        """Resident bytes of the closure/ancestor caches (ledger)."""
+        """Resident bytes of the maintained facts and memos (ledger)."""
         from repro.obs import resources
 
         return resources.combined_sizeof(
             (
-                self._ancestor_memo,
-                self._send_memo,
-                self._closure_memo,
-                self._dep_index,
-                self._fib_table,
+                self._memos,
+                self._fib,
+                self._front,
+                self._unmatched,
+                self._credited,
             ),
             sample=None if audit else obs.get_ledger().sample,
         )
@@ -166,12 +225,6 @@ class ConsistentSnapshotter:
         to a specific FIB update); otherwise every prefix seen in any
         FIB event is checked.
         """
-        if self.persistent_memo:
-            raise RuntimeError(
-                "snapshot() builds a fresh graph per call and would "
-                "poison persistent memos; use check_incremental() "
-                "(or a batch snapshotter) instead"
-            )
         if self.view is None:
             raise RuntimeError("snapshot() needs a VerifierView")
         registry = obs.get_registry()
@@ -224,95 +277,120 @@ class ConsistentSnapshotter:
             return snapshot, report, when
         return None, report, when
 
-    # -- persistent-memo maintenance --------------------------------------
+    # -- the maintained §5 facts ------------------------------------------
 
-    def note_fib_event(self, event: IOEvent) -> None:
-        """Incrementally maintain the per-(router, prefix) FIB table.
+    def observe(
+        self,
+        event: IOEvent,
+        relinked: Sequence[IOEvent],
+        graph: HappensBeforeGraph,
+    ) -> None:
+        """Maintain the §5 facts after one streaming ``observe()``.
 
-        The persistent-memo replacement for the lazy batch build in
-        :meth:`_latest_fib_before`.  An arrival that lands at or
-        before a cutoff some cached walk already queried invalidates
-        those walks (the Fig. 1c resolution path: a straggler's FIB
-        update finally arrives and flips the verdict).
+        ``relinked`` are the already-observed events whose in-edges
+        ``graph`` re-inferred because of ``event``: each drops its
+        prefix's memos (prefix-less config / hardware events need
+        none — the walks never read their parents), and a re-linked
+        receive revokes and re-derives the sends it credits.
         """
-        if event.kind is not IOKind.FIB_UPDATE or event.prefix is None:
-            return
-        if self._fib_table is None:
-            self._fib_table = {}
-        key = (event.router, event.prefix)
-        bucket = self._fib_table.setdefault(key, [])
-        item = (event.timestamp, event.event_id, event)
-        bucket.append(item)
-        if len(bucket) > 1 and (bucket[-2][0], bucket[-2][1]) > (
-            item[0],
-            item[1],
-        ):
-            # Out-of-order arrival (straggler log): restore order by
-            # re-sorting the bucket — rare, and keeps the hot path an
-            # append (PERF001's discipline for the snapshot layer).
-            bucket.sort(key=lambda it: (it[0], it[1]))
-        cutoff = self._max_cutoff.get(key)
-        if cutoff is not None and event.timestamp <= cutoff:
-            self._drop_dependents(event.prefix, ("fib", event.router))
-
-    def invalidate_event(self, event: IOEvent) -> None:
-        """Drop memo entries whose cached walk traversed ``event``.
-
-        Call for every already-observed event whose in-edges the
-        streaming layer re-inferred.  Prefix-less events (config /
-        hardware) need no invalidation: the walks never read their
-        parents (they terminate the ancestry).
-        """
-        if event.prefix is None:
-            return
-        self._drop_dependents(event.prefix, event.event_id)
-
-    def invalidate_prefix(self, prefix: Prefix) -> None:
-        """Drop every memo entry for one prefix (coarse hook)."""
-        self._ancestor_memo.pop(prefix, None)
-        self._send_memo.pop(prefix, None)
-        self._closure_memo.pop(prefix, None)
-        self._dep_index.pop(prefix, None)
+        kind = event.kind
+        if kind is IOKind.ROUTE_SEND and self._unmatched_send(graph, event):
+            self._unmatched.setdefault(event.prefix, {})[event.event_id] = event
+        for stale in relinked:
+            if stale.prefix is not None:
+                self._memos.pop(stale.prefix, None)
+            if stale.kind is IOKind.ROUTE_RECEIVE:
+                self._credit_sends(graph, stale)
+        if kind is IOKind.ROUTE_RECEIVE:
+            self._credit_sends(graph, event)
+        elif kind is IOKind.FIB_UPDATE and event.prefix is not None:
+            self._note_fib_update(event)
 
     def invalidate(self) -> None:
-        """Drop every cached closure, walk and FIB-table entry.
+        """Drop every maintained fact and memo.
 
         The rollback-replay hook: a replayed capture re-uses event ids
-        (``reset_event_ids``), so after a replay *every* memo entry may
+        (``reset_event_ids``), so after a replay *every* entry may
         describe an event that no longer exists — per-(router, prefix)
-        keys collide silently and serve stale closures.  Persistent
-        snapshotters must be invalidated before replayed events are
-        fed (:class:`repro.repair.rollback.RepairEngine` calls this
-        for every registered snapshotter after applying reverts).
+        keys collide silently and serve stale closures.  Must run
+        before replayed events are fed
+        (:class:`repro.repair.rollback.RepairEngine` calls this for
+        every registered snapshotter after applying reverts).
         """
-        self._ancestor_memo = {}
-        self._send_memo = {}
-        self._closure_memo = {}
-        self._dep_index = {}
-        self._max_cutoff = {}
-        self._fib_table = {} if self.persistent_memo else None
+        self._fib = {}
+        self._front = {}
+        self._unmatched = {}
+        self._credited = {}
+        self._memos = {}
 
-    def _drop_dependents(self, prefix: Optional[Prefix], dep_key) -> None:
-        index = self._dep_index.get(prefix)
-        if not index:
-            return
-        entries = index.pop(dep_key, None)
-        if not entries:
-            return
-        for kind, event_id in entries:
-            if kind == "clo":
-                self._closure_memo.get(prefix, {}).pop(event_id, None)
-            elif kind == "anc":
-                self._ancestor_memo.get(prefix, {}).pop(event_id, None)
-            else:
-                self._send_memo.get(prefix, {}).pop(event_id, None)
+    def _unmatched_send(self, graph: HappensBeforeGraph, event: IOEvent) -> bool:
+        """Is ``event`` an internal BGP send no receive is linked to?
 
-    def _register_deps(
-        self, prefix: Optional[Prefix], entry: Tuple[str, int], deps: Iterable
-    ) -> None:
-        index = self._dep_index.setdefault(prefix, {})
-        for dep in deps:
-            index.setdefault(dep, set()).add(entry)
+        A visible [R' send U to N] with no visible [N receive U] means
+        either U is still in flight or N's log stream is lagging.
+        """
+        if (
+            event.kind is not IOKind.ROUTE_SEND
+            or event.protocol != "bgp"
+            or event.peer not in self.internal_routers
+        ):
+            return False
+        for child, _evidence in graph.children(event.event_id):
+            if child.kind is IOKind.ROUTE_RECEIVE:
+                return False
+        return True
+
+    def _credit_sends(self, graph: HappensBeforeGraph, recv: IOEvent) -> None:
+        """Re-derive which sends ``recv``'s in-edges match.
+
+        A (re-)link replaces the receive's in-edges wholesale, so
+        credit granted through it is revoked first; sends that lost
+        their only receive go back into the unmatched set.
+        """
+        for send in self._credited.pop(recv.event_id, ()):
+            if self._unmatched_send(graph, send):
+                self._unmatched.setdefault(send.prefix, {})[send.event_id] = send
+        credited = [
+            parent
+            for parent, _evidence in graph.parents(recv.event_id)
+            if parent.kind is IOKind.ROUTE_SEND
+        ]
+        if credited:
+            self._credited[recv.event_id] = credited
+            for send in credited:
+                bucket = self._unmatched.get(send.prefix)
+                if bucket:
+                    bucket.pop(send.event_id, None)
+
+    def _note_fib_update(self, event: IOEvent) -> None:
+        """File one FIB update into the history and the cut front.
+
+        An arrival at or before a cutoff some cached walk already
+        queried drops the prefix's memos (the Fig. 1c resolution path:
+        a straggler's FIB update finally arrives and flips the
+        verdict).
+        """
+        router, prefix = event.router, event.prefix
+        bucket = self._fib.setdefault((router, prefix), [])
+        item = (event.timestamp, event.event_id, event)
+        bucket.append(item)
+        if len(bucket) > 1 and bucket[-2] > item:
+            # Out-of-order arrival (straggler log): rare, so the hot
+            # path stays an append (PERF001's discipline).
+            bucket.sort()
+        if event.protocol in _BGP_PROTOCOLS:
+            front = self._front.setdefault(prefix, {})
+            current = front.get(router)
+            if current is None or item[:2] > (
+                current.timestamp,
+                current.event_id,
+            ):
+                front[router] = event
+        memo = self._memos.get(prefix)
+        if memo is not None:
+            cutoff = memo.cutoffs.get(router)
+            if cutoff is not None and event.timestamp <= cutoff:
+                del self._memos[prefix]
 
     # -- the §5 walk ------------------------------------------------------------
 
@@ -323,73 +401,88 @@ class ConsistentSnapshotter:
         prefix: Optional[Prefix] = None,
         at: Optional[float] = None,
     ) -> ConsistencyReport:
-        if not self.persistent_memo:
-            self._ancestor_memo = {}
-            self._send_memo = {}
-            self._closure_memo = {}
-            self._dep_index = {}
-            self._max_cutoff = {}
-            self._fib_table = None
-        fib_events = [
-            e
-            for e in visible
-            if e.kind is IOKind.FIB_UPDATE
-            and e.prefix is not None
-            and (prefix is None or e.prefix == prefix)
-            and e.protocol in ("ebgp", "ibgp", "bgp")
-        ]
-        # Only the *latest* FIB event per (router, prefix) is part of
-        # the cut; superseded ones need no closure.
-        latest: Dict[Tuple[str, Prefix], IOEvent] = {}
-        for event in fib_events:
-            key = (event.router, event.prefix)
-            current = latest.get(key)
-            if current is None or (event.timestamp, event.event_id) > (
-                current.timestamp,
-                current.event_id,
+        """The from-scratch §5 check of ``visible`` (``graph``'s events).
+
+        Derives the FIB history, the cut front and the unmatched sends
+        from the stream and walks on call-scoped memos: the reference
+        every incremental verdict is compared against.
+        """
+        fib: FibHistory = {}
+        sends: List[IOEvent] = []
+        for event in visible:
+            kind = event.kind
+            if kind is IOKind.FIB_UPDATE:
+                if event.prefix is not None and (
+                    prefix is None or event.prefix == prefix
+                ):
+                    fib.setdefault((event.router, event.prefix), []).append(
+                        (event.timestamp, event.event_id, event)
+                    )
+            elif (
+                kind is IOKind.ROUTE_SEND
+                and at is not None
+                and (prefix is None or event.prefix == prefix)
+                and self._unmatched_send(graph, event)
             ):
-                latest[key] = event
-        return self._run_check(graph, latest.values(), visible, prefix, at)
+                sends.append(event)
+        # Only the *latest* BGP FIB event per (router, prefix) is part
+        # of the cut; superseded ones need no closure.
+        front: List[IOEvent] = []
+        for bucket in fib.values():
+            bucket.sort()
+            for _timestamp, _event_id, event in reversed(bucket):
+                if event.protocol in _BGP_PROTOCOLS:
+                    front.append(event)
+                    break
+        return self._run_check(graph, front, sends, at, {}, fib)
 
     def check_incremental(
         self,
         graph: HappensBeforeGraph,
-        cut_events: Iterable[IOEvent],
-        sends: Sequence[IOEvent],
-        prefix: Optional[Prefix] = None,
+        prefix: Prefix,
         at: Optional[float] = None,
     ) -> ConsistencyReport:
-        """Scoped §5 check over a pre-filtered cut (incremental feed).
+        """The §5 check of one prefix over the maintained facts.
 
-        ``cut_events`` are the latest FIB updates per (router, prefix)
-        — the cut front — and ``sends`` the candidate unmatched sends;
-        the incremental verifier maintains both per prefix so this
-        check never scans the full visible stream.  Verdicts
-        (``consistent`` + ``missing_routers``) equal :meth:`check`'s
-        on the same graph and cut; ``reasons`` may repeat entries and
-        ``steps`` reflects only un-memoized work.
+        Never scans the visible stream: the cut front, the FIB history
+        and the unmatched sends are what :meth:`observe` filed, the
+        memos survive from earlier checks.  ``consistent`` and
+        ``missing_routers`` equal :meth:`check`'s over the events
+        observed so far; ``steps`` reflects only un-memoized work.
         """
-        return self._run_check(graph, cut_events, sends, prefix, at)
+        front = self._front.get(prefix)
+        sends = self._unmatched.get(prefix)
+        return self._run_check(
+            graph,
+            front.values() if front else (),
+            sends.values() if sends else (),
+            at,
+            self._memos,
+            self._fib,
+        )
 
     def _run_check(
         self,
         graph: HappensBeforeGraph,
         cut_events: Iterable[IOEvent],
-        sends: Sequence[IOEvent],
-        prefix: Optional[Prefix],
+        unmatched_sends: Iterable[IOEvent],
         at: Optional[float],
+        memos: Dict[Optional[Prefix], _PrefixMemo],
+        fib: FibHistory,
     ) -> ConsistencyReport:
         self._memo_hits = 0
         self._memo_misses = 0
         report = ConsistencyReport(consistent=True)
         if at is not None:
-            self._check_send_closure(graph, sends, prefix, at, report)
+            self._check_send_closure(unmatched_sends, at, report)
         visited: Set[int] = set()
-        track = self.persistent_memo
         for event in cut_events:
-            deps: Optional[Set] = set() if track else None
-            sub = self._walk_fib_update(graph, event, visited, deps)
-            report.merge(sub)
+            memo = memos.get(event.prefix)
+            if memo is None:
+                memo = memos[event.prefix] = _PrefixMemo()
+            report.merge(
+                self._walk_fib_update(graph, event, visited, memo, fib)
+            )
         registry = obs.get_registry()
         if registry.enabled:
             registry.counter("snapshot.closure_cache_hits").inc(
@@ -402,163 +495,97 @@ class ConsistentSnapshotter:
 
     def _check_send_closure(
         self,
-        graph: HappensBeforeGraph,
-        sends: Sequence[IOEvent],
-        prefix: Optional[Prefix],
+        unmatched_sends: Iterable[IOEvent],
         at: float,
         report: ConsistencyReport,
     ) -> None:
         """The dual of the receive walk: sends need matching receives.
 
-        A visible [R' send U to N] with no visible [N receive U] means
-        either U is still in flight or N's log stream is lagging.  The
-        verifier cannot distinguish the two without heartbeats, and
+        The verifier cannot tell an advertisement still in flight from
+        a receiver whose log stream is lagging without heartbeats, and
         only the former matches reality — so *both* defer the
         snapshot: the cut may show N's FIB arbitrarily stale, which is
         how phantom black holes at transit routers arise.  The small
         cost is deferring a few propagation-delays' worth of probes
         even under zero log lag.
 
-        ``sends`` may be any event sequence (the batch path passes the
-        whole visible stream; the incremental path passes only its
-        maintained unmatched-send set) — non-qualifying events are
-        filtered here.
-
-        Known limitation: an advertisement permanently lost in the
-        network (e.g. sent just as a partition formed) defers this
-        prefix's snapshots until ``max_unmatched_age`` passes, after
-        which the send is presumed dead and ignored.
+        Which sends are unmatched is :meth:`_unmatched_send`'s call;
+        this only ages them.  Known limitation: an advertisement
+        permanently lost in the network (e.g. sent just as a partition
+        formed) defers this prefix's snapshots until
+        ``max_unmatched_age`` passes, after which the send is presumed
+        dead and ignored.
         """
         slack = self.inflight_bound + self.engine.config.clock_skew_tolerance
-        for send in sends:
-            if send.kind is not IOKind.ROUTE_SEND:
-                continue
-            if send.protocol != "bgp":
-                continue
-            if send.peer not in self.internal_routers:
-                continue
-            if prefix is not None and send.prefix != prefix:
-                continue
-            if (
-                self.max_unmatched_age is not None
-                and at > send.timestamp + self.max_unmatched_age
-            ):
+        max_age = self.max_unmatched_age
+        for send in unmatched_sends:
+            if max_age is not None and at > send.timestamp + max_age:
                 continue  # presumed lost in a partition; give up waiting
             report.steps += 1
-            received = any(
-                child.kind is IOKind.ROUTE_RECEIVE
-                for child, _evidence in graph.children(send.event_id)
+            report.defer(
+                send.peer, _UNMATCHED_SEND, send, at < send.timestamp + slack
             )
-            if not received:
-                report.consistent = False
-                report.missing_routers.add(send.peer)
-                in_flight = at < send.timestamp + slack
-                why = (
-                    "may still be in flight"
-                    if in_flight
-                    else "has not reached the verifier"
-                )
-                report.reasons.append(
-                    f"{send.router} sent {send.action.value if send.action else '?'} "
-                    f"for {send.prefix} to {send.peer} at {send.timestamp:.3f}s "
-                    f"but {send.peer}'s receive {why}"
-                )
 
     def _walk_fib_update(
         self,
         graph: HappensBeforeGraph,
         fib_event: IOEvent,
         visited: Set[int],
-        deps: Optional[Set] = None,
+        memo: _PrefixMemo,
+        fib: FibHistory,
     ) -> ConsistencyReport:
         """One recursion step of the §5 algorithm.
 
-        ``visited`` doubles as the subwalk memo: chains from several
-        cut fronts funnel into the same upstream FIB updates, and a
-        subwalk already closed under this snapshot need not be redone
-        (its verdict is already merged into the report).
-
-        With ``deps`` given (persistent mode), the closed subwalk's
-        verdict is additionally cached across checks, keyed by this
-        FIB event, with every traversed event id and FIB-table bucket
-        recorded as a dependency; ``deps`` accumulates them so callers
-        inherit their subtree's dependencies transitively.  Returned
-        reports are read-only — persistent mode hands back the cached
-        objects themselves (``merge`` never mutates its argument).
+        Chains from several cut fronts funnel into the same upstream
+        FIB updates, so the closed subwalk's verdict is cached in
+        ``memo``, keyed by this FIB event; whatever drops it drops the
+        whole prefix's memos.  Returned reports are read-only — the
+        cached objects themselves are handed back (``merge`` never
+        mutates its argument).  ``visited`` holds the walks entered
+        during this check: meeting one that has no verdict yet means it
+        is still open further up the stack, which will report it.
         """
         event_id = fib_event.event_id
-        prefix = fib_event.prefix
+        cached = memo.closures.get(event_id)
+        if cached is not None:
+            self._memo_hits += 1
+            return cached
         if event_id in visited:
             self._memo_hits += 1
-            if deps is not None:
-                cached = self._closure_memo.get(prefix, {}).get(event_id)
-                if cached is not None:
-                    deps |= cached[1]
-                else:
-                    deps.add(event_id)
             return ConsistencyReport(consistent=True)
-        if deps is not None:
-            cached = self._closure_memo.get(prefix, {}).get(event_id)
-            if cached is not None:
-                self._memo_hits += 1
-                visited.add(event_id)
-                deps |= cached[1]
-                return cached[0]
         self._memo_misses += 1
         visited.add(event_id)
-        local: Optional[Set] = set() if deps is not None else None
-        if local is not None:
-            local.add(event_id)
-        report = ConsistencyReport(consistent=True)
-        report.steps += 1
-        receives = self._advertisement_ancestors(graph, fib_event, local)
-        for recv in receives:
+        report = ConsistencyReport(consistent=True, steps=1)
+        for recv in self._advertisement_ancestors(graph, fib_event, memo):
             report.steps += 1
             sender = recv.peer
             if sender is None or sender not in self.internal_routers:
                 # "...the router from which the update was received is
                 # external to the network" — the walk terminates here.
                 continue
-            send = self._matching_send(graph, recv, local)
+            send = self._matching_send(graph, recv, memo)
             if send is None:
-                report.consistent = False
-                report.missing_routers.add(sender)
-                report.reasons.append(
-                    f"{recv.router}'s HBG contains a route for "
-                    f"{recv.prefix} via {sender} that has not been "
-                    f"announced in the HBG received from {sender}"
-                )
+                report.defer(sender, _RECEIVE_WITHOUT_SEND, recv)
                 continue
             # BGP property: the sender installed its FIB before
             # sending.  Its FIB update must therefore be visible.
             sender_fib = self._latest_fib_before(
-                graph, sender, recv.prefix, send.timestamp, local
+                fib, sender, recv.prefix, send.timestamp, memo
             )
             if sender_fib is None:
-                report.consistent = False
-                report.missing_routers.add(sender)
-                report.reasons.append(
-                    f"{sender} announced {recv.prefix} but its own FIB "
-                    f"update has not reached the verifier"
-                )
+                report.defer(sender, _SENDER_WITHOUT_FIB, recv)
                 continue
-            sub = self._walk_fib_update(graph, sender_fib, visited, local)
-            report.merge(sub)
-        if deps is not None:
-            frozen = frozenset(local)
-            self._closure_memo.setdefault(prefix, {})[event_id] = (
-                report,
-                frozen,
+            report.merge(
+                self._walk_fib_update(graph, sender_fib, visited, memo, fib)
             )
-            self._register_deps(prefix, ("clo", event_id), frozen)
-            deps |= frozen
+        memo.closures[event_id] = report
         return report
 
     def _advertisement_ancestors(
         self,
         graph: HappensBeforeGraph,
         fib_event: IOEvent,
-        deps: Optional[Set] = None,
+        memo: _PrefixMemo,
     ) -> List[IOEvent]:
         """ROUTE_RECEIVE ancestors of ``fib_event`` for the same prefix,
         reached without crossing another FIB update (i.e. the receive
@@ -567,16 +594,12 @@ class ConsistentSnapshotter:
         The walk is pure in (event, prefix) for a fixed graph, so the
         closed subwalk is memoized — cut fronts for the same prefix on
         different routers funnel into the same advertisement ancestry
-        over and over.  In persistent mode the traversed event ids are
-        the entry's dependencies: re-linking any of them drops it.
+        over and over.
         """
-        memo = self._ancestor_memo.setdefault(fib_event.prefix, {})
-        cached = memo.get(fib_event.event_id)
+        cached = memo.ancestors.get(fib_event.event_id)
         if cached is not None:
             self._memo_hits += 1
-            if deps is not None:
-                deps |= cached[1]
-            return cached[0]
+            return cached
         self._memo_misses += 1
         result: List[IOEvent] = []
         stack = [fib_event.event_id]
@@ -596,25 +619,16 @@ class ConsistentSnapshotter:
                 # CONFIG_CHANGE / HARDWARE_STATUS parents terminate the
                 # walk: the FIB update did not depend on an
                 # advertisement along this path.
-        frozen = frozenset(seen) if deps is not None else frozenset()
-        memo[fib_event.event_id] = (result, frozen)
-        if deps is not None:
-            self._register_deps(
-                fib_event.prefix, ("anc", fib_event.event_id), frozen
-            )
-            deps |= frozen
+        memo.ancestors[fib_event.event_id] = result
         return result
 
     def _matching_send(
         self,
         graph: HappensBeforeGraph,
         recv: IOEvent,
-        deps: Optional[Set] = None,
+        memo: _PrefixMemo,
     ) -> Optional[IOEvent]:
-        if deps is not None:
-            deps.add(recv.event_id)
-        memo = self._send_memo.setdefault(recv.prefix, {})
-        cached = memo.get(recv.event_id, _UNSET)
+        cached = memo.sends.get(recv.event_id, _UNSET)
         if cached is not _UNSET:
             self._memo_hits += 1
             return cached
@@ -628,57 +642,28 @@ class ConsistentSnapshotter:
             ):
                 found = parent
                 break
-        memo[recv.event_id] = found
-        if deps is not None:
-            self._register_deps(
-                recv.prefix, ("snd", recv.event_id), (recv.event_id,)
-            )
+        memo.sends[recv.event_id] = found
         return found
 
     def _latest_fib_before(
         self,
-        graph: HappensBeforeGraph,
+        fib: FibHistory,
         router: str,
         prefix: Optional[Prefix],
         when: float,
-        deps: Optional[Set] = None,
+        memo: _PrefixMemo,
     ) -> Optional[IOEvent]:
         """Newest FIB update on ``router`` for ``prefix`` at ``when``.
 
-        Answered from a per-(router, prefix) sorted table — built once
-        per check() in batch mode (the naive per-query scan of every
-        one of the router's events dominated large-network snapshot
-        checks), maintained by :meth:`note_fib_event` in persistent
-        mode.
+        Answered by bisecting the (router, prefix) history (the naive
+        per-query scan of every one of the router's events dominated
+        large-network snapshot checks); the cutoff queried is noted in
+        ``memo`` so a straggler landing behind it drops the memos.
         """
-        if self._fib_table is None:
-            table: Dict[
-                Tuple[str, Prefix], List[Tuple[float, int, IOEvent]]
-            ] = {}
-            for event in graph.events():
-                if event.kind is not IOKind.FIB_UPDATE:
-                    continue
-                if event.prefix is None:
-                    continue
-                table.setdefault((event.router, event.prefix), []).append(
-                    (event.timestamp, event.event_id, event)
-                )
-            # graph.events() yields in event-id order; per-bucket sort
-            # restores the (timestamp, id) order the bisect needs.
-            for bucket in table.values():
-                bucket.sort(key=lambda item: (item[0], item[1]))
-            self._fib_table = table
-        if prefix is None:
-            return None
-        slack = self.engine.config.clock_skew_tolerance
-        cutoff = when + slack
-        if deps is not None:
-            deps.add(("fib", router))
-            key = (router, prefix)
-            current = self._max_cutoff.get(key)
-            if current is None or cutoff > current:
-                self._max_cutoff[key] = cutoff
-        bucket = self._fib_table.get((router, prefix))
+        cutoff = when + self.engine.config.clock_skew_tolerance
+        if cutoff > memo.cutoffs.get(router, _BEFORE_ANY_TIME):
+            memo.cutoffs[router] = cutoff
+        bucket = fib.get((router, prefix))
         if not bucket:
             return None
         cut = bisect_right(bucket, (cutoff, _AFTER_ANY_ID))

@@ -5,13 +5,12 @@ in, but the batch pipeline re-derives the whole §5 closure and
 re-probes every policy per snapshot — the scaling bottleneck BENCH
 C-SCALE exposed.  This module is the Delta-net-style answer
 (PAPERS.md): partition the address space into atoms
-(:mod:`repro.verify.atoms`), maintain per-router forwarding state and
-per-prefix §5 bookkeeping incrementally, and on each FIB delta
-re-check only
+(:mod:`repro.verify.atoms`), maintain per-router forwarding state
+incrementally, and on each FIB delta re-check only
 
-* the §5 consistency of the delta's own prefix, against persistent
-  closure memos (:class:`ConsistentSnapshotter` in
-  ``persistent_memo`` mode), and
+* the §5 consistency of the delta's own prefix, against the facts and
+  per-prefix memos :class:`ConsistentSnapshotter` maintains from the
+  same feed (:meth:`ConsistentSnapshotter.observe`), and
 * the policy invariants of the probe addresses inside the delta's
   atoms — every other atom's forwarding behaviour is provably
   untouched by the delta.
@@ -40,7 +39,7 @@ every observe, even under per-router log lag (arrival-order feeds).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
@@ -55,9 +54,6 @@ from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
 from repro.snapshot.consistent import ConsistencyReport, ConsistentSnapshotter
 from repro.verify.atoms import AtomTable
 from repro.verify.policy import Policy, Violation
-
-#: FIB protocols participating in the §5 BGP closure recursion.
-_BGP_PROTOCOLS = ("ebgp", "ibgp", "bgp")
 
 
 def incremental_engine(**overrides) -> InferenceEngine:
@@ -102,21 +98,11 @@ class IncrementalVerifier:
             engine=self.engine,
             inflight_bound=inflight_bound,
             max_unmatched_age=max_unmatched_age,
-            persistent_memo=True,
         )
         self.streaming: Optional[StreamingInference] = None
         self.atoms = AtomTable()
         #: The incrementally maintained forwarding reconstruction.
         self.snapshot = DataPlaneSnapshot()
-        #: Per-prefix cut front: latest BGP FIB update per router.
-        self._cut: Dict[Prefix, Dict[str, IOEvent]] = {}
-        #: Per-prefix internal BGP sends with no receive linked yet —
-        #: the only sends the per-delta send-closure scan must visit.
-        self._unmatched: Dict[Prefix, Dict[int, IOEvent]] = {}
-        self._send_by_id: Dict[int, IOEvent] = {}
-        #: receive id -> send ids credited as matched through it, so a
-        #: re-link of the receive can revoke (and re-derive) credit.
-        self._match_by_recv: Dict[int, Set[int]] = {}
         #: Last §5 report per prefix (refreshed on each delta).
         self._reports: Dict[Prefix, ConsistencyReport] = {}
         #: Per-policy violation cache keyed by probe address.
@@ -145,18 +131,13 @@ class IncrementalVerifier:
         """Rollback-replay hook: drop all derived state.
 
         Replayed captures re-use event ids, so every cache keyed by
-        event id or (router, prefix) — closure memos, cut fronts,
-        unmatched sends, the forwarding reconstruction — may silently
-        describe a different event after a replay.  The repair engine
-        calls this for registered verifiers/snapshotters after
-        applying reverts.
+        event id or (router, prefix) — the snapshotter's §5 facts and
+        memos, the forwarding reconstruction — may silently describe a
+        different event after a replay.  The repair engine calls this
+        for registered verifiers/snapshotters after applying reverts.
         """
         self.snapshotter.invalidate()
         self.snapshot = DataPlaneSnapshot()
-        self._cut.clear()
-        self._unmatched.clear()
-        self._send_by_id.clear()
-        self._match_by_recv.clear()
         self._reports.clear()
         for cache in self._policy_hits:
             cache.clear()
@@ -167,9 +148,9 @@ class IncrementalVerifier:
         """Feed one observed event plus the events re-linked by it.
 
         This is the :meth:`StreamingInference.subscribe` listener.
-        Non-FIB events only update bookkeeping (send matching, memo
-        invalidation); FIB deltas additionally trigger the scoped
-        re-verification in :meth:`apply`.
+        Every event goes to the snapshotter's §5 bookkeeping; FIB
+        deltas additionally trigger the scoped re-verification in
+        :meth:`apply`.
         """
         arrival = (
             self.view.arrival_time(event)
@@ -178,16 +159,8 @@ class IncrementalVerifier:
         )
         if arrival > self.clock:
             self.clock = arrival
-        if event.kind is IOKind.ROUTE_SEND:
-            self._note_send(event)
-        for stale in relinked:
-            self.snapshotter.invalidate_event(stale)
-            if stale.kind is IOKind.ROUTE_RECEIVE:
-                self._rematch_receive(stale)
-        if event.kind is IOKind.ROUTE_RECEIVE:
-            self._rematch_receive(event)
-        elif event.kind is IOKind.FIB_UPDATE and event.prefix is not None:
-            self.snapshotter.note_fib_event(event)
+        self.snapshotter.observe(event, relinked, self.streaming.graph)
+        if event.kind is IOKind.FIB_UPDATE and event.prefix is not None:
             self.apply(event)
 
     def apply(self, event: IOEvent) -> ConsistencyReport:
@@ -212,14 +185,6 @@ class IncrementalVerifier:
                 global_dirty = True
             self.snapshot.install(SnapshotEntry.from_event(event))
         self.snapshot.set_taken_at(self.clock)
-        if event.protocol in _BGP_PROTOCOLS:
-            front = self._cut.setdefault(prefix, {})
-            current = front.get(event.router)
-            if current is None or (event.timestamp, event.event_id) > (
-                current.timestamp,
-                current.event_id,
-            ):
-                front[event.router] = event
         report = self.consistency(prefix)
         self._refresh_policies(prefix, global_dirty)
         elapsed = watch.elapsed()
@@ -235,7 +200,7 @@ class IncrementalVerifier:
             prefix_violations = self._violations_within(prefix)
             ok = report.consistent and not prefix_violations
             if not report.consistent:
-                detail = report.reasons[0] if report.reasons else "inconsistent"
+                detail = report.first_reason() or "inconsistent"
             elif prefix_violations:
                 detail = str(prefix_violations[0])
             else:
@@ -294,20 +259,13 @@ class IncrementalVerifier:
         Equals a batch :meth:`ConsistentSnapshotter.check` with the
         same prefix over the visible event set (``consistent`` and
         ``missing_routers``; see ``check_incremental`` for the caveat
-        on ``reasons``/``steps``).
+        on ``steps``).
         """
         if self.streaming is None:
             raise RuntimeError("attach() a StreamingInference first")
-        when = self.clock if at is None else at
-        front = self._cut.get(prefix)
-        sends = self._unmatched.get(prefix)
         watch = obs.Stopwatch()
         report = self.snapshotter.check_incremental(
-            self.streaming.graph,
-            list(front.values()) if front else (),
-            list(sends.values()) if sends else (),
-            prefix=prefix,
-            at=when,
+            self.streaming.graph, prefix, self.clock if at is None else at
         )
         self.check_seconds_total += watch.elapsed()
         self.checks_run += 1
@@ -367,55 +325,3 @@ class IncrementalVerifier:
                     cache[address] = found
                 else:
                     cache.pop(address, None)
-
-    def _note_send(self, send: IOEvent) -> None:
-        if (
-            send.protocol != "bgp"
-            or send.prefix is None
-            or send.peer not in self.internal_routers
-        ):
-            return
-        self._send_by_id[send.event_id] = send
-        if not self._send_matched(send):
-            self._unmatched.setdefault(send.prefix, {})[
-                send.event_id
-            ] = send
-
-    def _send_matched(self, send: IOEvent) -> bool:
-        if self.streaming is None:
-            return False
-        return any(
-            child.kind is IOKind.ROUTE_RECEIVE
-            for child, _evidence in self.streaming.graph.children(
-                send.event_id
-            )
-        )
-
-    def _rematch_receive(self, recv: IOEvent) -> None:
-        """Re-derive which sends this receive's in-edges credit.
-
-        A re-link replaces the receive's in-edges wholesale, so credit
-        granted through it is revoked first; sends that lost their
-        only receive go back into the unmatched set (the batch
-        criterion is "any ROUTE_RECEIVE child", checked live)."""
-        for send_id in self._match_by_recv.pop(recv.event_id, ()):
-            send = self._send_by_id.get(send_id)
-            if send is not None and not self._send_matched(send):
-                self._unmatched.setdefault(send.prefix, {})[send_id] = send
-        if self.streaming is None:
-            return
-        credited: Set[int] = set()
-        for parent, _evidence in self.streaming.graph.parents(
-            recv.event_id
-        ):
-            if (
-                parent.kind is IOKind.ROUTE_SEND
-                and parent.event_id in self._send_by_id
-            ):
-                credited.add(parent.event_id)
-                send = self._send_by_id[parent.event_id]
-                bucket = self._unmatched.get(send.prefix)
-                if bucket is not None:
-                    bucket.pop(parent.event_id, None)
-        if credited:
-            self._match_by_recv[recv.event_id] = credited

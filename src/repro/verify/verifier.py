@@ -1,20 +1,19 @@
 """The centralized data-plane verifier.
 
-Checks a list of policies against a snapshot, optionally compressing
-the probe space with forwarding equivalence classes first.  This is
-the batch reference; the per-delta path (and the Fig. 3 guard's
-what-if) is :class:`repro.verify.incremental.IncrementalVerifier`.
+Checks a list of policies against a snapshot, probing every address
+each policy names.  This is the batch reference; the per-delta path
+(and the Fig. 3 guard's what-if) is
+:class:`repro.verify.incremental.IncrementalVerifier`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.net.topology import Topology
 from repro.snapshot.base import DataPlaneSnapshot
-from repro.verify.headerspace import compute_equivalence_classes
 from repro.verify.policy import Policy, Violation
 
 
@@ -26,7 +25,6 @@ class VerificationResult:
     policies_checked: int
     probe_count: int
     wall_seconds: float
-    equivalence_classes: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -79,15 +77,9 @@ def _provenance_refs(
 class DataPlaneVerifier:
     """Centralized verification over reconstructed snapshots."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        policies: Sequence[Policy],
-        use_equivalence_classes: bool = False,
-    ):
+    def __init__(self, topology: Topology, policies: Sequence[Policy]):
         self.topology = topology
         self.policies = list(policies)
-        self.use_equivalence_classes = use_equivalence_classes
 
     def verify(self, snapshot: DataPlaneSnapshot) -> VerificationResult:
         # Unconditional real stopwatch: wall_seconds is part of the
@@ -95,11 +87,6 @@ class DataPlaneVerifier:
         watch = obs.Stopwatch()
         violations: List[Violation] = []
         probes = 0
-        ec_count: Optional[int] = None
-        if self.use_equivalence_classes:
-            classes = compute_equivalence_classes(snapshot)
-            ec_count = len(classes)
-            probes = len(classes)
         for policy in self.policies:
             addresses = policy.probe_addresses(snapshot)
             violations.extend(
@@ -148,5 +135,4 @@ class DataPlaneVerifier:
             policies_checked=len(self.policies),
             probe_count=probes,
             wall_seconds=elapsed,
-            equivalence_classes=ec_count,
         )

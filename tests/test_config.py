@@ -264,3 +264,22 @@ class TestConfigStore:
         )
         store.apply(change)
         assert store.changes("R1") == [change]
+
+    def test_change_lookup_by_id_covers_every_router_and_reverts(self):
+        other = RouterConfig(router="R2")
+        other.add_route_map(local_pref_map("lp", 30))
+        store = ConfigStore([self._store().get("R1"), other])
+        first = ConfigChange(
+            "R1", "set_route_map", key="lp", value=local_pref_map("lp", 10)
+        )
+        second = ConfigChange(
+            "R2", "set_route_map", key="lp", value=local_pref_map("lp", 5)
+        )
+        store.apply(first)
+        store.apply(second)
+        inverse = store.revert_change(second)
+        assert store.change(first.change_id) is first
+        assert store.change(second.change_id) is second
+        assert store.change(inverse.change_id) is inverse
+        unknown = max(c.change_id for c in (first, second, inverse)) + 1000
+        assert store.change(unknown) is None

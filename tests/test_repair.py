@@ -110,6 +110,28 @@ class TestRollback:
             e.kind is IOKind.HARDWARE_STATUS for e in report.unrepairable
         )
 
+    def test_change_missing_from_the_store_is_reported(self, fast_delays):
+        from repro.capture.io_events import IOEvent
+        from repro.repair.provenance import ProvenanceResult
+
+        scenario, net = _broken_fig2(fast_delays)
+        cause = IOEvent.create(
+            "R2", IOKind.CONFIG_CHANGE, 1.0, attrs={"change_id": 10**9}
+        )
+        target = net.collector.query(kind=IOKind.FIB_UPDATE, prefix=P)[-1]
+        provenance = ProvenanceResult(
+            target=target,
+            root_causes=[cause],
+            chains={cause.event_id: [cause, target]},
+            ancestry={cause.event_id},
+            min_confidence=0.0,
+        )
+        verifier = DataPlaneVerifier(net.topology, [paper_policy()])
+        report = RepairEngine(net, verifier).repair(provenance, settle=0)
+        assert [(a.succeeded, a.note) for a in report.actions] == [
+            (False, f"change #{10**9} not in config store")
+        ]
+
     def test_report_describe(self, fast_delays):
         scenario, net = _broken_fig2(fast_delays)
         verifier = DataPlaneVerifier(net.topology, [paper_policy()])

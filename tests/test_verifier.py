@@ -61,13 +61,6 @@ class TestVerify:
         assert not result.ok
         assert result.by_policy()["preferred-exit"]
 
-    def test_equivalence_class_mode_counts(self, topo, exit_policy):
-        verifier = DataPlaneVerifier(
-            topo, [exit_policy], use_equivalence_classes=True
-        )
-        result = verifier.verify(_snapshot(GOOD))
-        assert result.equivalence_classes == 1
-
     def test_probe_count_is_what_each_policy_probed(self, topo, exit_policy):
         """Scoped and single-prefix policies probe fewer addresses than
         the snapshot holds prefixes; ``probe_count`` used to add the

@@ -15,7 +15,7 @@ delta's prefix" implementation:
 * the 0→1 table transition, where a router's *first* FIB entry flips
   the trace heuristic for every address — the one delta that is
   deliberately not atom-local;
-* the cache-coherence hazard: persistent §5 memos served across a
+* the cache-coherence hazard: maintained §5 memos served across a
   rollback replay (event-id reuse) are stale unless ``invalidate()``
   runs — and :class:`RepairEngine` runs it for registered
   snapshotters.
@@ -543,31 +543,25 @@ class TestRollbackInvalidation:
         return graph, fib, fib_r2
 
     def test_stale_without_invalidate_fresh_with(self):
-        snapshotter = ConsistentSnapshotter(
-            None, ("R1", "R2"), persistent_memo=True
-        )
+        snapshotter = ConsistentSnapshotter(None, ("R1", "R2"))
         graph1, fib1 = self._first_run()
-        snapshotter.note_fib_event(fib1)
-        first = snapshotter.check_incremental(
-            graph1, [fib1], [], prefix=P8, at=1.05
-        )
+        snapshotter.observe(fib1, (), graph1)
+        first = snapshotter.check_incremental(graph1, P8, at=1.05)
         assert not first.consistent
         assert first.missing_routers == {"R2"}
 
         graph2, fib2, fib_r2 = self._replay_run()
         # Ground truth: a fresh batch check calls the replay consistent.
-        fresh = ConsistentSnapshotter(None, ("R1", "R2")).check_incremental(
-            graph2, [fib2, fib_r2], [], prefix=P8, at=1.05
+        fresh = ConsistentSnapshotter(None, ("R1", "R2")).check(
+            graph2, graph2.events(), prefix=P8, at=1.05
         )
         assert fresh.consistent
 
-        # The hazard: without invalidation the persistent snapshotter
-        # serves the first run's cached verdict for the reused id.
-        snapshotter.note_fib_event(fib2)
-        snapshotter.note_fib_event(fib_r2)
-        stale = snapshotter.check_incremental(
-            graph2, [fib2, fib_r2], [], prefix=P8, at=1.05
-        )
+        # The hazard: without invalidation the maintained memos serve
+        # the first run's cached verdict for the reused id.
+        snapshotter.observe(fib2, (), graph2)
+        snapshotter.observe(fib_r2, (), graph2)
+        stale = snapshotter.check_incremental(graph2, P8, at=1.05)
         assert not stale.consistent, (
             "memo invalidation made id reuse safe? update this test and "
             "the INCREMENTAL_VERIFY.md hazard note"
@@ -575,11 +569,9 @@ class TestRollbackInvalidation:
 
         # The fix: invalidate() between runs restores correctness.
         snapshotter.invalidate()
-        snapshotter.note_fib_event(fib2)
-        snapshotter.note_fib_event(fib_r2)
-        after = snapshotter.check_incremental(
-            graph2, [fib2, fib_r2], [], prefix=P8, at=1.05
-        )
+        snapshotter.observe(fib2, (), graph2)
+        snapshotter.observe(fib_r2, (), graph2)
+        after = snapshotter.check_incremental(graph2, P8, at=1.05)
         assert after.consistent
 
     def test_repair_engine_invalidates_registered_snapshotters(self):
@@ -614,11 +606,8 @@ class TestRollbackInvalidation:
         )
 
         class _FakeConfigs:
-            def routers(self):
-                return ["R1"]
-
-            def changes(self, router):
-                return [change]
+            def change(self, change_id):
+                return change if change_id == change.change_id else None
 
         class _FakeSim:
             now = 2.5
