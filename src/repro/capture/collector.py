@@ -17,6 +17,16 @@ from repro.capture.io_events import Direction, IOEvent, IOKind, RouteAction
 from repro.net.addr import Prefix
 
 
+def _ingest_instruments(registry):
+    """What :meth:`Collector.ingest` binds per registry."""
+    return (
+        registry.counter("capture.events_total"),
+        obs.Family(registry.counter, "capture.events_by_kind", "kind"),
+        registry.histogram("capture.ingest_seconds"),
+        registry.gauge("capture.routers_seen"),
+    )
+
+
 class Collector:
     """Indexed store of captured I/O events."""
 
@@ -29,6 +39,7 @@ class Collector:
         #: Subscribers notified of every new event (streaming consumers,
         #: e.g. the online verification pipeline).
         self._subscribers: List[Callable[[IOEvent], None]] = []
+        self._instruments = obs.Bound(_ingest_instruments)
 
     def ingest(self, event: IOEvent) -> None:
         """Add one event to the store and notify subscribers."""
@@ -54,14 +65,13 @@ class Collector:
                 detail=event.describe(),
             )
         if registry.enabled:
-            registry.counter("capture.events_total").inc()
-            registry.counter(
-                "capture.events_by_kind", kind=event.kind.value
-            ).inc()
-            registry.histogram("capture.ingest_seconds").observe(
-                watch.elapsed()
+            events, by_kind, seconds, routers_seen = self._instruments.on(
+                registry
             )
-            registry.gauge("capture.routers_seen").set(len(self._by_router))
+            events.inc()
+            by_kind[event.kind.value].inc()
+            seconds.observe(watch.elapsed())
+            routers_seen.set(len(self._by_router))
 
     def subscribe(self, callback: Callable[[IOEvent], None]) -> None:
         self._subscribers.append(callback)

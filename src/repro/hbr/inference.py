@@ -244,6 +244,26 @@ def _dispatch(rules, plans, side) -> Tuple[Tuple[tuple, ...], ...]:
     )
 
 
+def _edge_instruments(registry):
+    """What :meth:`InferenceEngine._edges_into` binds per registry:
+    counters by name, ``edges_by_technique`` by technique, and the
+    per-rule timing sink ``_infer_edges`` reports into."""
+    rule_seconds = obs.Family(
+        registry.histogram, "inference.rule_seconds", "rule"
+    )
+
+    def timing_sink(rule_name: str, seconds: float) -> None:
+        rule_seconds[rule_name].observe(seconds)
+
+    return (
+        obs.Family(registry.counter),
+        obs.Family(
+            registry.counter, "inference.edges_by_technique", "technique"
+        ),
+        timing_sink,
+    )
+
+
 class InferenceEngine:
     """Builds an HBG from an observable I/O stream."""
 
@@ -276,6 +296,7 @@ class InferenceEngine:
         #: a capture has tens of thousands of edges and a handful of
         #: distinct evidences.
         self._evidence: Dict[Tuple[str, float], EdgeEvidence] = {}
+        self._instruments = obs.Bound(_edge_instruments)
 
     # -- batch ------------------------------------------------------------
 
@@ -323,26 +344,22 @@ class InferenceEngine:
         """
         if not (registry.enabled or recorder.enabled):
             return self._infer_edges(cons, source)
-        timing_sink = None
         if registry.enabled:
             # Batch/streaming path: per-rule wall time goes straight
             # into the registry histograms.  The sink indirection keeps
             # _infer_edges free of process-global mutation so the
             # forked workers of DistributedHbg.build_all can reuse it
             # with an aggregating sink instead — a CONC001 requirement.
-            def timing_sink(rule_name: str, seconds: float) -> None:
-                registry.histogram(
-                    "inference.rule_seconds", rule=rule_name
-                ).observe(seconds)
-
-        edges = self._infer_edges(cons, source, timing_sink)
-        if edges and registry.enabled:
-            registry.counter("inference.hbg_edges_inferred").inc(len(edges))
-            for _ante, evidence in edges:
-                registry.counter(
-                    "inference.edges_by_technique",
-                    technique=evidence.technique,
-                ).inc()
+            counters, by_technique, timing_sink = self._instruments.on(
+                registry
+            )
+            edges = self._infer_edges(cons, source, timing_sink)
+            if edges:
+                counters["inference.hbg_edges_inferred"].inc(len(edges))
+                for _ante, evidence in edges:
+                    by_technique[evidence.technique].inc()
+        else:
+            edges = self._infer_edges(cons, source)
         if edges and recorder.enabled:
             for ante, evidence in edges:
                 recorder.record(
@@ -363,7 +380,10 @@ class InferenceEngine:
         """Infer this consequent's in-edges (pure inference, no obs).
 
         ``timing_sink(rule_name, seconds)``, when provided, receives
-        per-rule wall time.  This function must stay free of registry
+        one wall-time sample per rule evaluated: the clock is read
+        once after each, so a sample runs from the previous read (the
+        call's start, for the first) and includes the dispatch that
+        led to its rule.  This function must stay free of registry
         / recorder mutation: it runs inside the forked workers of
         ``DistributedHbg.build_all``, where any process-global emission
         would silently die with the worker (lint rule CONC001 checks
@@ -390,42 +410,38 @@ class InferenceEngine:
             link_all = self.config.link_all_candidates
             discount = self.config.ambiguity_discount
             # Per-rule wall time is only clocked when a sink asks for
-            # it; the disabled path pays one None check per call.
+            # it; the disabled path pays one None check per rule.
+            if timing_sink is not None:
+                watch = obs.Stopwatch()
             for rule, plan in self._by_consequent[cons.kind.ordinal]:
                 if not rule.consequent.matches(cons):
                     continue
-                if timing_sink is not None:
-                    rule_watch = obs.get_registry().stopwatch()
-                try:
-                    candidates = source.rule_candidates(
-                        cons, rule.window, plan
-                    )
-                    antecedes = rule.antecedes
-                    confidence = rule.base_confidence
-                    if link_all or rule.pick == "all":
-                        chosen = [
-                            ante for ante in candidates if antecedes(ante, cons)
-                        ]
-                        if discount and len(chosen) > 1:
-                            # Linking all of N candidates: each is 1/N likely.
-                            confidence = max(0.05, confidence / len(chosen))
-                    else:
-                        # Candidates come in key order, so the latest
-                        # match is the first one met walking backwards;
-                        # the discount only asks whether a second exists.
-                        chosen = []
-                        for ante in reversed(candidates):
-                            if antecedes(ante, cons):
-                                if chosen:
-                                    # Picked the latest of several:
-                                    # mildly less sure.
-                                    confidence *= 0.9
-                                    break
-                                chosen.append(ante)
-                                if not discount:
-                                    break
-                    if not chosen:
-                        continue
+                candidates = source.rule_candidates(cons, rule.window, plan)
+                antecedes = rule.antecedes
+                confidence = rule.base_confidence
+                if link_all or rule.pick == "all":
+                    chosen = [
+                        ante for ante in candidates if antecedes(ante, cons)
+                    ]
+                    if discount and len(chosen) > 1:
+                        # Linking all of N candidates: each is 1/N likely.
+                        confidence = max(0.05, confidence / len(chosen))
+                else:
+                    # Candidates come in key order, so the latest
+                    # match is the first one met walking backwards;
+                    # the discount only asks whether a second exists.
+                    chosen = []
+                    for ante in reversed(candidates):
+                        if antecedes(ante, cons):
+                            if chosen:
+                                # Picked the latest of several:
+                                # mildly less sure.
+                                confidence *= 0.9
+                                break
+                            chosen.append(ante)
+                            if not discount:
+                                break
+                if chosen:
                     evidence = self._evidence.get((rule.name, confidence))
                     if evidence is None:
                         evidence = self._evidence[rule.name, confidence] = (
@@ -435,9 +451,8 @@ class InferenceEngine:
                         if ante.event_id not in linked:
                             linked.add(ante.event_id)
                             edges.append((ante, evidence))
-                finally:
-                    if timing_sink is not None:
-                        timing_sink(rule.name, rule_watch.elapsed())
+                if timing_sink is not None:
+                    timing_sink(rule.name, watch.lap())
 
         if self.config.use_patterns and self.miner is not None:
             threshold = self.config.pattern_confidence_threshold
@@ -489,10 +504,11 @@ class StreamingInference:
     returned the last time it was (re-)linked — nothing else decides an
     edge — so the equality above is by construction.  An
     :class:`~repro.hbr.index.EventIndex` is maintained incrementally
-    (O(sqrt N) insert, bucketed lookups).  Both end-of-observe gauge
-    updates are O(1): the graph tracks its own edge and vertex totals
-    (see :meth:`HappensBeforeGraph.edge_count`), guarded by the
-    overhead test in tests/test_hbr_inference.py.
+    (O(sqrt N) insert, bucketed lookups).  The ``inference.hbg_events``
+    / ``hbg_edges`` gauges cost an observe nothing: they read through
+    to the totals the graph tracks itself (see
+    :meth:`HappensBeforeGraph.edge_count`), guarded by the overhead
+    test in tests/test_hbr_inference.py.
     """
 
     def __init__(self, engine: InferenceEngine):
@@ -515,6 +531,7 @@ class StreamingInference:
         self._source = _IndexSource(
             self._index, engine.config.clock_skew_tolerance
         )
+        self._instruments = obs.Bound(self._bind)
 
     def subscribe(self, listener) -> None:
         """Register ``listener(event, relinked)``.
@@ -530,20 +547,28 @@ class StreamingInference:
         registry = obs.get_registry()
         recorder = obs.get_recorder()
         if registry.enabled:
+            observed, seconds = self._instruments.on(registry)
             watch = registry.stopwatch()
         self._index.add(event)
         self.graph.add_event(event)
         self._link(event, registry, recorder)
         relinked = self._relink_forward(event, registry, recorder)
         if registry.enabled:
-            registry.counter("inference.events_observed_total").inc()
-            registry.histogram("inference.observe_seconds").observe(
-                watch.elapsed()
-            )
-            registry.gauge("inference.hbg_events").set(len(self.graph))
-            registry.gauge("inference.hbg_edges").set(self.graph.edge_count())
+            observed.inc()
+            seconds.observe(watch.elapsed())
         for listener in self._listeners:
             listener(event, relinked)
+
+    def _bind(self, registry):
+        """Per registry: the graph-size gauges read through to the
+        graph's own totals, and ``observe`` keeps its two handles."""
+        graph = self.graph
+        self._instruments.read_through("inference.hbg_events", graph.__len__)
+        self._instruments.read_through("inference.hbg_edges", graph.edge_count)
+        return (
+            registry.counter("inference.events_observed_total"),
+            registry.histogram("inference.observe_seconds"),
+        )
 
     def _relink_forward(
         self, event: IOEvent, registry, recorder

@@ -53,9 +53,12 @@ OBS_MUTATORS = frozenset(
         "repro.obs.metrics.MetricsRegistry.clear",
         "repro.obs.metrics.Counter.inc",
         "repro.obs.metrics.Gauge.set",
+        "repro.obs.metrics.Gauge.read_from",
         "repro.obs.metrics.Gauge.inc",
         "repro.obs.metrics.Gauge.dec",
         "repro.obs.metrics.Histogram.observe",
+        "repro.obs.metrics.Bound.on",
+        "repro.obs.metrics.Bound.read_through",
         "repro.obs.trace.recorder.FlightRecorder.record",
         "repro.obs.resources.ResourceLedger.register",
         "repro.obs.resources.ResourceLedger.refresh",

@@ -41,7 +41,9 @@ from typing import Callable, Optional, Tuple
 from repro.obs import export  # noqa: F401  (re-exported submodule)
 from repro.obs.metrics import (
     NULL_REGISTRY,
+    Bound,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -70,7 +72,9 @@ from repro.obs.trace.recorder import (
 from repro.obs.tracing import NULL_TRACER, NullTracer, SpanRecord, Tracer
 
 __all__ = [
+    "Bound",
     "Counter",
+    "Family",
     "FlightRecorder",
     "Gauge",
     "Histogram",

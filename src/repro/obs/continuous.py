@@ -47,9 +47,11 @@ pipeline never reaches :meth:`WatermarkTracker.observe`.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.obs.metrics import Bound, Family
 
 # Deliberately no imports from repro.capture / repro.verify: ``obs``
 # is importable from every layer (LAY001 EXEMPT), so an obs module
@@ -68,6 +70,10 @@ class WatermarkTracker:
     :class:`InferenceConfig.clock_skew_tolerance` default) is
     subtracted from reported lag: two routers within the tolerance
     are indistinguishable, so their lag reads 0 rather than noise.
+
+    The ``stream.*`` gauges read through to the accessors below
+    (:meth:`Gauge.read_from`): an event pays for no gauge, and each
+    accessor is a point read, safe from a scrape thread.
     """
 
     def __init__(
@@ -79,6 +85,10 @@ class WatermarkTracker:
         self.skew_tolerance = skew_tolerance
         #: router -> newest event timestamp seen (the watermark).
         self._watermarks: Dict[str, float] = {}
+        #: min(_watermarks.values()) and a router holding it: it can
+        #: only move when the holder advances or a new router reports.
+        self._frontier = 0.0
+        self._frontier_router: Optional[str] = None
         #: Arrival-time clock (max arrival time seen).
         self.clock = 0.0
         #: Newest event timestamp across all routers.
@@ -86,10 +96,7 @@ class WatermarkTracker:
         self.events_seen = 0
         #: Min-heap of event timestamps not yet <= the frontier.
         self._pending: List[float] = []
-        #: The registry the gauges below were bound on (see _publish).
-        self._registry: Optional[Any] = None
-        self._lag_gauges: Dict[str, Any] = {}
-        self._scalar_gauges: Tuple[Any, ...] = ()
+        self._gauges = Bound(self._bind)
 
     # -- wiring -----------------------------------------------------------
 
@@ -98,30 +105,64 @@ class WatermarkTracker:
         streaming.subscribe(self.observe)
         return self
 
+    def _bind(self, registry: Any) -> None:
+        gauges = self._gauges
+        gauges.read_through("stream.watermark_frontier", self.frontier)
+        gauges.read_through("stream.backlog_depth", self.backlog_depth)
+        gauges.read_through(
+            "stream.newest_event_time", lambda: self.newest_event_time
+        )
+        for router in sorted(self._watermarks):
+            self._bind_lag(router)
+
+    def _bind_lag(self, router: str) -> None:
+        self._gauges.read_through(
+            "stream.watermark_lag_seconds",
+            partial(self.lag_of, router),
+            router=router,
+        )
+
     # -- the feed ---------------------------------------------------------
 
     def observe(
         self, event: Any, relinked: Tuple[Any, ...] = ()
     ) -> None:
         """One observed event (the ``subscribe()`` listener)."""
+        registry = obs.get_registry()
+        if registry.enabled:
+            self._gauges.on(registry)
         self.events_seen += 1
+        timestamp = event.timestamp
         arrival = (
             self.view.arrival_time(event)
             if self.view is not None
-            else event.timestamp
+            else timestamp
         )
         if arrival > self.clock:
             self.clock = arrival
-        if event.timestamp > self.newest_event_time:
-            self.newest_event_time = event.timestamp
-        current = self._watermarks.get(event.router)
-        if current is None or event.timestamp > current:
-            self._watermarks[event.router] = event.timestamp
-        heapq.heappush(self._pending, event.timestamp)
-        frontier = self.frontier()
-        while self._pending and self._pending[0] <= frontier:
-            heapq.heappop(self._pending)
-        self._publish(frontier)
+        if timestamp > self.newest_event_time:
+            self.newest_event_time = timestamp
+        router = event.router
+        watermarks = self._watermarks
+        current = watermarks.get(router)
+        if current is None:
+            if not watermarks or timestamp < self._frontier:
+                self._frontier = timestamp
+                self._frontier_router = router
+            watermarks[router] = timestamp
+            if registry.enabled:
+                self._bind_lag(router)
+        elif timestamp > current:
+            watermarks[router] = timestamp
+            if router == self._frontier_router:
+                holder = min(watermarks, key=watermarks.__getitem__)
+                self._frontier = watermarks[holder]
+                self._frontier_router = holder
+        pending = self._pending
+        heapq.heappush(pending, timestamp)
+        frontier = self._frontier
+        while pending and pending[0] <= frontier:
+            heapq.heappop(pending)
 
     # -- read side --------------------------------------------------------
 
@@ -132,9 +173,7 @@ class WatermarkTracker:
         *every* router that has ever reported — the completeness line
         a verdict can be trusted up to.
         """
-        if not self._watermarks:
-            return 0.0
-        return min(self._watermarks.values())
+        return self._frontier
 
     def frontier_by_router(self) -> Dict[str, float]:
         """Per-router watermarks (the ledger's ``frontier`` stamp)."""
@@ -150,39 +189,6 @@ class WatermarkTracker:
     def backlog_depth(self) -> int:
         """Observed events still ahead of the frontier."""
         return len(self._pending)
-
-    # -- publishing -------------------------------------------------------
-
-    def _publish(self, frontier: float) -> None:
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return
-        if registry is not self._registry:
-            # Bind instruments once per registry: looking a labelled
-            # gauge up costs a label-key sort, per router, per event.
-            self._registry = registry
-            self._lag_gauges = {}
-            self._scalar_gauges = (
-                registry.gauge("stream.watermark_frontier"),
-                registry.gauge("stream.backlog_depth"),
-                registry.gauge("stream.newest_event_time"),
-            )
-        lag_gauges = self._lag_gauges
-        if len(lag_gauges) != len(self._watermarks):
-            for router in sorted(self._watermarks):
-                if router not in lag_gauges:
-                    lag_gauges[router] = registry.gauge(
-                        "stream.watermark_lag_seconds", router=router
-                    )
-        # lag_of() for every router, minus a call and a lookup each.
-        clock, tolerance = self.clock, self.skew_tolerance
-        watermarks = self._watermarks
-        for router, gauge in lag_gauges.items():
-            gauge.set(max(0.0, clock - watermarks[router] - tolerance))
-        frontier_gauge, backlog_gauge, newest_gauge = self._scalar_gauges
-        frontier_gauge.set(frontier)
-        backlog_gauge.set(len(self._pending))
-        newest_gauge.set(self.newest_event_time)
 
 
 class ContinuousMonitor:
@@ -215,8 +221,12 @@ class ContinuousMonitor:
         #: tracked prefix, aligning suspect attribution with the
         #: partition the incremental verifier re-probes.
         self.atoms = atoms
-        #: prefix-str -> (first_address, last_address) of tracked keys.
-        self._ranges: Dict[str, Tuple[int, int]] = {}
+        #: The feed's FIB_UPDATE kind object, learned from the first
+        #: one seen (no IOKind import; see the note on layering).
+        self._fib_kind: Any = None
+        #: tracked prefix -> (first address, last address, [its key,
+        #: then the keys of the tracked prefixes overlapping it]).
+        self._tracked: Dict[Any, Tuple[int, int, List[str]]] = {}
         #: prefix-str -> event time of the first unjudged FIB update.
         self._suspect: Dict[str, float] = {}
         #: prefix-str -> verdict time the open failure started.
@@ -225,6 +235,7 @@ class ContinuousMonitor:
         self.exposures_closed = 0
         #: routers whose ``verify.last_verdict_ok`` gauge we set to 0.
         self._failed_routers: set = set()
+        self._instruments = Bound(_verdict_instruments)
 
     # -- wiring -----------------------------------------------------------
 
@@ -249,45 +260,54 @@ class ContinuousMonitor:
         self, event: Any, relinked: Tuple[Any, ...] = ()
     ) -> None:
         self.tracker.observe(event, relinked)
-        # Duck-typed FIB_UPDATE check (no IOKind import; see module
-        # docstring on layering).
-        kind = getattr(event.kind, "name", event.kind)
-        if kind == "FIB_UPDATE" and event.prefix is not None:
+        kind = event.kind
+        if (
+            self._fib_kind is None
+            and getattr(kind, "name", kind) == "FIB_UPDATE"
+        ):
+            self._fib_kind = kind
+        if kind == self._fib_kind and event.prefix is not None:
             self._mark_suspect(event)
 
     def _mark_suspect(self, event: Any) -> None:
-        prefix = event.prefix
-        key = str(prefix)
-        first = prefix.first_address()
-        last = prefix.last_address()
-        if key not in self._ranges:
-            if self.atoms is not None:
-                self.atoms.ensure(prefix)
-            self._ranges[key] = (first, last)
-        self._suspect.setdefault(key, event.timestamp)
+        tracked = self._tracked.get(event.prefix)
+        if tracked is None:
+            tracked = self._track(event.prefix)
         # Atom-table attribution: the verifier re-probes every atom
         # inside the update's range, so any tracked prefix sharing an
         # atom is equally suspect from this update on.
-        for other, (ofirst, olast) in self._ranges.items():
-            if other != key and not (olast < first or last < ofirst):
-                self._suspect.setdefault(other, event.timestamp)
+        for key in tracked[2]:
+            self._suspect.setdefault(key, event.timestamp)
+
+    def _track(self, prefix: Any) -> Tuple[int, int, List[str]]:
+        """First sight of ``prefix``: the only time overlap between
+        tracked prefixes changes, so both sides are worked out here."""
+        if self.atoms is not None:
+            self.atoms.ensure(prefix)
+        first = prefix.first_address()
+        last = prefix.last_address()
+        keys = [str(prefix)]
+        for ofirst, olast, others in self._tracked.values():
+            if not (olast < first or last < ofirst):
+                keys.append(others[0])
+                others.append(keys[0])
+        tracked = self._tracked[prefix] = (first, last, keys)
+        return tracked
 
     # -- the verdict feed -------------------------------------------------
 
     def on_verdict(self, record: Any) -> None:
         """One ledger record (the ``VerdictLedger.subscribe`` listener)."""
         registry = obs.get_registry()
+        histograms: Any = None
         if registry.enabled:
-            staleness = max(
-                0.0, self.tracker.newest_event_time - record.at
+            histograms, last_ok, exposed = self._instruments.on(registry)
+            histograms["verify.verdict_staleness_seconds"].observe(
+                max(0.0, self.tracker.newest_event_time - record.at)
             )
-            registry.histogram("verify.verdict_staleness_seconds").observe(
-                staleness
+            last_ok[record.router if record.router else "all"].set(
+                1.0 if record.ok else 0.0
             )
-            registry.gauge(
-                "verify.last_verdict_ok",
-                router=record.router if record.router else "all",
-            ).set(1.0 if record.ok else 0.0)
             if not record.ok and record.router:
                 self._failed_routers.add(record.router)
         if record.kind == "rollback":
@@ -295,37 +315,33 @@ class ContinuousMonitor:
             # reverted, exposure ends at the rollback, whatever the
             # next verdict says about residual convergence.
             for key in sorted(self._failing):
-                self._close(key, record.at, registry)
+                self._close(key, record.at, histograms)
             self._suspect.clear()
         elif record.prefix is not None:
             if record.ok:
                 self._suspect.pop(record.prefix, None)
                 if record.prefix in self._failing:
-                    self._close(record.prefix, record.at, registry)
+                    self._close(record.prefix, record.at, histograms)
             else:
-                self._open(record, record.prefix, registry)
+                self._open(record, record.prefix, histograms)
         else:
             # Whole-plane snapshot verdict: a pass clears everything; a
             # failure opens (only) the violated prefixes it names.
             if record.ok:
                 for key in sorted(self._failing):
-                    self._close(key, record.at, registry)
+                    self._close(key, record.at, histograms)
                 self._suspect.clear()
             else:
                 for key in self._violated_prefixes(record):
-                    self._open(record, key, registry)
+                    self._open(record, key, histograms)
         if registry.enabled:
-            registry.gauge("verify.exposed_prefixes").set(
-                len(self._failing)
-            )
+            exposed.set(len(self._failing))
             # Once no failure is open the plane is green: a stale FAIL
             # on a router whose update merely *triggered* a since-cured
             # check would misread as an ongoing problem.
             if record.ok and not self._failing and self._failed_routers:
                 for router in sorted(self._failed_routers):
-                    registry.gauge(
-                        "verify.last_verdict_ok", router=router
-                    ).set(1.0)
+                    last_ok[router].set(1.0)
                 self._failed_routers.clear()
 
     @staticmethod
@@ -336,7 +352,8 @@ class ContinuousMonitor:
         )
         return keys if keys else ["*"]
 
-    def _open(self, record: Any, key: str, registry: Any) -> None:
+    def _open(self, record: Any, key: str, histograms: Any) -> None:
+        """``histograms`` is None with the registry off (as in _close)."""
         if key in self._failing:
             return
         self._failing[key] = record.at
@@ -351,16 +368,16 @@ class ContinuousMonitor:
                 else record.at
             )
         self.detections += 1
-        if registry.enabled:
-            registry.histogram("verify.detection_latency_seconds").observe(
+        if histograms is not None:
+            histograms["verify.detection_latency_seconds"].observe(
                 max(0.0, record.at - introduced)
             )
 
-    def _close(self, key: str, at: float, registry: Any) -> None:
+    def _close(self, key: str, at: float, histograms: Any) -> None:
         started = self._failing.pop(key)
         self.exposures_closed += 1
-        if registry.enabled:
-            registry.histogram("verify.exposure_seconds").observe(
+        if histograms is not None:
+            histograms["verify.exposure_seconds"].observe(
                 max(0.0, at - started)
             )
 
@@ -368,6 +385,16 @@ class ContinuousMonitor:
 
     def exposed_prefixes(self) -> List[str]:
         return sorted(self._failing)
+
+
+def _verdict_instruments(registry: Any) -> Tuple[Family, Family, Any]:
+    """What ``on_verdict`` binds per registry: histograms by name,
+    ``last_verdict_ok`` by router, the exposed-prefixes gauge."""
+    return (
+        Family(registry.histogram),
+        Family(registry.gauge, "verify.last_verdict_ok", "router"),
+        registry.gauge("verify.exposed_prefixes"),
+    )
 
 
 # -- the `repro watch` renderer ----------------------------------------------

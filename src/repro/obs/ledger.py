@@ -16,12 +16,13 @@ stream*, and the metrics registry (aggregates) and flight recorder
   :class:`~repro.obs.continuous.WatermarkTracker` is attached);
 * :class:`VerdictLedger` — bounded in-memory tail (for
   ``/verdicts.json`` and ``repro watch``) plus JSONL persistence
-  with **bounded rotation**: the current segment is republished
-  atomically (:func:`repro.obs.atomicio.atomic_write_text`) every
-  ``flush_every`` appends, and rotated to ``<path>.1`` once it holds
-  ``rotate_records`` records, so a long-lived process never grows an
-  unbounded artifact and a killed process never leaves a truncated
-  one.
+  with **bounded rotation**: every ``flush_every`` appends the
+  unflushed lines are appended to the live file and fsynced, and a
+  flush that finds ``rotate_records`` or more in the file first
+  renames it to ``<path>.1``, so a long-lived process never grows an
+  unbounded artifact and a flush costs what it adds, not what the
+  file holds.  A killed process can leave one torn last line;
+  :func:`load` reads a file back to its last whole record.
 
 Design constraints mirror the flight recorder and resource ledger:
 
@@ -47,11 +48,12 @@ violations, missing_routers, refs, frontier`` (see
 from __future__ import annotations
 
 import json
+import os
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.atomicio import atomic_write_text
 from repro.obs.resources import combined_sizeof
 
 SCHEMA = "repro-verdicts/v1"
@@ -141,10 +143,12 @@ class VerdictLedger:
         self.flush_every = flush_every
         self._lock = threading.Lock()
         #: Bounded in-memory tail (drop-oldest) for /verdicts.json.
-        self._tail: List[VerdictRecord] = []
-        #: Serialised lines of the current on-disk segment.
-        self._segment: List[str] = []
-        self._unflushed = 0
+        self._tail: Deque[VerdictRecord] = deque(maxlen=capacity)
+        #: Serialised lines not yet appended to the live file.
+        self._unflushed: List[str] = []
+        #: Records in the live file; None until this ledger's first
+        #: flush, which starts the file afresh.
+        self._segment_records: Optional[int] = None
         self.appended_total = 0
         self.dropped_records = 0
         self.rotations = 0
@@ -216,16 +220,14 @@ class VerdictLedger:
                 frontier=frontier,
                 attrs=dict(attrs),
             )
-            self._tail.append(record)
-            if len(self._tail) > self.capacity:
-                del self._tail[0]
+            if len(self._tail) == self.capacity:
                 self.dropped_records += 1
+            self._tail.append(record)
             if not ok:
                 self.failing_total += 1
             if self.path is not None:
-                self._segment.append(record.to_json())
-                self._unflushed += 1
-                if self._unflushed >= self.flush_every:
+                self._unflushed.append(record.to_json())
+                if len(self._unflushed) >= self.flush_every:
                     self._flush_locked()
         for listener in self._listeners:
             listener(record)
@@ -236,23 +238,28 @@ class VerdictLedger:
     def _flush_locked(self) -> None:
         if self.path is None:
             return
-        if len(self._segment) > self.rotate_records:
-            # Seal the overfull head as <path>.1 (replacing any older
-            # sealed segment — the bound is the point) and keep only
-            # the newest records in the live segment.
-            sealed = self._segment[: -self.rotate_records]
-            self._segment = self._segment[-self.rotate_records :]
-            atomic_write_text(self.path + ".1", "\n".join(sealed) + "\n")
+        lines, self._unflushed = self._unflushed, []
+        held = self._segment_records
+        if held is not None and held >= self.rotate_records:
+            # Seal the full segment as <path>.1 (replacing any older
+            # sealed segment — the bound is the point).
+            os.replace(self.path, self.path + ".1")
             self.rotations += 1
-        text = "\n".join(self._segment)
-        atomic_write_text(self.path, text + "\n" if text else "")
-        self._unflushed = 0
+            held = None
+        # A new ledger starts a new file, whatever an earlier process
+        # left at the path; after a rotation there is none to append to.
+        mode = "w" if held is None else "a"
+        with open(self.path, mode, encoding="utf-8") as handle:
+            handle.writelines(line + "\n" for line in lines)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._segment_records = (held or 0) + len(lines)
 
     def flush(self) -> None:
-        """Publish the current segment to disk (atomic replace)."""
+        """Append the unflushed records to the live file (durably)."""
         with self._lock:
             if self.path is not None and (
-                self._unflushed or not self._segment
+                self._unflushed or self._segment_records is None
             ):
                 self._flush_locked()
 
@@ -287,11 +294,11 @@ class VerdictLedger:
             }
 
     def account_bytes(self, audit: bool = False) -> int:
-        """Resident bytes of the tail + segment (resource ledger)."""
+        """Resident bytes of the tail + unflushed lines (resource ledger)."""
         from repro import obs
 
         return combined_sizeof(
-            (self._tail, self._segment),
+            (self.records(), self._unflushed),
             sample=None if audit else obs.get_ledger().sample,
         )
 
@@ -300,6 +307,18 @@ class VerdictLedger:
             f"VerdictLedger(records={len(self)}, "
             f"appended={self.appended_total}, path={self.path!r})"
         )
+
+
+def load(path: str) -> List[Dict[str, Any]]:
+    """The whole records of a ledger file, one dict per line.
+
+    Every record is written with its newline, so whatever follows the
+    last newline is a torn append (the writer was killed mid-line)
+    and is dropped; a file that ends cleanly loses nothing.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    return [json.loads(line) for line in lines[:-1]]
 
 
 class NullVerdictLedger:

@@ -23,6 +23,12 @@ Instrumented code follows one idiom::
         reg.histogram("verify.verify_seconds").observe(watch.elapsed())
     reg.counter("verify.verifications_total").inc()   # no-op when off
 
+A site that runs per event holds its instruments instead of looking
+them up by name each time (:class:`Bound`, :class:`Family`), and a
+gauge whose value changes per event but is read per scrape reads
+through to its owner (:meth:`Gauge.read_from`): telemetry is priced
+per read, not per event.
+
 The :class:`Stopwatch` returned by ``reg.stopwatch()`` is the *only*
 sanctioned wall-clock read in the deterministic layers (``net``,
 ``protocols``, ``capture``, ``hbr``): domain code must never import
@@ -44,12 +50,14 @@ import threading
 import time
 import zlib
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -88,6 +96,14 @@ class Stopwatch:
     def restart(self) -> None:
         self._started = time.perf_counter()
 
+    def lap(self) -> float:
+        """:meth:`elapsed` then :meth:`restart`, on one clock read:
+        back-to-back laps partition the time since construction."""
+        now = time.perf_counter()
+        seconds = now - self._started
+        self._started = now
+        return seconds
+
 
 class _NullStopwatch:
     """Free stand-in handed out by :class:`NullRegistry`."""
@@ -99,6 +115,9 @@ class _NullStopwatch:
 
     def restart(self) -> None:
         pass
+
+    def lap(self) -> float:
+        return 0.0
 
 
 _NULL_STOPWATCH = _NullStopwatch()
@@ -129,18 +148,39 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, throughput)."""
+    """A value that can go up and down (queue depth, throughput).
+
+    A gauge is either *stored* (:meth:`set` / :meth:`inc` /
+    :meth:`dec`) or *read-through* (:meth:`read_from`): ``value`` —
+    and so every exporter, ``/metrics`` scrape and health rule — then
+    returns the source's current value, and the owner of the state
+    pays nothing per update.  For a quantity that changes per event
+    and is read per scrape, that is the right price.
+    """
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "_value")
+    __slots__ = ("name", "labels", "_value", "_source")
 
     def __init__(self, name: str, labels: LabelKey = ()):
         self.name = name
         self.labels = labels
         self._value = 0.0
+        self._source: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
+        """Store ``value`` (dropping any :meth:`read_from` source)."""
+        self._source = None
         self._value = float(value)
+
+    def read_from(self, source: Callable[[], float]) -> None:
+        """Make ``value`` return ``source()`` from now on.
+
+        A scrape thread calls ``source`` while the owner mutates its
+        state, so it must be a point read — an attribute, a ``len``,
+        one ``dict.get`` — never an iteration over a container the
+        owner grows (the CONC002 contract).
+        """
+        self._source = source
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
@@ -150,10 +190,11 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        return self._value
+        source = self._source
+        return self._value if source is None else float(source())
 
     def __repr__(self) -> str:
-        return f"Gauge({format_metric_name(self.name, self.labels)}={self._value})"
+        return f"Gauge({format_metric_name(self.name, self.labels)}={self.value})"
 
 
 class Histogram:
@@ -297,6 +338,85 @@ class Histogram:
 Metric = object  # Counter | Gauge | Histogram (py3.10-safe alias)
 
 
+class Family(dict):
+    """Instruments made on first use, one C-level subscript after.
+
+    ``Family(registry.histogram, "inference.rule_seconds", "rule")``
+    maps a label value to its instrument (``family[rule.name]``);
+    ``Family(registry.counter)`` maps a metric name to its unlabelled
+    one, for instruments a site emits only sometimes.  Either way a
+    per-event site skips the label-key rebuild of a registry lookup,
+    and the registry still holds exactly the instruments that were
+    used — nothing is pre-created.
+    """
+
+    __slots__ = ("_lookup", "_name", "_label")
+
+    def __init__(
+        self,
+        lookup: Callable[..., Any],
+        name: Optional[str] = None,
+        label: str = "",
+    ) -> None:
+        super().__init__()
+        self._lookup = lookup
+        self._name = name
+        self._label = label
+
+    def __missing__(self, key: str) -> Any:
+        if self._name is None:
+            instrument = self._lookup(key)
+        else:
+            instrument = self._lookup(self._name, **{self._label: key})
+        self[key] = instrument
+        return instrument
+
+
+class Bound:
+    """What a per-event site resolves once per registry.
+
+    The one binding idiom (``docs/OBSERVABILITY.md``)::
+
+        self._instruments = Bound(self._bind)   # in __init__
+        ...
+        if registry.enabled:                     # per event
+            observed, seconds = self._instruments.on(registry)
+
+    ``on`` returns ``build(registry)``, built the first time this
+    registry is seen and again when :func:`repro.obs.enable` installs
+    a new one.  Sites call it under their ``registry.enabled`` guard,
+    so the :class:`NullRegistry` binds nothing.  Gauges the build
+    registers through :meth:`read_through` are let go on a re-bind:
+    the registry left behind keeps their last readings, as stored
+    values, and no longer reaches into the site's state.
+    """
+
+    __slots__ = ("_build", "_registry", "_instruments", "_sourced")
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self._build = build
+        self._registry: Any = None
+        self._instruments: Any = None
+        self._sourced: List[Gauge] = []
+
+    def on(self, registry: Any) -> Any:
+        if registry is not self._registry:
+            for gauge in self._sourced:
+                gauge.set(gauge.value)
+            self._sourced = []
+            self._registry = registry
+            self._instruments = self._build(registry)
+        return self._instruments
+
+    def read_through(
+        self, name: str, source: Callable[[], float], **labels: str
+    ) -> None:
+        """A read-through gauge on the registry last bound by :meth:`on`."""
+        gauge = self._registry.gauge(name, **labels)
+        gauge.read_from(source)
+        self._sourced.append(gauge)
+
+
 class MetricsRegistry:
     """Lazily-created, label-keyed instruments grouped into sections.
 
@@ -423,6 +543,9 @@ class _NullGauge:
     value = 0.0
 
     def set(self, value: float) -> None:
+        pass
+
+    def read_from(self, source: Callable[[], float]) -> None:
         pass
 
     def inc(self, amount: float = 1.0) -> None:

@@ -158,6 +158,14 @@ class _PrefixMemo:
         self.cutoffs: Dict[str, float] = {}
 
 
+def _check_instruments(registry):
+    """What :meth:`ConsistentSnapshotter._run_check` binds per registry."""
+    return (
+        registry.counter("snapshot.closure_cache_hits"),
+        registry.counter("snapshot.closure_cache_misses"),
+    )
+
+
 class ConsistentSnapshotter:
     """Snapshots that pass the §5 HBG closure check."""
 
@@ -194,6 +202,7 @@ class ConsistentSnapshotter:
         # Per-call tallies behind snapshot.closure_cache_hits/_misses.
         self._memo_hits = 0
         self._memo_misses = 0
+        self._instruments = obs.Bound(_check_instruments)
         ledger = obs.get_ledger()
         if ledger.enabled:
             ledger.register("snapshot.closure_cache", self)
@@ -485,12 +494,9 @@ class ConsistentSnapshotter:
             )
         registry = obs.get_registry()
         if registry.enabled:
-            registry.counter("snapshot.closure_cache_hits").inc(
-                self._memo_hits
-            )
-            registry.counter("snapshot.closure_cache_misses").inc(
-                self._memo_misses
-            )
+            hits, misses = self._instruments.on(registry)
+            hits.inc(self._memo_hits)
+            misses.inc(self._memo_misses)
         return report
 
     def _check_send_closure(

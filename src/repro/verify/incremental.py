@@ -61,6 +61,16 @@ def incremental_engine(**overrides) -> InferenceEngine:
     return InferenceEngine(config=InferenceConfig(**overrides))
 
 
+def _apply_instruments(registry):
+    """What :meth:`IncrementalVerifier.apply` binds per registry."""
+    return (
+        registry.gauge("verify.atoms_total"),
+        registry.histogram("verify.atoms_touched"),
+        registry.histogram("verify.incremental_seconds"),
+        registry.counter("verify.incremental_deltas_total"),
+    )
+
+
 class IncrementalVerifier:
     """Per-delta §5 + policy verification over a streaming HBG.
 
@@ -118,6 +128,7 @@ class IncrementalVerifier:
         self.check_seconds_total = 0.0
         self.checks_run = 0
         self.atoms_touched_total = 0
+        self._instruments = obs.Bound(_apply_instruments)
 
     # -- wiring -----------------------------------------------------------
 
@@ -191,10 +202,13 @@ class IncrementalVerifier:
         self.deltas_applied += 1
         self.verify_seconds_total += elapsed
         if registry.enabled:
-            registry.gauge("verify.atoms_total").set(self.atoms.atom_count())
-            registry.histogram("verify.atoms_touched").observe(touched)
-            registry.histogram("verify.incremental_seconds").observe(elapsed)
-            registry.counter("verify.incremental_deltas_total").inc()
+            atoms_total, atoms_touched, seconds, deltas = (
+                self._instruments.on(registry)
+            )
+            atoms_total.set(self.atoms.atom_count())
+            atoms_touched.observe(touched)
+            seconds.observe(elapsed)
+            deltas.inc()
         verdicts = obs.get_verdicts()
         if verdicts.enabled:
             prefix_violations = self._violations_within(prefix)

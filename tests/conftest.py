@@ -43,6 +43,39 @@ def fast_delays():
 
 
 @pytest.fixture
+def lagged_rr_capture():
+    """``(net, view, events)``: route reflectors n=8, 40 churn events,
+    fed in arrival order under per-router log lag (1,033 events, 130
+    forward re-links) — the fixed seeded capture the per-event cost
+    guards count calls on."""
+    import random
+
+    from repro.scenarios.generators import (
+        build_scaled_network,
+        churn_workload,
+        external_prefixes,
+    )
+    from repro.snapshot.base import VerifierView
+
+    net, specs = build_scaled_network(8, seed=0)
+    net.start()
+    churn_workload(net, specs, external_prefixes(4), 40, start=5.0)
+    net.run(85)
+    rng = random.Random(0)
+    lags = {
+        router: rng.uniform(0.0, 0.05)
+        for router in sorted(net.topology.internal_routers())
+    }
+    view = VerifierView(net.collector, lags=lags)
+    events = sorted(
+        net.collector.all_events(),
+        key=lambda e: (view.arrival_time(e), e.event_id),
+    )
+    assert len(events) > 1000
+    return net, view, events
+
+
+@pytest.fixture
 def fig1(fast_delays):
     return Fig1Scenario(seed=0, delays=fast_delays)
 

@@ -317,63 +317,85 @@ class TestStreaming:
             obs.disable()
 
 
-    def test_hbr_calls_per_event_stay_within_budget(self):
+    def test_hbr_calls_per_event_stay_within_budget(self, lagged_rr_capture):
         """Interpreter calls inside ``repro/hbr/`` per observed event,
         counted by cProfile on a fixed seeded capture — a count, so it
         repeats exactly and cannot be blamed on a noisy box.  The
-        capture (route reflectors n=8, 40 churn events, fed in arrival
-        order with per-router lag so the forward re-link runs: 1,033
-        events, 130 re-links) costs 20.4 calls/event as of the PR that
-        compiled the rules and made bucket reads slices (104.0 before
-        it); the budget is ~1.3x that, so a per-candidate call
-        creeping back in fails here before it shows up as a slower
-        benchmark."""
-        import cProfile
-        import os
-        import pstats
-        import random
-
+        capture (``lagged_rr_capture``: the forward re-link runs) costs
+        20.4 calls/event as of the PR that compiled the rules and made
+        bucket reads slices (104.0 before it); the budget is ~1.3x
+        that, so a per-candidate call creeping back in fails here
+        before it shows up as a slower benchmark."""
         import repro.hbr
-        from repro.capture.io_events import reset_event_ids
-        from repro.scenarios.generators import (
-            build_scaled_network,
-            churn_workload,
-            external_prefixes,
-        )
-        from repro.snapshot.base import VerifierView
 
-        reset_event_ids()
-        net, specs = build_scaled_network(8, seed=0)
-        net.start()
-        churn_workload(net, specs, external_prefixes(4), 40, start=5.0)
-        net.run(85)
-        rng = random.Random(0)
-        lags = {
-            router: rng.uniform(0.0, 0.05)
-            for router in sorted(net.topology.internal_routers())
-        }
-        view = VerifierView(net.collector, lags=lags)
-        events = sorted(
-            net.collector.all_events(),
-            key=lambda e: (view.arrival_time(e), e.event_id),
-        )
-        assert len(events) > 1000
+        _net, _view, events = lagged_rr_capture
         stream = InferenceEngine().streaming()
-        profile = cProfile.Profile()
-        profile.enable()
-        for event in events:
-            stream.observe(event)
-        profile.disable()
+        calls = _profiled_calls(repro.hbr, stream.observe, events)
         assert stream.graph.edge_count() > len(events) // 2
-        package = os.path.dirname(repro.hbr.__file__) + os.sep
-        calls = sum(
-            total_calls
-            for (filename, _line, _name), (
-                _primitive, total_calls, _tt, _ct, _callers
-            ) in pstats.Stats(profile).stats.items()
-            if filename.startswith(package)
-        )
         assert calls / len(events) <= 26.0, calls / len(events)
+
+    def test_obs_calls_per_event_stay_within_budget(
+        self, lagged_rr_capture, tmp_path
+    ):
+        """The same count for ``repro/obs/`` with everything `repro
+        watch` turns on — registry, verdict ledger, monitor: 26.3
+        calls/event now that gauges read through and the per-event
+        sites bind their instruments once per registry, 77.8 when the
+        tracker set a gauge per router per event and every emission
+        looked its instrument up by name.  The budget is ~1.25x the
+        measured value: a per-router or per-lookup step back on the
+        event path fails here first."""
+        import repro.obs
+        from repro import obs
+        from repro.obs.continuous import ContinuousMonitor
+        from repro.verify.incremental import (
+            IncrementalVerifier,
+            incremental_engine,
+        )
+
+        net, view, events = lagged_rr_capture
+        obs.enable()
+        verdicts = obs.enable_verdicts(path=str(tmp_path / "v.jsonl"))
+        try:
+            engine = incremental_engine()
+            stream = engine.streaming()
+            monitor = ContinuousMonitor(view=view).attach(stream)
+            verifier = IncrementalVerifier(
+                net.topology.internal_routers(),
+                topology=net.topology,
+                view=view,
+                engine=engine,
+            ).attach(stream)
+            monitor.atoms = verifier.atoms
+            monitor.bind_ledger(verdicts)
+            calls = _profiled_calls(repro.obs, stream.observe, events)
+            assert verdicts.appended_total == verifier.deltas_applied > 100
+        finally:
+            obs.disable_verdicts()
+            obs.disable()
+        assert calls / len(events) <= 33.0, calls / len(events)
+
+
+def _profiled_calls(package, feed, events):
+    """Calls cProfile counts inside ``package``'s own files while
+    ``feed`` is handed each of ``events``."""
+    import cProfile
+    import os
+    import pstats
+
+    profile = cProfile.Profile()
+    profile.enable()
+    for event in events:
+        feed(event)
+    profile.disable()
+    root = os.path.dirname(package.__file__) + os.sep
+    return sum(
+        total_calls
+        for (filename, _line, _name), (
+            _primitive, total_calls, _tt, _ct, _callers
+        ) in pstats.Stats(profile).stats.items()
+        if filename.startswith(root)
+    )
 
 
 def _agreed_graph(events, engine):

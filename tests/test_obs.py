@@ -18,7 +18,9 @@ from repro.obs.export import (
     validate_exposition,
 )
 from repro.obs.metrics import (
+    Bound,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -54,6 +56,84 @@ class TestGauge:
         gauge.inc(5)
         gauge.dec(2)
         assert gauge.value == 13.0
+
+    def test_read_through_returns_the_source_until_set(self):
+        registry = MetricsRegistry()
+        backlog = []
+        gauge = registry.gauge("x.depth")
+        gauge.read_from(lambda: len(backlog))
+        backlog.extend("abc")
+        assert gauge.value == 3.0 and isinstance(gauge.value, float)
+        # Every reader goes through the gauge object.
+        assert registry_to_dict(registry)["sections"]["x"]["gauges"] == {
+            "x.depth": 3
+        }
+        assert "repro_x_depth 3" in render_prometheus(registry)
+        gauge.set(7)
+        backlog.clear()
+        assert gauge.value == 7.0
+
+
+class TestBinding:
+    def test_family_makes_only_the_instruments_that_are_used(self):
+        registry = MetricsRegistry()
+        by_rule = Family(registry.histogram, "x.rule_seconds", "rule")
+        by_name = Family(registry.counter)
+        by_rule["fib"].observe(0.5)
+        by_rule["fib"].observe(0.5)
+        by_name["x.edges_total"].inc(4)
+        assert by_rule["fib"] is registry.histogram("x.rule_seconds", rule="fib")
+        assert registry.histogram("x.rule_seconds", rule="fib").count == 2
+        assert registry.counter("x.edges_total").value == 4
+        assert len(registry) == 2
+
+    def test_bound_builds_once_per_registry(self):
+        builds = []
+
+        def build(registry):
+            builds.append(registry)
+            return registry.counter("x.events_total")
+
+        bound = Bound(build)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        bound.on(first).inc()
+        bound.on(first).inc()
+        bound.on(second).inc()
+        assert builds == [first, second]
+        assert first.counter("x.events_total").value == 2
+        assert second.counter("x.events_total").value == 1
+
+    def test_rebinding_leaves_read_through_gauges_at_their_last_reading(self):
+        state = {"depth": 1}
+        bound = Bound(
+            lambda registry: bound.read_through(
+                "x.depth", lambda: state["depth"], shard="a"
+            )
+        )
+        first, second = MetricsRegistry(), MetricsRegistry()
+        bound.on(first)
+        state["depth"] = 2
+        assert first.gauge("x.depth", shard="a").value == 2.0
+        bound.on(second)
+        state["depth"] = 3
+        assert first.gauge("x.depth", shard="a").value == 2.0
+        assert second.gauge("x.depth", shard="a").value == 3.0
+
+    def test_sites_bind_nothing_while_telemetry_is_off(self):
+        from repro.capture.io_events import IOEvent, IOKind
+        from repro.hbr.inference import InferenceEngine
+
+        stream = InferenceEngine().streaming()
+        stream.observe(IOEvent.create("R1", IOKind.RIB_UPDATE, 1.0))
+        assert stream._instruments._registry is None
+        assert stream.engine._instruments._registry is None
+
+    def test_stopwatch_laps_partition_the_elapsed_time(self):
+        watch = obs.Stopwatch()
+        started = watch._started
+        laps = [watch.lap(), watch.lap(), watch.lap()]
+        assert all(lap >= 0.0 for lap in laps)
+        assert sum(laps) == pytest.approx(watch._started - started)
 
 
 class TestHistogram:

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.hbr.inference import InferenceEngine
 from repro.lint.rules.obs_rules import SITES
 from repro.net.addr import Prefix
 from repro.obs.atomicio import atomic_write_text
@@ -23,6 +24,7 @@ from repro.obs.ledger import (
     SCHEMA,
     NullVerdictLedger,
     VerdictLedger,
+    load,
 )
 
 
@@ -129,6 +131,50 @@ class TestVerdictLedger:
         assert 5 in seqs
         assert len(head) <= 3
         assert len(head) + len(sealed) <= 6
+
+    def test_flush_appends_without_rewriting(self, tmp_path):
+        """A flush writes the unflushed lines and nothing else: bytes
+        already on disk stay where they are, and the ledger keeps no
+        copy of them (the tail is bounded by ``capacity`` alone)."""
+        path = str(tmp_path / "verdicts.jsonl")
+        ledger = VerdictLedger(path=path, capacity=2, flush_every=3)
+        for i in range(3):
+            ledger.record(kind="incremental", at=float(i), ok=True, detail="x")
+        # Edit a flushed byte in place: an append leaves the edit, a
+        # republish of the whole segment from memory would undo it.
+        with open(path, "r+b") as handle:
+            handle.seek(handle.read().index(b'"detail": "x"') + 11)
+            handle.write(b"y")
+        for i in range(3, 7):
+            ledger.record(kind="incremental", at=float(i), ok=True)
+        ledger.flush()
+        rows = load(path)
+        assert [row["seq"] for row in rows] == [1, 2, 3, 4, 5, 6, 7]
+        assert rows[0]["detail"] == "y"
+        assert ledger._unflushed == [] and len(ledger) == 2
+
+    def test_new_ledger_starts_a_fresh_file(self, tmp_path):
+        path = str(tmp_path / "verdicts.jsonl")
+        for _life in range(2):
+            ledger = VerdictLedger(path=path, flush_every=1)
+            ledger.record(kind="incremental", at=0.0, ok=True)
+            ledger.record(kind="incremental", at=1.0, ok=True)
+        assert [row["seq"] for row in load(path)] == [1, 2]
+
+    def test_torn_last_line_reloads_to_the_last_whole_record(self, tmp_path):
+        path = str(tmp_path / "verdicts.jsonl")
+        ledger = VerdictLedger(path=path, flush_every=1)
+        for i in range(3):
+            ledger.record(kind="incremental", at=float(i), ok=True, router="R1")
+        whole = load(path)
+        assert [row["seq"] for row in whole] == [1, 2, 3]
+        size = os.path.getsize(path)
+        with open(path, "r+b") as handle:
+            handle.truncate(size - 7)  # killed mid-line
+        assert load(path) == whole[:2]
+        with open(path, "r+b") as handle:
+            handle.truncate(size - 1)  # killed before the newline
+        assert load(path) == whole[:2]
 
     def test_document_shape(self):
         ledger = VerdictLedger()
@@ -343,10 +389,11 @@ class TestWatermarkTracker:
         assert by_name[("stream.backlog_depth", None)] == 0.0
 
     def test_bound_gauges_follow_new_routers_and_a_new_registry(self):
-        """The tracker binds its gauges once per registry: a router
-        first seen later still gets its gauge, every publish sets
-        every router's ``lag_of``, and a fresh registry (``enable``
-        again) is published into from its first event on."""
+        """The tracker binds its read-through gauges once per registry
+        (``obs.Bound``): a router first seen later still gets its
+        gauge, every read returns every router's ``lag_of``, a fresh
+        registry (``enable`` again) is bound from its first event on,
+        and the one it replaced keeps its last readings."""
 
         def published(registry):
             return {
@@ -374,11 +421,135 @@ class TestWatermarkTracker:
         tracker.observe(_Event("RIB_UPDATE", "R2", 9.0))
         assert published(first) == expected(tracker)
         assert published(first)["stream.watermark_lag_seconds", "R9"] == 8.0
+        assert tracker._gauges._registry is first
         frozen = published(first)
         second, _tracer = obs.enable()
         tracker.observe(_Event("RIB_UPDATE", "R3", 12.0))
+        assert tracker._gauges._registry is second
         assert published(second) == expected(tracker)
         assert published(first) == frozen
+
+
+class TestReadThroughGauges:
+    """The ``stream.*`` and ``inference.hbg_*`` gauges are computed
+    when read; the values must be the ones a ``set`` after every
+    event used to store."""
+
+    NAMES = ("inference.hbg_events", "inference.hbg_edges")
+
+    @classmethod
+    def _read(cls, registry):
+        return {
+            (g.name, dict(g.labels).get("router")): g.value
+            for g in registry.gauges()
+            if g.name.startswith("stream.") or g.name in cls.NAMES
+        }
+
+    def test_every_read_equals_the_per_event_set(self, lagged_rr_capture):
+        import heapq
+
+        _net, view, events = lagged_rr_capture
+        # One router's log is a straggler: it first reports mid-stream.
+        straggler = events[0].router
+        prompt = [e for e in events if e.router != straggler]
+        events = (
+            prompt[:300]
+            + [e for e in events if e.router == straggler]
+            + prompt[300:]
+        )
+        tolerance = 0.05
+        registry, _tracer = obs.enable()
+        stream = InferenceEngine().streaming()
+        ContinuousMonitor(view=view, skew_tolerance=tolerance).attach(stream)
+        watermarks, pending, clock = {}, [], 0.0
+        retired = None
+        for index, event in enumerate(events):
+            if index == len(events) // 2:
+                retired = (registry, self._read(registry))
+                registry, _tracer = obs.enable()
+            stream.observe(event)
+            # The model: what a ``set`` per gauge after each event
+            # used to store.
+            clock = max(clock, view.arrival_time(event))
+            watermarks[event.router] = max(
+                watermarks.get(event.router, event.timestamp),
+                event.timestamp,
+            )
+            frontier = min(watermarks.values())
+            heapq.heappush(pending, event.timestamp)
+            while pending and pending[0] <= frontier:
+                heapq.heappop(pending)
+            want = {
+                ("stream.watermark_lag_seconds", router): max(
+                    0.0, clock - watermark - tolerance
+                )
+                for router, watermark in watermarks.items()
+            }
+            want["stream.watermark_frontier", None] = frontier
+            want["stream.backlog_depth", None] = float(len(pending))
+            want["stream.newest_event_time", None] = max(
+                watermarks.values()
+            )
+            want["inference.hbg_events", None] = float(len(stream.graph))
+            want["inference.hbg_edges", None] = float(
+                stream.graph.edge_count()
+            )
+            assert self._read(registry) == want, index
+        assert straggler in watermarks
+        # Direct reads, the exporters and the watch table go through
+        # the same gauge objects.
+        assert (
+            registry.gauge("stream.backlog_depth").value
+            == want["stream.backlog_depth", None]
+        )
+        document = obs.export.registry_to_dict(registry)
+        assert (
+            document["sections"]["inference"]["gauges"]["inference.hbg_edges"]
+            == stream.graph.edge_count()
+        )
+        assert f"frontier={frontier:.3f}s" in render_watch_table(registry)
+        # The registry replaced mid-stream kept its last readings.
+        assert self._read(retired[0]) == retired[1]
+
+    def test_scrape_thread_renders_while_routers_appear(
+        self, lagged_rr_capture
+    ):
+        """The scrape thread reads through while the pipeline thread
+        grows the tracker: every source is a point read, so no render
+        may see ``dictionary changed size during iteration``."""
+        import sys
+
+        _net, view, events = lagged_rr_capture
+        registry, _tracer = obs.enable()
+        stream = InferenceEngine().streaming()
+        ContinuousMonitor(view=view).attach(stream)
+        errors, renders = [], []
+        done = threading.Event()
+
+        def scrape():
+            try:
+                while not done.is_set():
+                    renders.append(obs.export.render_prometheus(registry))
+            except Exception as exc:  # the assertion below reports it
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=scrape)
+        try:
+            thread.start()
+            for event in events:
+                stream.observe(event)
+        finally:
+            done.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not errors, errors
+        final = obs.export.render_prometheus(registry)
+        routers = {e.router for e in events}
+        assert final.count("repro_stream_watermark_lag_seconds{") == len(routers)
+        assert len(renders) > 1
 
 
 # -- detection / exposure / staleness, hand-computed --------------------------
@@ -537,6 +708,23 @@ class TestContinuousMonitorSLIs:
             # A /25 update shares atoms with the /24: both suspect.
             monitor.on_event(_Event("FIB_UPDATE", "R1", 7.0, narrow))
             assert set(monitor._suspect) == {str(wide), str(narrow)}
+
+    def test_overlap_is_recorded_on_both_sides_when_a_prefix_is_tracked(self):
+        """Neighbours are worked out once, when a prefix is first
+        tracked — including on the lists of the prefixes already there."""
+        wide = Prefix.parse("203.0.113.0/24")
+        narrow = Prefix.parse("203.0.113.0/25")
+        monitor = ContinuousMonitor()
+        for at, prefix in ((1.0, wide), (2.0, P2), (3.0, narrow)):
+            monitor.on_event(_Event("FIB_UPDATE", "R1", at, prefix))
+        monitor._suspect.clear()
+        # The /24 was tracked before the /25 existed; its update must
+        # still reach it — and not the disjoint prefix.  A kind string
+        # equal to, but not the same object as, the first one counts.
+        monitor.on_event(_Event("_".join(["FIB", "UPDATE"]), "R1", 9.0, wide))
+        assert monitor._suspect == {str(wide): 9.0, str(narrow): 9.0}
+        monitor.on_event(_Event("RIB_UPDATE", "R1", 9.5, P2))
+        assert str(P2) not in monitor._suspect
 
 
 # -- the planted-violation replay (fig2, end to end) --------------------------
