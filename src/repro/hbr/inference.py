@@ -246,8 +246,9 @@ def _dispatch(rules, plans, side) -> Tuple[Tuple[tuple, ...], ...]:
 
 def _edge_instruments(registry):
     """What :meth:`InferenceEngine._edges_into` binds per registry:
-    counters by name, ``edges_by_technique`` by technique, and the
-    per-rule timing sink ``_infer_edges`` reports into."""
+    ``edges_by_technique`` by technique, the per-rule timing sink
+    ``_infer_edges`` reports into, and a dict the site fills with
+    ``hbg_edges_inferred`` on the first edge (not pre-created)."""
     rule_seconds = obs.Family(
         registry.histogram, "inference.rule_seconds", "rule"
     )
@@ -256,11 +257,11 @@ def _edge_instruments(registry):
         rule_seconds[rule_name].observe(seconds)
 
     return (
-        obs.Family(registry.counter),
         obs.Family(
             registry.counter, "inference.edges_by_technique", "technique"
         ),
         timing_sink,
+        {},
     )
 
 
@@ -350,12 +351,14 @@ class InferenceEngine:
             # _infer_edges free of process-global mutation so the
             # forked workers of DistributedHbg.build_all can reuse it
             # with an aggregating sink instead — a CONC001 requirement.
-            counters, by_technique, timing_sink = self._instruments.on(
-                registry
-            )
+            by_technique, timing_sink, lazy = self._instruments.on(registry)
             edges = self._infer_edges(cons, source, timing_sink)
             if edges:
-                counters["inference.hbg_edges_inferred"].inc(len(edges))
+                if not lazy:
+                    lazy["inferred"] = registry.counter(
+                        "inference.hbg_edges_inferred"
+                    )
+                lazy["inferred"].inc(len(edges))
                 for _ante, evidence in edges:
                     by_technique[evidence.technique].inc()
         else:

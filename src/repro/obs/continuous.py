@@ -299,10 +299,9 @@ class ContinuousMonitor:
     def on_verdict(self, record: Any) -> None:
         """One ledger record (the ``VerdictLedger.subscribe`` listener)."""
         registry = obs.get_registry()
-        histograms: Any = None
         if registry.enabled:
-            histograms, last_ok, exposed = self._instruments.on(registry)
-            histograms["verify.verdict_staleness_seconds"].observe(
+            staleness, last_ok, exposed = self._instruments.on(registry)
+            staleness.observe(
                 max(0.0, self.tracker.newest_event_time - record.at)
             )
             last_ok[record.router if record.router else "all"].set(
@@ -315,25 +314,25 @@ class ContinuousMonitor:
             # reverted, exposure ends at the rollback, whatever the
             # next verdict says about residual convergence.
             for key in sorted(self._failing):
-                self._close(key, record.at, histograms)
+                self._close(key, record.at, registry)
             self._suspect.clear()
         elif record.prefix is not None:
             if record.ok:
                 self._suspect.pop(record.prefix, None)
                 if record.prefix in self._failing:
-                    self._close(record.prefix, record.at, histograms)
+                    self._close(record.prefix, record.at, registry)
             else:
-                self._open(record, record.prefix, histograms)
+                self._open(record, record.prefix, registry)
         else:
             # Whole-plane snapshot verdict: a pass clears everything; a
             # failure opens (only) the violated prefixes it names.
             if record.ok:
                 for key in sorted(self._failing):
-                    self._close(key, record.at, histograms)
+                    self._close(key, record.at, registry)
                 self._suspect.clear()
             else:
                 for key in self._violated_prefixes(record):
-                    self._open(record, key, histograms)
+                    self._open(record, key, registry)
         if registry.enabled:
             exposed.set(len(self._failing))
             # Once no failure is open the plane is green: a stale FAIL
@@ -352,8 +351,7 @@ class ContinuousMonitor:
         )
         return keys if keys else ["*"]
 
-    def _open(self, record: Any, key: str, histograms: Any) -> None:
-        """``histograms`` is None with the registry off (as in _close)."""
+    def _open(self, record: Any, key: str, registry: Any) -> None:
         if key in self._failing:
             return
         self._failing[key] = record.at
@@ -368,16 +366,16 @@ class ContinuousMonitor:
                 else record.at
             )
         self.detections += 1
-        if histograms is not None:
-            histograms["verify.detection_latency_seconds"].observe(
+        if registry.enabled:
+            registry.histogram("verify.detection_latency_seconds").observe(
                 max(0.0, record.at - introduced)
             )
 
-    def _close(self, key: str, at: float, histograms: Any) -> None:
+    def _close(self, key: str, at: float, registry: Any) -> None:
         started = self._failing.pop(key)
         self.exposures_closed += 1
-        if histograms is not None:
-            histograms["verify.exposure_seconds"].observe(
+        if registry.enabled:
+            registry.histogram("verify.exposure_seconds").observe(
                 max(0.0, at - started)
             )
 
@@ -387,11 +385,11 @@ class ContinuousMonitor:
         return sorted(self._failing)
 
 
-def _verdict_instruments(registry: Any) -> Tuple[Family, Family, Any]:
-    """What ``on_verdict`` binds per registry: histograms by name,
+def _verdict_instruments(registry: Any) -> Tuple[Any, Family, Any]:
+    """What ``on_verdict`` binds per registry: the staleness histogram,
     ``last_verdict_ok`` by router, the exposed-prefixes gauge."""
     return (
-        Family(registry.histogram),
+        registry.histogram("verify.verdict_staleness_seconds"),
         Family(registry.gauge, "verify.last_verdict_ok", "router"),
         registry.gauge("verify.exposed_prefixes"),
     )

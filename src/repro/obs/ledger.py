@@ -47,6 +47,7 @@ violations, missing_routers, refs, frontier`` (see
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -236,24 +237,34 @@ class VerdictLedger:
     # -- persistence ------------------------------------------------------
 
     def _flush_locked(self) -> None:
+        """State moves only past a step that succeeded: a flush that
+        raises (ENOSPC, a vanished directory) leaves its records
+        unflushed and the file without a torn line, so the next flush
+        writes them whole."""
         if self.path is None:
             return
-        lines, self._unflushed = self._unflushed, []
         held = self._segment_records
         if held is not None and held >= self.rotate_records:
             # Seal the full segment as <path>.1 (replacing any older
             # sealed segment — the bound is the point).
             os.replace(self.path, self.path + ".1")
             self.rotations += 1
-            held = None
+            self._segment_records = held = None
+        data = "".join(line + "\n" for line in self._unflushed)
         # A new ledger starts a new file, whatever an earlier process
         # left at the path; after a rotation there is none to append to.
-        mode = "w" if held is None else "a"
-        with open(self.path, mode, encoding="utf-8") as handle:
-            handle.writelines(line + "\n" for line in lines)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._segment_records = (held or 0) + len(lines)
+        with open(self.path, "wb" if held is None else "ab") as handle:
+            start = handle.tell()
+            try:
+                handle.write(data.encode("utf-8"))
+                handle.flush()
+                os.fsync(handle.fileno())
+            except OSError:
+                with contextlib.suppress(OSError):
+                    handle.truncate(start)
+                raise
+        self._segment_records = (held or 0) + len(self._unflushed)
+        self._unflushed = []
 
     def flush(self) -> None:
         """Append the unflushed records to the live file (durably)."""

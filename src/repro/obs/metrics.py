@@ -155,7 +155,9 @@ class Gauge:
     and so every exporter, ``/metrics`` scrape and health rule — then
     returns the source's current value, and the owner of the state
     pays nothing per update.  For a quantity that changes per event
-    and is read per scrape, that is the right price.
+    and is read per scrape, that is the right price.  The last call
+    wins: storing into a read-through gauge (``inc`` / ``dec`` start
+    from its current reading) makes it a stored one again.
     """
 
     kind = "gauge"
@@ -183,10 +185,10 @@ class Gauge:
         self._source = source
 
     def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
+        self.set(self.value + amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
+        self.set(self.value - amount)
 
     @property
     def value(self) -> float:
@@ -339,24 +341,19 @@ Metric = object  # Counter | Gauge | Histogram (py3.10-safe alias)
 
 
 class Family(dict):
-    """Instruments made on first use, one C-level subscript after.
+    """One metric's instruments by label value, made on first use.
 
     ``Family(registry.histogram, "inference.rule_seconds", "rule")``
-    maps a label value to its instrument (``family[rule.name]``);
-    ``Family(registry.counter)`` maps a metric name to its unlabelled
-    one, for instruments a site emits only sometimes.  Either way a
-    per-event site skips the label-key rebuild of a registry lookup,
-    and the registry still holds exactly the instruments that were
-    used — nothing is pre-created.
+    maps a label value to its instrument (``family[rule.name]``): a
+    per-event site pays one C-level subscript instead of the label-key
+    rebuild of a registry lookup, and the registry still holds exactly
+    the instruments that were used — nothing is pre-created.
     """
 
     __slots__ = ("_lookup", "_name", "_label")
 
     def __init__(
-        self,
-        lookup: Callable[..., Any],
-        name: Optional[str] = None,
-        label: str = "",
+        self, lookup: Callable[..., Any], name: str, label: str
     ) -> None:
         super().__init__()
         self._lookup = lookup
@@ -364,11 +361,9 @@ class Family(dict):
         self._label = label
 
     def __missing__(self, key: str) -> Any:
-        if self._name is None:
-            instrument = self._lookup(key)
-        else:
-            instrument = self._lookup(self._name, **{self._label: key})
-        self[key] = instrument
+        instrument = self[key] = self._lookup(
+            self._name, **{self._label: key}
+        )
         return instrument
 
 
@@ -385,7 +380,9 @@ class Bound:
     ``on`` returns ``build(registry)``, built the first time this
     registry is seen and again when :func:`repro.obs.enable` installs
     a new one.  Sites call it under their ``registry.enabled`` guard,
-    so the :class:`NullRegistry` binds nothing.  Gauges the build
+    so the :class:`NullRegistry` binds nothing.  Identity is the whole
+    invalidation rule: a registry is never emptied in place (it has
+    no ``clear``), only replaced by ``enable``.  Gauges the build
     registers through :meth:`read_through` are let go on a re-bind:
     the registry left behind keeps their last readings, as stored
     values, and no longer reaches into the site's state.
@@ -508,12 +505,6 @@ class MetricsRegistry:
         names = {section_of(m.name) for m in self.all_metrics()}
         return sorted(names)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return (
@@ -615,9 +606,6 @@ class NullRegistry:
 
     def sections(self) -> List[str]:
         return []
-
-    def clear(self) -> None:
-        pass
 
     def __len__(self) -> int:
         return 0

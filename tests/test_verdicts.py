@@ -176,6 +176,36 @@ class TestVerdictLedger:
             handle.truncate(size - 1)  # killed before the newline
         assert load(path) == whole[:2]
 
+    def test_failed_flush_keeps_its_records_for_the_next_one(
+        self, tmp_path, monkeypatch
+    ):
+        """A flush that raises loses nothing and tears nothing: first
+        the open fails (directory not there yet), then a write lands
+        but its fsync fails; the flush after that writes every record
+        exactly once."""
+        path = tmp_path / "later" / "verdicts.jsonl"
+        ledger = VerdictLedger(path=str(path), flush_every=2)
+        ledger.record(kind="incremental", at=0.0, ok=True)
+        with pytest.raises(OSError):
+            ledger.record(kind="incremental", at=1.0, ok=True)
+        assert len(ledger._unflushed) == 2
+        path.parent.mkdir()
+        ledger.flush()
+        assert [row["seq"] for row in load(str(path))] == [1, 2]
+
+        def full_disk(_fd):
+            monkeypatch.undo()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        ledger.record(kind="incremental", at=2.0, ok=True)
+        with pytest.raises(OSError):
+            ledger.record(kind="incremental", at=3.0, ok=True)
+        assert [row["seq"] for row in load(str(path))] == [1, 2]
+        ledger.record(kind="incremental", at=4.0, ok=True)
+        ledger.flush()
+        assert [row["seq"] for row in load(str(path))] == [1, 2, 3, 4, 5]
+
     def test_document_shape(self):
         ledger = VerdictLedger()
         ledger.record(kind="snapshot", at=1.0, ok=True)
