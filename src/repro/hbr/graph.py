@@ -249,23 +249,52 @@ class HappensBeforeGraph:
     ) -> Optional[List[IOEvent]]:
         """One shortest cause→effect path from ``from_id`` to ``to_id``."""
         self.event(from_id)
-        self.event(to_id)
         if from_id == to_id:
-            return [self.event(from_id)]
+            return [self.event(to_id)]
+        return self.causal_chain_within(
+            from_id, to_id, self.ancestors(to_id, min_confidence), min_confidence
+        )
+
+    def causal_chain_within(
+        self,
+        from_id: int,
+        to_id: int,
+        ancestry: Set[int],
+        min_confidence: float = 0.0,
+    ) -> Optional[List[IOEvent]]:
+        """:meth:`causal_chain` for a caller already holding ``ancestry``
+        = ``ancestors(to_id, min_confidence)``.
+
+        The forward BFS expands only ancestors of the target.  Every
+        node on a path to the target is one, and dropping the others
+        keeps the discovery order of the rest, so the chain is the one
+        an unrestricted search finds — without fanning out over all
+        that descends from the root (a config change reaches every
+        event on its router for a minute).
+        """
+        if from_id == to_id:
+            return [self.event(to_id)]
         parent_of: Dict[int, int] = {}
         queue = deque([from_id])
         seen = {from_id}
         while queue:
             node = queue.popleft()
-            for effect, evidence in sorted(self._out.get(node, {}).items()):
-                if evidence.confidence < min_confidence or effect in seen:
+            out = self._out.get(node)
+            if not out:
+                continue
+            # Effects are visited in id order, and the target ends the
+            # search the moment it is reached, so which other effects
+            # precede it in that order cannot change the path.
+            hit = out.get(to_id)
+            if hit is not None and hit.confidence >= min_confidence:
+                path = [to_id, node]
+                while path[-1] != from_id:
+                    path.append(parent_of[path[-1]])
+                return [self._events[i] for i in reversed(path)]
+            for effect in sorted(out.keys() & ancestry):
+                if effect in seen or out[effect].confidence < min_confidence:
                     continue
                 parent_of[effect] = node
-                if effect == to_id:
-                    path = [to_id]
-                    while path[-1] != from_id:
-                        path.append(parent_of[path[-1]])
-                    return [self._events[i] for i in reversed(path)]
                 seen.add(effect)
                 queue.append(effect)
         return None

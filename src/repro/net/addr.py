@@ -1,9 +1,10 @@
 """IPv4 addressing primitives.
 
 Addresses are plain 32-bit integers; :class:`Prefix` is an immutable
-(address, length) pair normalised so that host bits are zero.  A
-binary :class:`PrefixTrie` provides longest-prefix-match lookups for
-FIBs and header-space computations.
+(address, length) pair normalised so that host bits are zero.
+:class:`PrefixTrie` — one hash table per prefix length — provides
+exact and longest-prefix-match lookups for FIBs and header-space
+computations.
 
 The standard library ``ipaddress`` module is deliberately avoided in
 hot paths: FIB lookups and header-space intersection run millions of
@@ -137,12 +138,6 @@ class Prefix:
     def num_addresses(self) -> int:
         return 1 << (IPV4_BITS - self.length)
 
-    def bit(self, index: int) -> int:
-        """The ``index``-th bit (0 = most significant) of the address."""
-        if not 0 <= index < IPV4_BITS:
-            raise AddressError(f"bit index out of range: {index}")
-        return (self.address >> (IPV4_BITS - 1 - index)) & 1
-
     def key(self) -> Tuple[int, int]:
         """Sort/dedup key."""
         return (self.address, self.length)
@@ -174,97 +169,69 @@ class Prefix:
         return f"{format_ip(self.address)}/{self.length}"
 
 
-class _TrieNode:
-    """Internal node of :class:`PrefixTrie`."""
-
-    __slots__ = ("value", "has_value", "children")
-
-    def __init__(self) -> None:
-        self.value: Optional[object] = None
-        self.has_value = False
-        self.children: List[Optional["_TrieNode"]] = [None, None]
-
-
 class PrefixTrie:
-    """A binary trie mapping :class:`Prefix` keys to values.
+    """A map from :class:`Prefix` keys to values with longest-prefix
+    match, stored as one hash table per prefix length.
 
-    Supports exact insert/delete/lookup plus longest-prefix-match,
-    which is what a FIB needs.  Iteration yields entries in
-    (address, length) order.
+    ``insert`` / ``get`` / ``delete`` / ``in`` are one dict operation;
+    ``longest_match`` probes only the lengths present, longest first
+    (a FIB holds a handful, never more than 33).  Iteration yields
+    entries in (address, length) order.
     """
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
+        #: length -> {network address -> (prefix, value)}
+        self._tables: Dict[int, Dict[int, Tuple[Prefix, V]]] = {}
+        #: (length, mask, table) of the lengths present, longest first.
+        self._probes: List[Tuple[int, int, Dict[int, Tuple[Prefix, V]]]] = []
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return self.get(prefix) is not None or self._has_exact(prefix)
+        table = self._tables.get(prefix.length)
+        return table is not None and prefix.address in table
 
-    def _has_exact(self, prefix: Prefix) -> bool:
-        node = self._walk(prefix)
-        return node is not None and node.has_value
-
-    def _walk(self, prefix: Prefix) -> Optional[_TrieNode]:
-        node: Optional[_TrieNode] = self._root
-        for index in range(prefix.length):
-            if node is None:
-                return None
-            node = node.children[prefix.bit(index)]
-        return node
+    def _reindex(self) -> None:
+        """Rebuild the probe list after a length appeared or emptied."""
+        self._probes = [
+            (length, _mask(length), self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        ]
 
     def insert(self, prefix: Prefix, value: V) -> bool:
         """Insert or replace the value for ``prefix``; returns True if
         the key was new (mirrors :meth:`delete`)."""
-        node = self._root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
-            child = node.children[bit]
-            if child is None:
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        added = not node.has_value
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        added = prefix.address not in table
+        table[prefix.address] = (prefix, value)
         if added:
             self._size += 1
-        node.value = value
-        node.has_value = True
         return added
 
     def get(self, prefix: Prefix) -> Optional[V]:
         """Exact-match lookup; None when absent."""
-        node = self._walk(prefix)
-        if node is None or not node.has_value:
+        table = self._tables.get(prefix.length)
+        if table is None:
             return None
-        return node.value  # type: ignore[return-value]
+        entry = table.get(prefix.address)
+        return None if entry is None else entry[1]
 
     def delete(self, prefix: Prefix) -> bool:
         """Remove ``prefix``; returns True if it was present."""
-        path: List[Tuple[_TrieNode, int]] = []
-        node = self._root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
+        table = self._tables.get(prefix.length)
+        if table is None or table.pop(prefix.address, None) is None:
             return False
-        node.has_value = False
-        node.value = None
         self._size -= 1
-        # Prune empty leaf chains so memory does not grow monotonically
-        # under churn workloads.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            if child is None:
-                break
-            if child.has_value or child.children[0] or child.children[1]:
-                break
-            parent.children[bit] = None
+        if not table:
+            # Empty lengths leave the probe list, so churn does not
+            # leave a lookup paying for lengths long gone.
+            del self._tables[prefix.length]
+            self._reindex()
         return True
 
     def longest_match(self, address: int) -> Optional[Tuple[Prefix, V]]:
@@ -273,66 +240,47 @@ class PrefixTrie:
         Returns the (prefix, value) of the most specific covering
         entry, or None when no entry covers the address.
         """
-        node: Optional[_TrieNode] = self._root
-        best: Optional[Tuple[int, object]] = None
-        depth = 0
-        while node is not None:
-            if node.has_value:
-                best = (depth, node.value)
-            if depth == IPV4_BITS:
-                break
-            bit = (address >> (IPV4_BITS - 1 - depth)) & 1
-            node = node.children[bit]
-            depth += 1
-        if best is None:
-            return None
-        length, value = best
-        return Prefix(address, length), value  # type: ignore[return-value]
+        for _length, mask, table in self._probes:
+            entry = table.get(address & mask)
+            if entry is not None:
+                return entry
+        return None
 
     def longest_match_prefix(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """Most specific entry that *covers* ``prefix`` entirely."""
-        node: Optional[_TrieNode] = self._root
-        best: Optional[Tuple[int, object]] = None
-        for depth in range(prefix.length + 1):
-            if node is None:
-                break
-            if node.has_value:
-                best = (depth, node.value)
-            if depth == prefix.length:
-                break
-            node = node.children[prefix.bit(depth)]
-        if best is None:
-            return None
-        length, value = best
-        return Prefix(prefix.address, length), value  # type: ignore[return-value]
+        for length, mask, table in self._probes:
+            if length <= prefix.length:
+                entry = table.get(prefix.address & mask)
+                if entry is not None:
+                    return entry
+        return None
 
     def covered_by(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
-        """All entries equal to or more specific than ``prefix``."""
-        node = self._walk(prefix)
-        if node is None:
-            return
-        yield from self._iterate(node, prefix.address, prefix.length)
+        """All entries equal to or more specific than ``prefix``, in
+        (address, length) order."""
+        mask = _mask(prefix.length)
+        found = [
+            (address, length, entry)
+            for length, table in self._tables.items()
+            if length >= prefix.length
+            for address, entry in table.items()
+            if address & mask == prefix.address
+        ]
+        # (address, length) is unique, so the sort never compares entries.
+        found.sort()
+        for _address, _length, entry in found:
+            yield entry
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """All (prefix, value) entries in (address, length) order."""
-        yield from self._iterate(self._root, 0, 0)
-
-    def _iterate(
-        self, node: _TrieNode, address: int, depth: int
-    ) -> Iterator[Tuple[Prefix, V]]:
-        if node.has_value:
-            yield Prefix(address, depth), node.value  # type: ignore[misc]
-        if depth == IPV4_BITS:
-            return
-        low, high = node.children
-        if low is not None:
-            yield from self._iterate(low, address, depth + 1)
-        if high is not None:
-            bit_value = 1 << (IPV4_BITS - 1 - depth)
-            yield from self._iterate(high, address | bit_value, depth + 1)
+        return self.covered_by(_EVERYTHING)
 
     def to_dict(self) -> Dict[Prefix, V]:
         return dict(self.items())
+
+
+#: The prefix every entry is covered by.
+_EVERYTHING = Prefix(0, 0)
 
 
 def summarize(prefixes: Iterable[Prefix]) -> List[Prefix]:

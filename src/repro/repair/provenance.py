@@ -98,8 +98,8 @@ class ProvenanceTracer:
         ]
         chains: Dict[int, List[IOEvent]] = {}
         for root in roots:
-            chain = self.graph.causal_chain(
-                root.event_id, event_id, self.min_confidence
+            chain = self.graph.causal_chain_within(
+                root.event_id, event_id, ancestry, self.min_confidence
             )
             if chain is not None:
                 chains[root.event_id] = chain

@@ -326,10 +326,13 @@ class DataPlaneSnapshot:
 
     @classmethod
     def from_live_network(cls, network) -> "DataPlaneSnapshot":
-        """Oracle snapshot straight from the simulator's FIBs.
+        """Oracle snapshot straight from the simulator's FIBs (external
+        routers left out).
 
-        Only possible in simulation; used by tests to compare the
-        verifier's reconstruction against reality.
+        Only possible in simulation.  ``RepairEngine.repair`` checks
+        the network against it after every rollback, so its cost is
+        one table insert per live FIB entry; tests also use it to
+        compare the verifier's reconstruction against reality.
         """
         snapshot = cls()
         for router, table in network.forwarding_state().items():

@@ -245,24 +245,33 @@ class TestPrefixTrie:
 
     @given(
         st.lists(
+            st.integers(min_value=0, max_value=IPV4_MAX), min_size=1, max_size=3
+        ),
+        st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=IPV4_MAX),
+                st.booleans(),
+                st.integers(min_value=0, max_value=2),
                 st.integers(min_value=0, max_value=32),
             ),
             max_size=40,
-        )
+        ),
     )
-    def test_trie_matches_dict_semantics(self, raw):
+    def test_trie_matches_dict_semantics(self, pool, ops):
+        """Interleaved insert / re-insert / delete over lengths 0–32 on a
+        few shared addresses, so one table holds many nested lengths
+        and lengths come and go; after every step the table must agree
+        with a plain dict on every read it offers."""
         trie = PrefixTrie()
-        reference = {}
-        for index, (address, length) in enumerate(raw):
-            prefix = Prefix(address, length)
-            trie.insert(prefix, index)
-            reference[prefix] = index
-        assert len(trie) == len(reference)
-        for prefix, value in reference.items():
-            assert trie.get(prefix) == value
-        assert trie.to_dict() == reference
+        model = {}
+        for step, (insert, which, length) in enumerate(ops):
+            prefix = Prefix(pool[which % len(pool)], length)
+            if insert:
+                assert trie.insert(prefix, step) is (prefix not in model)
+                model[prefix] = step
+            else:
+                assert trie.delete(prefix) is (prefix in model)
+                model.pop(prefix, None)
+            _assert_agrees_with_model(trie, model, pool, prefix)
 
     @given(
         st.lists(
@@ -282,16 +291,40 @@ class TestPrefixTrie:
             prefix = Prefix(address, length)
             trie.insert(prefix, index)
             reference[prefix] = index
-        expected = None
-        for prefix, value in reference.items():
-            if prefix.contains_address(probe):
-                if expected is None or prefix.length > expected[0].length:
-                    expected = (prefix, value)
-        got = trie.longest_match(probe)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None and got[1] == expected[1]
+        # A probe under every inserted prefix too, not only a random one.
+        for address in [probe] + [address for address, _length in raw]:
+            _assert_agrees_with_model(trie, reference, [address], None)
+
+
+def _assert_agrees_with_model(trie, model, addresses, touched):
+    """Every read of ``trie`` equals a linear scan of the dict ``model``
+    (prefix -> value): size, membership, exact gets, both longest
+    matches and ``covered_by`` at every length of each address, and the
+    (address, length) iteration order."""
+    in_order = sorted(model.items(), key=lambda item: item[0].key())
+    assert len(trie) == len(model)
+    assert list(trie.items()) == in_order
+    assert trie.to_dict() == model
+    if touched is not None:
+        assert (touched in trie) is (touched in model)
+        assert trie.get(touched) == model.get(touched)
+    for prefix, value in model.items():
+        assert prefix in trie and trie.get(prefix) == value
+    for address in addresses:
+        covering = [
+            item for item in in_order if item[0].contains_address(address)
+        ]
+        expected = max(covering, key=lambda item: item[0].length, default=None)
+        assert trie.longest_match(address) == expected
+        for length in range(33):
+            query = Prefix(address, length)
+            covers = [item for item in covering if item[0].contains(query)]
+            assert trie.longest_match_prefix(query) == max(
+                covers, key=lambda item: item[0].length, default=None
+            )
+            assert list(trie.covered_by(query)) == [
+                item for item in in_order if query.contains(item[0])
+            ]
 
 
 class TestSummarize:

@@ -42,6 +42,17 @@ probe = registry.histogram("det.probe")
 for index in range(20000):
     probe.observe(float(index % 997))
 print("probe", probe.percentile(50), probe.percentile(95), probe.percentile(99))
+# FIBs are hash tables per prefix length: their iteration order, and the
+# oracle snapshot copied from them, must not follow the hash seed.
+from repro.snapshot.base import DataPlaneSnapshot
+for router, table in net.forwarding_state().items():
+    print("fib", router, [str(entry) for entry in table.values()])
+oracle = DataPlaneSnapshot.from_live_network(net)
+for router in oracle.routers():
+    print("oracle", router, [
+        (str(e.prefix), e.next_hop_router, e.out_interface, e.discard)
+        for e in oracle.entries_of(router)
+    ])
 obs.disable()
 """
 
