@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 from repro.obs.export import table_lines
 
@@ -48,3 +48,15 @@ def emit_json(experiment: str, payload: dict) -> str:
 def table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> List[str]:
     """Format an aligned text table (delegates to repro.obs.export)."""
     return table_lines(headers, rows)
+
+
+def shape_line(claims: Mapping[str, bool]) -> str:
+    """The "paper shape" sentence, judged from the measured columns.
+
+    ``claims`` maps each clause of the sentence to whether the rows
+    above it bear the clause out; the line ends in ``OK`` only when
+    every clause holds, and otherwise names the ones that do not.
+    """
+    failed = [claim for claim, holds in claims.items() if not holds]
+    verdict = "OK" if not failed else "MISMATCH: " + "; ".join(failed)
+    return "paper shape: " + "; ".join(claims) + " — " + verdict

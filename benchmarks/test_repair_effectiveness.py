@@ -7,6 +7,11 @@ rollback, and the online pipeline guard.  Metrics: did the policy end
 compliant, are control and data planes in sync, and how long the data
 plane spent in violation.
 
+After each campaign the operator makes a policy-preserving follow-up
+edit to the same route-map (the preferred uplink's LP raised by 10).
+A strategy that reverts it has acted without evidence: the "benign
+edit kept" column must read n/n.
+
 Also probes §8's determinism precondition: with the Cisco
 arrival-order tie-break ("oldest route") active, replaying the same
 inputs in a different order can converge differently; the
@@ -23,9 +28,10 @@ from repro.net.addr import Prefix
 from repro.scenarios.generators import build_random_network, external_prefixes
 from repro.verify.policy import LoopFreedomPolicy, PreferredExitPolicy
 
-from _report import emit, table
+from _report import emit, shape_line, table
 
 SEEDS = (5, 17, 29)
+STRATEGIES = ("blocking", "offline rollback", "pipeline (repair)")
 
 
 def _setup(seed):
@@ -46,14 +52,23 @@ def _setup(seed):
             fallback.router: fallback.external,
         },
     )
-    sabotage = ConfigChange(
-        preferred.router,
+    return net, prefix, policy, preferred
+
+
+def _set_uplink_lp(router, local_pref, description):
+    map_name = f"{router.lower()}-uplink-lp"
+    return ConfigChange(
+        router,
         "set_route_map",
-        key=f"{preferred.router.lower()}-uplink-lp",
-        value=local_pref_map(f"{preferred.router.lower()}-uplink-lp", 1),
-        description="sabotage preferred uplink",
+        key=map_name,
+        value=local_pref_map(map_name, local_pref),
+        description=description,
     )
-    return net, prefix, policy, preferred, sabotage
+
+
+def _uplink_lp(net, router):
+    route_map = net.configs.get(router).route_maps[f"{router.lower()}-uplink-lp"]
+    return route_map.clauses[0].set_local_pref
 
 
 def _violating(net, policy, prefix):
@@ -80,37 +95,20 @@ def _violation_time(net, policy, prefix, horizon, step=0.2):
 
 
 def _episode(strategy, seed):
-    net, prefix, policy, preferred, sabotage = _setup(seed)
-    pipeline = None
+    net, prefix, policy, preferred = _setup(seed)
     if strategy == "pipeline (repair)":
-        pipeline = IntegratedControlPlane(
+        IntegratedControlPlane(
             net, [policy, LoopFreedomPolicy(prefixes=[prefix])],
             mode=PipelineMode.REPAIR,
         ).arm()
-    elif strategy == "pipeline (predict)":
-        pipeline = IntegratedControlPlane(
-            net, [policy, LoopFreedomPolicy(prefixes=[prefix])],
-            mode=PipelineMode.PREDICT,
-        ).arm()
-        # Train on one offense, then measure the repeat offense.
-        net.apply_config_change(sabotage)
-        net.run(90)
-        from repro.net.config import ConfigChange, local_pref_map
-
-        map_name = f"{preferred.router.lower()}-uplink-lp"
-        sabotage = ConfigChange(
-            preferred.router,
-            "set_route_map",
-            key=map_name,
-            value=local_pref_map(map_name, 1),
-            description="sabotage preferred uplink",
-        )
     elif strategy == "blocking":
         from repro.repair.blocking import BlockingRepair
 
         blocker = BlockingRepair(net, prefixes={prefix})
         blocker.activate()
-    net.apply_config_change(sabotage)
+    net.apply_config_change(
+        _set_uplink_lp(preferred.router, 1, "sabotage preferred uplink")
+    )
     violation_time = _violation_time(net, policy, prefix, horizon=90.0)
     if strategy == "offline rollback":
         # Detection + repair after the damage (the §6 first variant).
@@ -120,9 +118,7 @@ def _episode(strategy, seed):
         pipe.detect_and_repair(settle=60.0)
         violation_time += _violation_time(net, policy, prefix, horizon=5.0)
     compliant = not _violating(net, policy, prefix)
-    map_name = f"{preferred.router.lower()}-uplink-lp"
-    lp = net.configs.get(preferred.router).route_maps[map_name]
-    reverted = lp.clauses[0].set_local_pref == preferred.local_pref
+    reverted = _uplink_lp(net, preferred.router) == preferred.local_pref
     # Plane sync: every BGP best resolves to the installed FIB hop.
     in_sync = True
     for router in net.topology.internal_routers():
@@ -134,50 +130,49 @@ def _episode(strategy, seed):
         resolved = runtime.resolve_next_hop(best.next_hop)
         if resolved is None or resolved[0] != fib.next_hop_router:
             in_sync = False
+    # The benign follow-up: still the preferred exit, so no violation
+    # can follow and nothing may undo it.
+    benign_lp = preferred.local_pref + 10
+    net.apply_config_change(
+        _set_uplink_lp(preferred.router, benign_lp, "raise preferred uplink LP")
+    )
+    net.run(60)
     return {
         "compliant": compliant,
         "reverted": reverted,
         "in_sync": in_sync,
         "violation_time": violation_time,
+        "benign_kept": _uplink_lp(net, preferred.router) == benign_lp,
     }
 
 
 def test_repair_effectiveness(benchmark):
-    strategies = (
-        "blocking",
-        "offline rollback",
-        "pipeline (repair)",
-        "pipeline (predict)",
-    )
+    n = len(SEEDS)
     rows = []
     summary = {}
-    for strategy in strategies:
+    for strategy in STRATEGIES:
         results = [_episode(strategy, seed) for seed in SEEDS]
-        compliant = sum(r["compliant"] for r in results)
-        reverted = sum(r["reverted"] for r in results)
-        in_sync = sum(r["in_sync"] for r in results)
-        mean_viol = sum(r["violation_time"] for r in results) / len(results)
-        summary[strategy] = (compliant, reverted, in_sync, mean_viol)
+        counts = {
+            key: sum(r[key] for r in results)
+            for key in ("compliant", "reverted", "in_sync", "benign_kept")
+        }
+        counts["violation_time"] = (
+            sum(r["violation_time"] for r in results) / n
+        )
+        summary[strategy] = counts
         rows.append(
             (
                 strategy,
-                f"{compliant}/{len(SEEDS)}",
-                f"{reverted}/{len(SEEDS)}",
-                f"{in_sync}/{len(SEEDS)}",
-                f"{mean_viol:.1f} s",
+                f"{counts['compliant']}/{n}",
+                f"{counts['reverted']}/{n}",
+                f"{counts['in_sync']}/{n}",
+                f"{counts['violation_time']:.1f} s",
+                f"{counts['benign_kept']}/{n}",
             )
         )
-    n = len(SEEDS)
-    assert summary["pipeline (repair)"][0] == n
-    assert summary["pipeline (repair)"][1] == n
-    assert summary["pipeline (repair)"][2] == n
-    assert summary["pipeline (repair)"][3] == 0.0, "guard: zero violation time"
-    assert summary["pipeline (predict)"][0] == n
-    assert summary["pipeline (predict)"][1] == n
-    assert summary["pipeline (predict)"][3] == 0.0
-    assert summary["offline rollback"][1] == n
-    assert summary["blocking"][1] == 0, "blocking never fixes the cause"
-    assert summary["blocking"][2] == 0, "blocking leaves planes diverged"
+    repair = summary["pipeline (repair)"]
+    offline = summary["offline rollback"]
+    blocking = summary["blocking"]
 
     benchmark.pedantic(
         lambda: _episode("pipeline (repair)", SEEDS[0]), rounds=2, iterations=1
@@ -208,12 +203,32 @@ def test_repair_effectiveness(benchmark):
     order_b = best_path([older_swapped, newer_swapped], cisco)
     det_a = best_path([older, newer], deterministic)
     det_b = best_path([older_swapped, newer_swapped], deterministic)
-    assert order_a.next_hop != order_b.next_hop, "arrival order decides"
-    assert det_a.next_hop == det_b.next_hop, "Add-Path regime is stable"
 
+    claims = {
+        "rollback repairs the root cause and keeps planes in sync": (
+            offline["reverted"] == n and offline["in_sync"] == n
+        ),
+        "the online guard additionally keeps violation time at zero": (
+            repair["compliant"] == n
+            and repair["reverted"] == n
+            and repair["in_sync"] == n
+            and repair["violation_time"] == 0.0
+        ),
+        "blocking does neither": (
+            blocking["reverted"] == 0 and blocking["in_sync"] == 0
+        ),
+        "no strategy reverts the benign follow-up": all(
+            counts["benign_kept"] == n for counts in summary.values()
+        ),
+        "BGP determinism needs Add-Path": (
+            order_a.next_hop != order_b.next_hop
+            and det_a.next_hop == det_b.next_hop
+        ),
+    }
     lines = [
         f"misconfiguration campaigns on random 6-router networks "
-        f"(seeds {SEEDS}); sabotage of the preferred uplink's LP:",
+        f"(seeds {SEEDS}); sabotage of the preferred uplink's LP, then a "
+        f"benign follow-up edit (LP = preferred + 10):",
         "",
     ]
     lines += table(
@@ -223,6 +238,7 @@ def test_repair_effectiveness(benchmark):
             "cause reverted",
             "planes in sync",
             "mean time in violation",
+            "benign edit kept",
         ),
         rows,
     )
@@ -234,8 +250,9 @@ def test_repair_effectiveness(benchmark):
         f"  deterministic (Add-Path) profile -> nh={det_a.next_hop} both "
         f"orders (stable)",
         "",
-        "paper shape: rollback repairs the root cause and keeps planes "
-        "in sync; the online guard additionally keeps violation time at "
-        "zero; blocking does neither; BGP determinism needs Add-Path — OK",
+        shape_line(claims),
     ]
     emit("C-REP_repair_effectiveness", lines)
+
+    assert repair["benign_kept"] == n, "repair: zero false reverts"
+    assert all(claims.values()), claims

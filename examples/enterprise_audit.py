@@ -16,7 +16,6 @@ Run:  python examples/enterprise_audit.py
 from repro.core.pipeline import IntegratedControlPlane, PipelineMode
 from repro.hbr.inference import InferenceEngine, score_inference
 from repro.net.config import ConfigChange, local_pref_map
-from repro.repair.equivalence import PrefixGrouper
 from repro.scenarios.generators import (
     build_random_network,
     churn_workload,
@@ -27,7 +26,10 @@ from repro.verify.distributed import (
     DistributedVerifier,
     centralized_equivalent_stats,
 )
-from repro.verify.headerspace import compute_equivalence_classes
+from repro.verify.headerspace import (
+    compression_ratio,
+    compute_equivalence_classes,
+)
 from repro.verify.policy import LoopFreedomPolicy, PreferredExitPolicy
 
 
@@ -53,11 +55,10 @@ def main():
     print("\n[2] Forwarding equivalence classes (§6):")
     snapshot = DataPlaneSnapshot.from_live_network(net)
     classes = compute_equivalence_classes(snapshot)
-    groups = PrefixGrouper().group(snapshot)
-    print(f"  {len(snapshot.all_prefixes())} distinct prefixes in FIBs")
-    print(f"  {len(classes)} address-space equivalence classes")
-    print(f"  {len(groups)} prefix behaviour groups "
-          f"({PrefixGrouper.compression(groups):.1f} prefixes/group)")
+    prefix_count = len(snapshot.all_prefixes())
+    print(f"  {prefix_count} distinct prefixes in FIBs")
+    print(f"  {len(classes)} address-space equivalence classes "
+          f"({compression_ratio(classes, prefix_count):.1f} prefixes/class)")
 
     print("\n[3] Distributed vs centralized verification (§5):")
     live_prefixes = sorted(prefixes, key=lambda p: p.key())

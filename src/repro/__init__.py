@@ -13,8 +13,7 @@ Vanbever's HotNets-XVI (2017) position paper.  The package provides:
 * HBG-consistent data-plane snapshots (:mod:`repro.snapshot`);
 * centralized and distributed data-plane verification
   (:mod:`repro.verify`);
-* provenance tracing, root-cause rollback, and outcome prediction
-  (:mod:`repro.repair`);
+* provenance tracing and root-cause rollback (:mod:`repro.repair`);
 * the integrated Fig.-3 pipeline (:mod:`repro.core`);
 * the paper's example scenarios (:mod:`repro.scenarios`).
 

@@ -176,14 +176,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.hbr.inference import InferenceEngine, score_inference
-    from repro.repair.equivalence import PrefixGrouper
     from repro.scenarios.generators import (
         build_random_network,
         churn_workload,
         external_prefixes,
     )
     from repro.snapshot.base import DataPlaneSnapshot
-    from repro.verify.headerspace import compute_equivalence_classes
+    from repro.verify.headerspace import (
+        compression_ratio,
+        compute_equivalence_classes,
+    )
 
     net, specs = build_random_network(
         args.routers, uplinks=args.uplinks, seed=args.seed
@@ -229,7 +231,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     score = score_inference(graph, net.ground_truth, observable_ids=observable)
     snapshot = DataPlaneSnapshot.from_live_network(net)
     classes = compute_equivalence_classes(snapshot)
-    groups = PrefixGrouper().group(snapshot)
+    prefix_count = len(snapshot.all_prefixes())
     print(
         format_table(
             ("metric", "value"),
@@ -240,10 +242,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 ("HBR inference recall", f"{score.recall:.3f}"),
                 ("HBR inference f1", f"{score.f1:.3f}"),
                 ("equivalence classes", len(classes)),
-                ("prefixes", len(snapshot.all_prefixes())),
+                ("prefixes", prefix_count),
                 (
-                    "compression (prefixes/group)",
-                    f"{PrefixGrouper.compression(groups):.1f}",
+                    "compression (prefixes/class)",
+                    f"{compression_ratio(classes, prefix_count):.1f}",
                 ),
             ]
             + distributed_rows,

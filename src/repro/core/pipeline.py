@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.capture.io_events import IOEvent, IOKind
+from repro.capture.io_events import IOKind
 from repro.hbr.inference import InferenceEngine
 from repro.net.addr import Prefix
 from repro.protocols.fib import FibEntry
@@ -52,12 +52,6 @@ class PipelineMode(enum.Enum):
     MONITOR = "monitor"  # detect and record only
     BLOCK = "block"  # block the update (the §2 strawman)
     REPAIR = "repair"  # block + revert the root cause (the paper)
-    #: §6's "more advanced mitigation technique": like REPAIR, but
-    #: additionally consult the learned outcome predictor on every
-    #: incoming CONFIG_CHANGE and revert recognised-bad changes
-    #: immediately — "prior to any violation detection", before even
-    #: the soft reconfiguration fires.
-    PREDICT = "predict"
 
 
 @dataclass
@@ -66,29 +60,19 @@ class PipelineIncident:
 
     at: float
     router: str
-    prefix: Optional[Prefix]
+    prefix: Prefix
     introduced_violations: List[Violation]
     provenance: Optional[ProvenanceResult]
     blocked: bool
     repair: Optional[RepairReport] = None
-    #: True when the predictor caught the change before any damage.
-    predicted: bool = False
 
     def describe(self) -> str:
-        if self.predicted:
-            header = (
-                f"incident @{self.at:.3f}s: config change on "
-                f"{self.router} predicted to violate policy; reverted "
-                f"before any FIB damage"
-            )
-        else:
-            header = (
-                f"incident @{self.at:.3f}s: FIB update for {self.prefix} "
-                f"on {self.router} would introduce "
-                f"{len(self.introduced_violations)} violation(s) "
-                f"({'blocked' if self.blocked else 'allowed'})"
-            )
-        lines = [header]
+        lines = [
+            f"incident @{self.at:.3f}s: FIB update for {self.prefix} "
+            f"on {self.router} would introduce "
+            f"{len(self.introduced_violations)} violation(s) "
+            f"({'blocked' if self.blocked else 'allowed'})"
+        ]
         for violation in self.introduced_violations:
             lines.append(f"  {violation}")
         if self.provenance is not None:
@@ -120,14 +104,6 @@ class IntegratedControlPlane:
         self.updates_blocked = 0
         #: Config change ids already reverted (dedup across incidents).
         self._reverted_change_ids: Set[int] = set()
-        #: The learned model behind PREDICT mode; trained automatically
-        #: from every incident's root cause.
-        from repro.repair.predictor import OutcomePredictor
-
-        self.predictor = OutcomePredictor()
-        #: True while the pipeline itself is applying a revert, so the
-        #: predictor never fires on the pipeline's own config changes.
-        self._repairing = False
         self._stream = self.engine.streaming()
         #: Rides the streaming HBG's delta feed: the per-delta verdicts
         #: and the forwarding reconstruction the guard asks what-ifs of
@@ -138,71 +114,20 @@ class IntegratedControlPlane:
             policies=policies,
             engine=self.engine,
         ).attach(self._stream)
-        network.collector.subscribe(self._observe)
+        network.collector.subscribe(self._stream.observe)
         # Catch up on any events captured before attachment.
         for event in network.collector:
             self._stream.observe(event)
-        self._armed = False
-
-    def _observe(self, event: IOEvent) -> None:
-        self._stream.observe(event)
-        if (
-            self.mode is PipelineMode.PREDICT
-            and self._armed
-            and not self._repairing
-            and event.kind is IOKind.CONFIG_CHANGE
-        ):
-            self._consider_prediction(event)
-
-    def _consider_prediction(self, event: IOEvent) -> None:
-        """§6 early repair: revert recognised-bad changes on sight."""
-        change_id = event.attr("change_id")
-        if change_id is None or int(change_id) in self._reverted_change_ids:
-            return
-        prediction = self.predictor.predict(event)
-        if not prediction.will_violate:
-            return
-        change = self.network.configs.change(int(change_id))
-        if change is None:
-            return
-        self._reverted_change_ids.add(int(change_id))
-        try:
-            inverse = change.inverted()
-        except Exception:  # noqa: BLE001 - uninvertible: leave to the guard
-            return
-        self._reverted_change_ids.add(inverse.change_id)
-        self._repairing = True
-        try:
-            self.network.apply_config_change(inverse)
-        finally:
-            self._repairing = False
-        self.incidents.append(
-            PipelineIncident(
-                at=self.network.sim.now,
-                router=event.router,
-                prefix=None,
-                introduced_violations=[],
-                provenance=None,
-                blocked=True,
-                predicted=True,
-            )
-        )
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter("repair.incidents_total").inc()
-            registry.counter("repair.predicted_reverts_total").inc()
 
     # -- lifecycle -------------------------------------------------------------
 
     def arm(self) -> "IntegratedControlPlane":
         """Install the FIB guard on every internal router."""
         self.network.set_fib_guard(self._guard)
-        self._armed = True
         return self
 
     def disarm(self) -> None:
         self.network.set_fib_guard(None)
-        self._armed = False
 
     @property
     def hbg(self):
@@ -261,12 +186,7 @@ class IntegratedControlPlane:
         self.incidents.append(incident)
         if blocked:
             self.updates_blocked += 1
-        if provenance is not None:
-            self._learn_from_incident(provenance, introduced)
-        if (
-            self.mode in (PipelineMode.REPAIR, PipelineMode.PREDICT)
-            and provenance is not None
-        ):
+        if self.mode is PipelineMode.REPAIR and provenance is not None:
             incident.repair = self._repair_once(provenance)
         if registry.enabled:
             registry.counter("verify.fib_writes_verified").inc()
@@ -280,19 +200,6 @@ class IntegratedControlPlane:
                 watch.elapsed()
             )
         return not blocked
-
-    def _learn_from_incident(
-        self,
-        provenance: ProvenanceResult,
-        violations: List[Violation],
-    ) -> None:
-        """Feed the predictor: this input signature led to a violation."""
-        detail = violations[0].policy if violations else ""
-        for cause in provenance.actionable_causes:
-            if cause.kind is IOKind.CONFIG_CHANGE:
-                self.predictor.learn_from_event(
-                    cause, group_id=None, violated=True, detail=detail
-                )
 
     def _trace_pending_update(
         self, router: str, prefix: Prefix
@@ -334,13 +241,9 @@ class IntegratedControlPlane:
         # Note: settle=0 here; the revert propagates through the
         # already-running simulation rather than a nested run() call
         # (the guard fires *inside* a simulation event).
-        self._repairing = True
-        try:
-            report = self.repair_engine.repair(
-                provenance, settle=0.0, only_change_ids=new_ids
-            )
-        finally:
-            self._repairing = False
+        report = self.repair_engine.repair(
+            provenance, settle=0.0, only_change_ids=new_ids
+        )
         if registry.enabled:
             registry.counter("repair.root_causes_reverted_total").inc(
                 len(new_ids)

@@ -1,6 +1,6 @@
 """Repairing policy violations via the HBG (§6).
 
-Three repair strategies "in increasing order of sophistication":
+Two repair strategies "in increasing order of sophistication":
 
 1. :mod:`repro.repair.blocking` — the strawman §2 warns about:
    block the problematic FIB updates.  Demonstrably dangerous (the
@@ -9,27 +9,20 @@ Three repair strategies "in increasing order of sophistication":
    trace a problematic FIB update backwards through the HBG to its
    leaf root cause(s) and revert the causing configuration change
    using the versioned config store.
-3. :mod:`repro.repair.predictor` — "reverting the root cause event,
-   early on in the computation": exploit the repetitiveness of
-   control-plane behaviour across prefix equivalence classes
-   (:mod:`repro.repair.equivalence`) to predict the data-plane
-   outcome of an input event before the damage propagates.
+
+Repair acts only on evidence: a change is reverted after a FIB write
+it caused was seen to violate policy, never on a learned guess.
 """
 
 from repro.repair.provenance import ProvenanceResult, ProvenanceTracer
 from repro.repair.rollback import RepairAction, RepairEngine, RepairReport
 from repro.repair.blocking import BlockingRepair
-from repro.repair.equivalence import PrefixGrouper
-from repro.repair.predictor import OutcomePredictor, TrainingExample
 
 __all__ = [
     "BlockingRepair",
-    "OutcomePredictor",
-    "PrefixGrouper",
     "ProvenanceResult",
     "ProvenanceTracer",
     "RepairAction",
     "RepairEngine",
     "RepairReport",
-    "TrainingExample",
 ]

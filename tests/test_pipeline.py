@@ -7,6 +7,7 @@ from repro.core.pipeline import (
     PipelineIncident,
     PipelineMode,
 )
+from repro.net.config import ConfigChange, local_pref_map
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
 from repro.scenarios.paper_net import P, paper_policy
 from repro.verify.policy import LoopFreedomPolicy
@@ -67,6 +68,43 @@ class TestRepairMode:
             if change.description.startswith("revert")
         ]
         assert len(reverts) == 1
+
+    def test_benign_edit_to_repaired_route_map_kept(self, fast_delays):
+        """A policy-preserving edit to the route-map just repaired
+        causes no violating FIB write, so nothing reverts it."""
+        scenario, net, pipeline = _armed_fig2(fast_delays, PipelineMode.REPAIR)
+        net.apply_config_change(bad_lp_change())
+        net.run(30)
+        net.apply_config_change(
+            ConfigChange(
+                "R2",
+                "set_route_map",
+                key="r2-uplink-lp",
+                value=local_pref_map("r2-uplink-lp", 40),
+                description="raise LP slightly",
+            )
+        )
+        net.run(30)
+        lp = net.configs.get("R2").route_maps["r2-uplink-lp"]
+        assert lp.clauses[0].set_local_pref == 40
+        assert not scenario.violates_policy()
+
+    def test_own_reverts_never_reverted(self, fast_delays):
+        """Each repeat offense is reverted once; the pipeline's own
+        reverts are never taken for root causes."""
+        scenario, net, pipeline = _armed_fig2(fast_delays, PipelineMode.REPAIR)
+        for _ in range(3):
+            net.apply_config_change(bad_lp_change())
+            net.run(30)
+        reverts = [
+            change
+            for change in net.configs.changes("R2")
+            if change.description.startswith("revert")
+        ]
+        assert len(reverts) == 3
+        lp = net.configs.get("R2").route_maps["r2-uplink-lp"]
+        assert lp.clauses[0].set_local_pref == 30
+        assert not scenario.violates_policy()
 
     def test_legitimate_convergence_not_blocked(self, fast_delays):
         """Fig. 1b's convergence passes through the armed guard."""
