@@ -7,9 +7,10 @@ implements:
 
 * :mod:`repro.hbr.graph` — the happens-before graph (HBG) of §4.3;
 * :mod:`repro.hbr.rules` — the declarative protocol rules of §4.1;
-* :mod:`repro.hbr.inference` — the four inference techniques of
-  §4.2 (prefix filtering, timestamps, rule matching, pattern
-  matching) and the combined engine;
+* :mod:`repro.hbr.inference` — §4.2's inference: prefix and
+  timestamp filters plus rule matching (the naive and pattern
+  techniques are benchmark C-INF's ablation, in
+  :mod:`repro.testkit.oracles`);
 * :mod:`repro.hbr.distributed` — per-router subgraphs and partial
   path exchange (§5, "Construction and analysis of the HBG can also
   be distributed").
@@ -20,7 +21,6 @@ from repro.hbr.rules import HbrRule, default_rules
 from repro.hbr.inference import (
     InferenceConfig,
     InferenceEngine,
-    PatternMiner,
     score_inference,
 )
 from repro.hbr.distributed import (
@@ -41,7 +41,6 @@ __all__ = [
     "HbrRule",
     "InferenceConfig",
     "InferenceEngine",
-    "PatternMiner",
     "RouterSubgraph",
     "default_rules",
     "score_inference",

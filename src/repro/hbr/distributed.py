@@ -29,10 +29,9 @@ central build:
   relation keeps exactly the antecedents with ``peer ==
   cons.router``, which is precisely what the summary contains.  The
   post-filter candidate lists (the only input to edge choice *and*
-  the ambiguity discount) are therefore identical.  Engine
-  configurations that break the argument (naive/pattern techniques,
-  custom rules with no router relation or with peer-side antecedents
-  beyond send/receive) are **refused** with
+  the ambiguity discount) are therefore identical.  Rule sets that
+  break the argument (custom rules with no router relation, or with
+  peer-side antecedents beyond send/receive) are **refused** with
   :exc:`DistributionUnsupported` instead of silently falling back to
   a central rebuild.
 * The merge is deterministic, serial or forked
@@ -47,7 +46,8 @@ central build:
   over the *sorted* router names).  Workers are forked (engine, rules
   and subgraphs are inherited, not pickled); where ``fork`` is
   unavailable the shards run sequentially in-process, which is slower
-  but identical.
+  but identical.  A worker that dies raises ``BrokenProcessPool`` and
+  nothing is merged.
 
 :meth:`DistributedHbg.merged_graph` is a true merge of the per-router
 edge records — it never calls the global ``build_graph`` over the
@@ -92,7 +92,7 @@ BOUNDARY_KINDS = frozenset({IOKind.ROUTE_SEND, IOKind.ROUTE_RECEIVE})
 
 
 class DistributionUnsupported(ValueError):
-    """The engine's config or rules cannot be built distributedly.
+    """The engine's rules cannot be built distributedly.
 
     Raised instead of silently centralizing: a caller that asked for
     the distributed path must know it did not get it.
@@ -106,14 +106,7 @@ def distribution_obstacles(engine: InferenceEngine) -> List[str]:
     docstring: every candidate lookup must be answerable from a
     router's local index or a neighbor's boundary summary.
     """
-    config = engine.config
     obstacles: List[str] = []
-    if config.naive_prefix_timestamp:
-        obstacles.append(
-            "naive prefix/timestamp linking scans the global stream"
-        )
-    if config.use_patterns:
-        obstacles.append("pattern matching scans the global stream")
     for rule, plan in zip(engine.rules, engine._plans):
         if plan.router_from == "any":
             obstacles.append(
@@ -254,9 +247,8 @@ class _DistributedSource:
     index built from neighbor summaries; the engine's ``antecedes``
     post-filter makes the resulting candidate lists identical to the
     central build's (see module docstring).  There is no entry for
-    ``any``-router plans and no ``window_candidates`` (naive/pattern
-    techniques): :func:`check_distribution` refuses such engines up
-    front, and one that slipped through fails loudly here.
+    ``any``-router plans: :func:`check_distribution` refuses such
+    engines up front, and one that slipped through fails loudly here.
     """
 
     __slots__ = ("_sources",)
@@ -593,8 +585,10 @@ class DistributedHbg:
         the per-router local graphs.
 
         Raises :exc:`DistributionUnsupported` for engines whose rules
-        or config cannot be answered from local indices plus boundary
-        summaries — never a silent central rebuild.
+        cannot be answered from local indices plus boundary summaries
+        — never a silent central rebuild — and ``BrokenProcessPool``
+        when a forked worker dies; either way the previous records
+        and subgraphs stay as they were.
         """
         global _WORK
         check_distribution(self.engine)
@@ -608,10 +602,16 @@ class DistributedHbg:
         if context is None:
             results = [_infer_shard(self.subgraphs, s) for s in shards]
         else:
+            # Imported here: it pulls in ~20 modules (1.6 MiB) that
+            # only a forked build needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             _WORK = self.subgraphs
             try:
-                with context.Pool(processes=len(shards)) as pool:
-                    results = pool.map(_run_shard, shards)
+                with ProcessPoolExecutor(
+                    max_workers=len(shards), mp_context=context
+                ) as executor:
+                    results = list(executor.map(_run_shard, shards))
             finally:
                 _WORK = None
         records, timings = _merge_shards(results)

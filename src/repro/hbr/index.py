@@ -195,7 +195,7 @@ class EventIndex:
     it has a prefix, ``(router, kind.ordinal, address, length)`` —
     tuples of a str and ints, so a bucket lookup hashes at C speed.
     The two *wide* tiers (whole stream, per kind) serve only
-    router-free plans and the naive/pattern window scan, which the
+    router-free plans and kind-free consequent patterns, which the
     default rule set never issues: events wait in ``_unfiled`` until a
     query needs those tiers.  :meth:`candidates` answers a
     :class:`RulePlan` from the narrowest bucket that covers it.  All
@@ -271,7 +271,8 @@ class EventIndex:
     # -- queries -----------------------------------------------------------
 
     def window(self, lo: Key, hi: Key) -> List[IOEvent]:
-        """All events in the key range (the naive/pattern-mode scan)."""
+        """All events in the key range (plans that pin neither router
+        nor kind)."""
         self._file_wide()
         return self._all.irange(lo, hi)
 

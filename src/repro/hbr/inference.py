@@ -1,4 +1,4 @@
-"""HBR inference: the four techniques of §4.2 and their combination.
+"""HBR inference: §4.2's filters plus rule matching.
 
     "Prefixes ... can only be used to filter I/Os for possible HBRs."
     "Timestamps can be used to filter the HBRs considered/generated
@@ -7,21 +7,24 @@
     "Rule matching ... requires understanding protocol standards."
     "Pattern matching ... has the benefit of being fully automated,
     but we risk missing an important HBR."
-    "In practice, we expect a combination of these (and other)
-    techniques will be necessary to obtain suitable accuracy."
 
-:class:`InferenceEngine` implements all four:
+:class:`InferenceEngine` decides every edge by rule:
 
-* prefix filtering and timestamp ordering are *filters* applied to
-  every candidate pair (exactly as the paper prescribes);
+* timestamp ordering is the candidate window ``[cons.t - rule.window,
+  cons.t + clock_skew_tolerance]`` and prefix filtering the
+  ``same_prefix`` bucket of :mod:`repro.hbr.index` — *filters*,
+  exactly as the paper prescribes;
 * rule matching consults the declarative rule set of
-  :mod:`repro.hbr.rules`;
-* pattern matching uses a :class:`PatternMiner` trained on a
-  policy-compliant capture, attaching a statistical confidence to
-  each inferred edge;
-* a deliberately weak ``naive`` mode links every prefix/timestamp
-  compatible pair — the strawman the paper's quotes above warn
-  about, used as the ablation baseline in benchmark C-INF.
+  :mod:`repro.hbr.rules` and decides which filtered candidate is a
+  cause.
+
+The other two techniques are benchmark C-INF's ablation, not engine
+modes: :func:`repro.testkit.oracles.naive_graph` links every
+prefix/timestamp-compatible pair, and
+:func:`repro.testkit.oracles.pattern_graph` links the I/O pair shapes
+a miner learned from a policy-compliant capture.  On C-INF's captures
+patterns recover few of a deleted rule's edges at the price of many
+false ones, so the online engine does not use them.
 
 :func:`score_inference` computes precision/recall against the
 simulator's ground-truth channel.
@@ -29,8 +32,6 @@ simulator's ground-truth channel.
 
 from __future__ import annotations
 
-import bisect
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -50,109 +51,10 @@ from repro.hbr.rules import HbrRule, default_rules
 
 @dataclass
 class InferenceConfig:
-    """Knobs for the combined engine."""
+    """The engine's one knob."""
 
-    use_rules: bool = True
-    use_patterns: bool = False
-    #: Link every prefix/timestamp-compatible pair (ablation strawman).
-    naive_prefix_timestamp: bool = False
     #: Allowed clock disagreement between routers (seconds).
     clock_skew_tolerance: float = 0.050
-    #: Window for the naive mode (seconds).
-    naive_window: float = 1.0
-    #: Minimum mined-pattern confidence to emit an edge.
-    pattern_confidence_threshold: float = 0.6
-    #: Divide rule confidence by the number of equally plausible
-    #: candidates (ambiguity makes an edge less trustworthy).
-    ambiguity_discount: bool = True
-    #: Link all candidates instead of only the most recent one.
-    link_all_candidates: bool = False
-
-
-# -- pattern mining ----------------------------------------------------------
-
-
-Signature = Tuple[str, str, str]
-Relation = Tuple[bool, bool, bool]  # (same_router, peer_symmetric, same_prefix)
-PatternKey = Tuple[Signature, Signature, Relation]
-
-
-def _signature(event: IOEvent) -> Signature:
-    return (
-        event.kind.value,
-        event.protocol or "-",
-        event.action.value if event.action else "-",
-    )
-
-
-def _relation(ante: IOEvent, cons: IOEvent) -> Relation:
-    return (
-        ante.router == cons.router,
-        ante.peer == cons.router and cons.peer == ante.router,
-        ante.prefix is not None and ante.prefix == cons.prefix,
-    )
-
-
-class PatternMiner:
-    """§4.2 "Pattern matching": mine recurring I/O pair shapes.
-
-    Training scans a (presumed policy-compliant) capture: for every
-    event B it looks back ``window`` seconds at prefix-compatible
-    events A and counts how often each (signature(A), signature(B),
-    relation) shape occurs, normalised by the number of B-signature
-    occurrences.  The resulting ratio is the statistical confidence
-    the paper proposes attaching to inferred HBRs.
-    """
-
-    def __init__(self, window: float = 2.0):
-        self.window = window
-        self._pair_counts: Dict[PatternKey, int] = defaultdict(int)
-        self._cons_totals: Dict[Signature, int] = defaultdict(int)
-        self.trained_events = 0
-
-    def train(self, events: Sequence[IOEvent]) -> None:
-        ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
-        times = [e.timestamp for e in ordered]
-        for index, cons in enumerate(ordered):
-            self._cons_totals[_signature(cons)] += 1
-            self.trained_events += 1
-            start = bisect.bisect_left(times, cons.timestamp - self.window)
-            seen_keys: Set[PatternKey] = set()
-            for ante in ordered[start:index]:
-                if not _prefix_compatible(ante, cons):
-                    continue
-                key = (_signature(ante), _signature(cons), _relation(ante, cons))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                self._pair_counts[key] += 1
-
-    def confidence(self, ante: IOEvent, cons: IOEvent) -> float:
-        key = (_signature(ante), _signature(cons), _relation(ante, cons))
-        total = self._cons_totals.get(key[1], 0)
-        if total == 0:
-            return 0.0
-        return self._pair_counts.get(key, 0) / total
-
-    def known_patterns(self, min_confidence: float = 0.0) -> List[Tuple[PatternKey, float]]:
-        result = []
-        for key, count in self._pair_counts.items():
-            total = self._cons_totals.get(key[1], 0)
-            if total == 0:
-                continue
-            confidence = count / total
-            if confidence >= min_confidence:
-                result.append((key, confidence))
-        result.sort(key=lambda item: (-item[1], item[0]))
-        return result
-
-
-def _prefix_compatible(a: IOEvent, b: IOEvent) -> bool:
-    """The paper's prefix filter: same prefix, or either side has none
-    (config/hardware/LSA events carry no prefix but can still relate)."""
-    if a.prefix is None or b.prefix is None:
-        return True
-    return a.prefix == b.prefix
 
 
 # -- candidate source -------------------------------------------------------
@@ -180,9 +82,8 @@ class _IndexSource:
     """Indexed candidate lookup over :class:`repro.hbr.index.EventIndex`.
 
     Rule lookups read only the (router, kind[, prefix]) bucket the
-    rule's precomputed plan names; the naive/pattern modes fall back
-    to the global time-ordered index.  Either way the answer comes
-    back in (timestamp, event_id) order.
+    rule's precomputed plan names, and the answer comes back in
+    (timestamp, event_id) order.
 
     The window is ``[cons.t - window, cons.t + skew]``: the forward
     allowance is the timestamp technique's skew tolerance — a cause on
@@ -220,15 +121,8 @@ class _IndexSource:
             return found
         return _admissible(cons, found)
 
-    def window_candidates(
-        self, cons: IOEvent, window: float
-    ) -> List[IOEvent]:
-        lo = (cons.timestamp - window, 0)
-        hi = (cons.timestamp + self.skew, MAX_ID)
-        return _admissible(cons, self.index.window(lo, hi))
 
-
-# -- the combined engine ----------------------------------------------------------
+# -- the engine ---------------------------------------------------------------
 
 
 def _dispatch(rules, plans, side) -> Tuple[Tuple[tuple, ...], ...]:
@@ -272,15 +166,11 @@ class InferenceEngine:
         self,
         rules: Optional[Sequence[HbrRule]] = None,
         config: Optional[InferenceConfig] = None,
-        miner: Optional[PatternMiner] = None,
     ):
         self.rules: Tuple[HbrRule, ...] = tuple(
             rules if rules is not None else default_rules()
         )
         self.config = config or InferenceConfig()
-        self.miner = miner
-        if self.config.use_patterns and self.miner is None:
-            raise ValueError("use_patterns requires a trained PatternMiner")
         #: Per-rule index query plans, parallel to ``self.rules``.
         self._plans: Tuple[RulePlan, ...] = tuple(
             plan_for_rule(rule) for rule in self.rules
@@ -394,97 +284,46 @@ class InferenceEngine:
         """
         edges: List[Tuple[IOEvent, EdgeEvidence]] = []
         linked: Set[int] = set()
-
-        if self.config.naive_prefix_timestamp:
-            for ante in source.window_candidates(
-                cons, self.config.naive_window
-            ):
-                if not _prefix_compatible(ante, cons):
-                    continue
-                if ante.event_id in linked:
-                    continue
-                linked.add(ante.event_id)
-                edges.append(
-                    (ante, EdgeEvidence(technique="naive", confidence=0.1))
-                )
-            return edges
-
-        if self.config.use_rules:
-            link_all = self.config.link_all_candidates
-            discount = self.config.ambiguity_discount
-            # Per-rule wall time is only clocked when a sink asks for
-            # it; the disabled path pays one None check per rule.
-            if timing_sink is not None:
-                watch = obs.Stopwatch()
-            for rule, plan in self._by_consequent[cons.kind.ordinal]:
-                if not rule.consequent.matches(cons):
-                    continue
-                candidates = source.rule_candidates(cons, rule.window, plan)
-                antecedes = rule.antecedes
-                confidence = rule.base_confidence
-                if link_all or rule.pick == "all":
-                    chosen = [
-                        ante for ante in candidates if antecedes(ante, cons)
-                    ]
-                    if discount and len(chosen) > 1:
-                        # Linking all of N candidates: each is 1/N likely.
-                        confidence = max(0.05, confidence / len(chosen))
-                else:
-                    # Candidates come in key order, so the latest
-                    # match is the first one met walking backwards;
-                    # the discount only asks whether a second exists.
-                    chosen = []
-                    for ante in reversed(candidates):
-                        if antecedes(ante, cons):
-                            if chosen:
-                                # Picked the latest of several:
-                                # mildly less sure.
-                                confidence *= 0.9
-                                break
-                            chosen.append(ante)
-                            if not discount:
-                                break
-                if chosen:
-                    evidence = self._evidence.get((rule.name, confidence))
-                    if evidence is None:
-                        evidence = self._evidence[rule.name, confidence] = (
-                            EdgeEvidence("rule", rule.name, confidence)
-                        )
-                    for ante in chosen:
-                        if ante.event_id not in linked:
-                            linked.add(ante.event_id)
-                            edges.append((ante, evidence))
-                if timing_sink is not None:
-                    timing_sink(rule.name, watch.lap())
-
-        if self.config.use_patterns and self.miner is not None:
-            threshold = self.config.pattern_confidence_threshold
-            best_per_key: Dict[PatternKey, Tuple[float, IOEvent, float]] = {}
-            for ante in source.window_candidates(cons, self.miner.window):
-                if ante.event_id in linked:
-                    continue
-                if not _prefix_compatible(ante, cons):
-                    continue
-                confidence = self.miner.confidence(ante, cons)
-                if confidence < threshold:
-                    continue
-                key = (_signature(ante), _signature(cons), _relation(ante, cons))
-                current = best_per_key.get(key)
-                rank = (ante.timestamp, ante.event_id)
-                if current is None or rank > (current[0], current[1].event_id):
-                    best_per_key[key] = (ante.timestamp, ante, confidence)
-            for _, ante, confidence in best_per_key.values():
-                if ante.event_id in linked:
-                    continue
-                linked.add(ante.event_id)
-                edges.append(
-                    (
-                        ante,
-                        EdgeEvidence(
-                            technique="pattern", confidence=confidence
-                        ),
+        # Per-rule wall time is only clocked when a sink asks for it;
+        # the disabled path pays one None check per rule.
+        if timing_sink is not None:
+            watch = obs.Stopwatch()
+        for rule, plan in self._by_consequent[cons.kind.ordinal]:
+            if not rule.consequent.matches(cons):
+                continue
+            candidates = source.rule_candidates(cons, rule.window, plan)
+            antecedes = rule.antecedes
+            confidence = rule.base_confidence
+            if rule.pick == "all":
+                chosen = [ante for ante in candidates if antecedes(ante, cons)]
+                if len(chosen) > 1:
+                    # Linking all of N candidates: each is 1/N likely.
+                    confidence = max(0.05, confidence / len(chosen))
+            else:
+                # Candidates come in key order, so the latest match is
+                # the first one met walking backwards; the ambiguity
+                # discount only asks whether a second exists.
+                chosen = []
+                for ante in reversed(candidates):
+                    if antecedes(ante, cons):
+                        if chosen:
+                            # Picked the latest of several: mildly
+                            # less sure.
+                            confidence *= 0.9
+                            break
+                        chosen.append(ante)
+            if chosen:
+                evidence = self._evidence.get((rule.name, confidence))
+                if evidence is None:
+                    evidence = self._evidence[rule.name, confidence] = (
+                        EdgeEvidence("rule", rule.name, confidence)
                     )
-                )
+                for ante in chosen:
+                    if ante.event_id not in linked:
+                        linked.add(ante.event_id)
+                        edges.append((ante, evidence))
+            if timing_sink is not None:
+                timing_sink(rule.name, watch.lap())
         return edges
 
     # -- streaming ------------------------------------------------------------
@@ -590,50 +429,36 @@ class StreamingInference:
         consequents for which *that rule* would admit the event: inside
         the rule's window and matching the rule both ways.  Skipping
         the rest is sound because ``_infer_edges`` is a pure function
-        of each rule's candidate list.  The naive/pattern techniques
-        are prefix-gated only (their confidence checks stay inside the
-        re-link).  Whatever the technique, the event must be
+        of each rule's candidate list.  The event must also be
         :func:`_admissible` to the consequent.
         """
         confirmed: Dict[Tuple[float, int], IOEvent] = {}
         event_at = event.timestamp
         event_key = (event_at, event.event_id)
         lo = (event_at - self._source.skew, 0)
-        config = self.engine.config
-        if config.use_rules:
-            for rule, fplan in self._by_antecedent[event.kind.ordinal]:
-                if not rule.antecedent.matches(event):
-                    continue
-                window = rule.window
-                hi = (event_at + window, MAX_ID)
-                if fplan.kinds:
-                    # Same-router consequents keyed below the event
-                    # could not admit it: start the read at its key.
-                    candidates = self._index.candidates(
-                        fplan,
-                        event,
-                        event_key if fplan.router_from == "same" else lo,
-                        hi,
-                    )
-                else:
-                    # A kind-free consequent pattern has no bucket.
-                    candidates = self._index.window(lo, hi)
-                for cons in candidates:
-                    if (
-                        cons.timestamp - window <= event_at
-                        and rule.consequent.matches(cons)
-                        and rule.antecedes(event, cons)
-                    ):
-                        confirmed[cons.timestamp, cons.event_id] = cons
-        naive_window = 0.0
-        if config.naive_prefix_timestamp:
-            naive_window = config.naive_window
-        if config.use_patterns and self.engine.miner is not None:
-            naive_window = max(naive_window, self.engine.miner.window)
-        if naive_window:
-            hi = (event_at + naive_window, MAX_ID)
-            for cons in self._index.window(lo, hi):
-                if _prefix_compatible(event, cons):
+        for rule, fplan in self._by_antecedent[event.kind.ordinal]:
+            if not rule.antecedent.matches(event):
+                continue
+            window = rule.window
+            hi = (event_at + window, MAX_ID)
+            if fplan.kinds:
+                # Same-router consequents keyed below the event
+                # could not admit it: start the read at its key.
+                candidates = self._index.candidates(
+                    fplan,
+                    event,
+                    event_key if fplan.router_from == "same" else lo,
+                    hi,
+                )
+            else:
+                # A kind-free consequent pattern has no bucket.
+                candidates = self._index.window(lo, hi)
+            for cons in candidates:
+                if (
+                    cons.timestamp - window <= event_at
+                    and rule.consequent.matches(cons)
+                    and rule.antecedes(event, cons)
+                ):
                     confirmed[cons.timestamp, cons.event_id] = cons
         if not confirmed:
             return ()

@@ -24,6 +24,11 @@ agree:
 * ``replay-determinism`` — §8 precondition: executing the same plan
   twice is byte-identical (trace, HBG, forwarding).
 
+The window-rescan spec also builds benchmark C-INF's ablation rows:
+:func:`naive_graph` and :func:`pattern_graph` (with its
+:class:`PatternMiner`) are §4.2's two techniques the engine does not
+use.
+
 Oracles receive an :class:`OracleContext`.  Read-only oracles use
 the lazily-shared execution; oracles that mutate the network (what-if
 replay, rollback) call :meth:`OracleContext.fresh` so they cannot
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -399,18 +405,159 @@ def rescan_graph(events, engine=None):
     what ``engine`` infers for it from the :class:`WindowRescan` of
     the whole capture.  O(window) per rule per event — a reference for
     differential tests, never a production path."""
-    from repro.hbr.graph import HappensBeforeGraph
     from repro.hbr.inference import InferenceEngine
 
     engine = engine or InferenceEngine()
-    ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
-    source = WindowRescan(ordered, engine.config.clock_skew_tolerance)
-    graph = HappensBeforeGraph()
-    for event in ordered:
-        graph.add_event(event)
+    ordered, source, graph = _rescan(events, engine.config)
     for cons in ordered:
         for ante, evidence in engine._infer_edges(cons, source):
             graph.add_edge(ante.event_id, cons.event_id, evidence)
+    return graph
+
+
+def _rescan(events, config=None):
+    """``events`` in key order, their :class:`WindowRescan` at
+    ``config``'s skew, and an edgeless graph over them."""
+    from repro.hbr.graph import HappensBeforeGraph
+    from repro.hbr.inference import InferenceConfig
+
+    config = config or InferenceConfig()
+    ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
+    graph = HappensBeforeGraph()
+    for event in ordered:
+        graph.add_event(event)
+    return ordered, WindowRescan(ordered, config.clock_skew_tolerance), graph
+
+
+# -- the C-INF ablation: the two techniques the engine does not use --------
+
+
+Signature = Tuple[str, str, str]
+Relation = Tuple[bool, bool, bool]  # (same_router, peer_symmetric, same_prefix)
+PatternKey = Tuple[Signature, Signature, Relation]
+
+
+def _signature(event: IOEvent) -> Signature:
+    return (
+        event.kind.value,
+        event.protocol or "-",
+        event.action.value if event.action else "-",
+    )
+
+
+def _relation(ante: IOEvent, cons: IOEvent) -> Relation:
+    return (
+        ante.router == cons.router,
+        ante.peer == cons.router and cons.peer == ante.router,
+        ante.prefix is not None and ante.prefix == cons.prefix,
+    )
+
+
+def _prefix_compatible(a: IOEvent, b: IOEvent) -> bool:
+    """The paper's prefix filter: same prefix, or either side has none
+    (config/hardware/LSA events carry no prefix but can still relate)."""
+    if a.prefix is None or b.prefix is None:
+        return True
+    return a.prefix == b.prefix
+
+
+class PatternMiner:
+    """§4.2 "Pattern matching": mine recurring I/O pair shapes.
+
+    Training scans a (presumed policy-compliant) capture: for every
+    event B it looks back ``window`` seconds at prefix-compatible
+    events A and counts how often each (signature(A), signature(B),
+    relation) shape occurs, normalised by the number of B-signature
+    occurrences.  The resulting ratio is the statistical confidence
+    the paper proposes attaching to inferred HBRs.
+    """
+
+    def __init__(self, window: float = 2.0):
+        self.window = window
+        self._pair_counts: Dict[PatternKey, int] = defaultdict(int)
+        self._cons_totals: Dict[Signature, int] = defaultdict(int)
+        self.trained_events = 0
+
+    def train(self, events: Sequence[IOEvent]) -> None:
+        ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
+        times = [e.timestamp for e in ordered]
+        for index, cons in enumerate(ordered):
+            self._cons_totals[_signature(cons)] += 1
+            self.trained_events += 1
+            start = bisect.bisect_left(times, cons.timestamp - self.window)
+            seen_keys: Set[PatternKey] = set()
+            for ante in ordered[start:index]:
+                if not _prefix_compatible(ante, cons):
+                    continue
+                key = (_signature(ante), _signature(cons), _relation(ante, cons))
+                if key in seen_keys:
+                    continue
+                seen_keys.add(key)
+                self._pair_counts[key] += 1
+
+    def confidence(self, ante: IOEvent, cons: IOEvent) -> float:
+        key = (_signature(ante), _signature(cons), _relation(ante, cons))
+        total = self._cons_totals.get(key[1], 0)
+        if total == 0:
+            return 0.0
+        return self._pair_counts.get(key, 0) / total
+
+    def known_patterns(self, min_confidence: float = 0.0) -> List[Tuple[PatternKey, float]]:
+        result = []
+        for key, count in self._pair_counts.items():
+            total = self._cons_totals.get(key[1], 0)
+            if total == 0:
+                continue
+            confidence = count / total
+            if confidence >= min_confidence:
+                result.append((key, confidence))
+        result.sort(key=lambda item: (-item[1], item[0]))
+        return result
+
+
+def naive_graph(events, window: float = 1.0):
+    """§4.2's strawman: link every prefix-compatible pair logged within
+    ``window`` (plus the skew allowance) — timestamps and prefixes used
+    as the sole mechanism, which the paper warns against."""
+    from repro.hbr.graph import EdgeEvidence
+
+    ordered, source, graph = _rescan(events)
+    evidence = EdgeEvidence(technique="naive", confidence=0.1)
+    for cons in ordered:
+        for ante in source.window_candidates(cons, window):
+            if _prefix_compatible(ante, cons):
+                graph.add_edge(ante.event_id, cons.event_id, evidence)
+    return graph
+
+
+def pattern_graph(events, miner: PatternMiner, threshold: float = 0.6, base=None):
+    """§4.2's pattern matching: per consequent and pair shape, link the
+    latest prefix-compatible candidate whose mined confidence reaches
+    ``threshold``.  Given ``base`` (a rule graph over the same events)
+    the result is ``base`` plus pattern edges from antecedents ``base``
+    does not already link into that consequent."""
+    from repro.hbr.graph import EdgeEvidence
+
+    ordered, source, graph = _rescan(events)
+    if base is not None:
+        graph.merge(base)
+    for cons in ordered:
+        linked = {cause.event_id for cause, _ in graph.parents(cons.event_id)}
+        best: Dict[PatternKey, Tuple[IOEvent, float]] = {}
+        for ante in source.window_candidates(cons, miner.window):
+            if ante.event_id in linked or not _prefix_compatible(ante, cons):
+                continue
+            confidence = miner.confidence(ante, cons)
+            if confidence >= threshold:
+                # Candidates come in key order: the last one wins.
+                key = (_signature(ante), _signature(cons), _relation(ante, cons))
+                best[key] = (ante, confidence)
+        for ante, confidence in best.values():
+            graph.add_edge(
+                ante.event_id,
+                cons.event_id,
+                EdgeEvidence(technique="pattern", confidence=confidence),
+            )
     return graph
 
 

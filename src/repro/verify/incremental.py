@@ -43,11 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
-from repro.hbr.inference import (
-    InferenceConfig,
-    InferenceEngine,
-    StreamingInference,
-)
+from repro.hbr.inference import InferenceEngine, StreamingInference
 from repro.net.addr import Prefix
 from repro.net.topology import Topology
 from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
@@ -56,9 +52,9 @@ from repro.verify.atoms import AtomTable
 from repro.verify.policy import Policy, Violation
 
 
-def incremental_engine(**overrides) -> InferenceEngine:
-    """An inference engine configured for the incremental feed."""
-    return InferenceEngine(config=InferenceConfig(**overrides))
+def incremental_engine() -> InferenceEngine:
+    """The inference engine the incremental feed runs on."""
+    return InferenceEngine()
 
 
 def _apply_instruments(registry):

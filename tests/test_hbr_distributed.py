@@ -1,5 +1,9 @@
 """Tests for distributed HBG construction and path expansion."""
 
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
@@ -10,8 +14,9 @@ from repro.hbr.distributed import (
     boundary_kinds,
     supports_distribution,
 )
-from repro.hbr.inference import InferenceConfig, InferenceEngine, PatternMiner
-from repro.hbr.rules import EventPattern, HbrRule
+from repro.hbr import distributed
+from repro.hbr.inference import InferenceConfig, InferenceEngine
+from repro.hbr.rules import EventPattern, HbrRule, different_router, peer_symmetric
 from repro.net.addr import Prefix, parse_ip
 from repro.repair.provenance import ProvenanceTracer
 from repro.scenarios.fig2 import Fig2Scenario
@@ -172,6 +177,43 @@ class TestDistributedHbg:
         )
         assert forked.last_build.workers == 2
 
+    def test_dead_worker_raises_and_keeps_the_last_build(
+        self, fig2_net, monkeypatch
+    ):
+        """A forked worker that dies mid-build makes build_all raise
+        (not hang, not merge a partial graph); the previous build's
+        records and subgraphs stay as they were."""
+        dist = self._build(fig2_net)
+        records = dist._records
+        before = {
+            name: (sub.graph.to_records(), sub.remote_parents)
+            for name, sub in dist.subgraphs.items()
+        }
+        infer_shard = distributed._infer_shard
+
+        def dies_on_r1(subgraphs, routers):
+            if "R1" in routers:
+                os._exit(3)
+            return infer_shard(subgraphs, routers)
+
+        def hung(_signum, _frame):
+            raise AssertionError("build_all hung on a dead worker")
+
+        monkeypatch.setattr(distributed, "_infer_shard", dies_on_r1)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                dist.build_all(workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert dist._records is records
+        assert {
+            name: (sub.graph.to_records(), sub.remote_parents)
+            for name, sub in dist.subgraphs.items()
+        } == before
+
     def test_merged_graph_never_rebuilds_centrally(self, fig2_net, monkeypatch):
         """Regression for the prototype's dead-merge bug: the old
         merged_graph() built (and discarded) a merge, then quietly
@@ -234,12 +276,27 @@ class TestDistributionSupport:
     @pytest.mark.parametrize(
         "make_engine",
         [
+            # A neighbor's RIB updates never cross in a boundary summary.
             lambda: InferenceEngine(
-                config=InferenceConfig(naive_prefix_timestamp=True)
+                rules=[
+                    HbrRule(
+                        name="neighbor-rib",
+                        antecedent=EventPattern(kinds=(IOKind.RIB_UPDATE,)),
+                        consequent=EventPattern(kinds=(IOKind.ROUTE_RECEIVE,)),
+                        relations=(peer_symmetric,),
+                    )
+                ]
             ),
+            # "Some other router" pins no router: the global index.
             lambda: InferenceEngine(
-                config=InferenceConfig(use_patterns=True),
-                miner=PatternMiner(),
+                rules=[
+                    HbrRule(
+                        name="elsewhere",
+                        antecedent=EventPattern(kinds=(IOKind.ROUTE_SEND,)),
+                        consequent=EventPattern(kinds=(IOKind.RIB_UPDATE,)),
+                        relations=(different_router,),
+                    )
+                ]
             ),
             lambda: InferenceEngine(
                 rules=[

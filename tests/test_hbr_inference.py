@@ -1,4 +1,7 @@
-"""Tests for HBR inference: the four techniques and their combination."""
+"""Tests for HBR inference: rule matching under the prefix/timestamp
+filters, and the naive and pattern techniques of C-INF's ablation."""
+
+import dataclasses
 
 import pytest
 
@@ -6,12 +9,13 @@ from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.hbr.inference import (
     InferenceConfig,
     InferenceEngine,
-    PatternMiner,
     score_inference,
 )
+from repro.hbr.rules import default_rules
 from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
 from repro.scenarios.paper_net import P, build_paper_network
+from repro.testkit.oracles import PatternMiner, naive_graph, pattern_graph
 
 
 def _observable_ids(net):
@@ -75,10 +79,7 @@ class TestNaiveBaseline:
     def test_naive_mode_has_terrible_precision(self, converged_fig1):
         """'Timestamps cannot be used as the sole mechanism' (§4.2)."""
         net = converged_fig1
-        engine = InferenceEngine(
-            config=InferenceConfig(naive_prefix_timestamp=True)
-        )
-        graph = engine.build_graph(net.collector.all_events())
+        graph = naive_graph(net.collector.all_events())
         score = score_inference(
             graph, net.ground_truth, observable_ids=_observable_ids(net)
         )
@@ -149,22 +150,12 @@ class TestPatternMining:
         # Infer on a *different* run (fresh seed), rules disabled.
         scenario = Fig1Scenario(seed=5, delays=fast_delays)
         net = scenario.run_fig1b()
-        engine = InferenceEngine(
-            config=InferenceConfig(
-                use_rules=False,
-                use_patterns=True,
-                pattern_confidence_threshold=0.6,
-            ),
-            miner=miner,
-        )
-        graph = engine.build_graph(net.collector.all_events())
+        graph = pattern_graph(net.collector.all_events(), miner, threshold=0.6)
         assert graph.edge_count() > 0
         score = score_inference(
             graph, net.ground_truth, observable_ids=_observable_ids(net)
         )
-        naive = InferenceEngine(
-            config=InferenceConfig(naive_prefix_timestamp=True)
-        ).build_graph(net.collector.all_events())
+        naive = naive_graph(net.collector.all_events())
         naive_score = score_inference(
             naive, net.ground_truth, observable_ids=_observable_ids(net)
         )
@@ -179,21 +170,14 @@ class TestPatternMining:
         scenario = Fig1Scenario(seed=5, delays=fast_delays)
         net = scenario.run_fig1b()
         obs = _observable_ids(net)
-        patterns_only = InferenceEngine(
-            config=InferenceConfig(use_rules=False, use_patterns=True),
-            miner=miner,
-        ).build_graph(net.collector.all_events())
-        combined = InferenceEngine(
-            config=InferenceConfig(use_rules=True, use_patterns=True),
-            miner=miner,
-        ).build_graph(net.collector.all_events())
+        events = net.collector.all_events()
+        patterns_only = pattern_graph(events, miner)
+        combined = pattern_graph(
+            events, miner, base=InferenceEngine().build_graph(events)
+        )
         pattern_score = score_inference(patterns_only, net.ground_truth, obs)
         combined_score = score_inference(combined, net.ground_truth, obs)
         assert combined_score.f1 >= pattern_score.f1
-
-    def test_patterns_without_miner_rejected(self):
-        with pytest.raises(ValueError):
-            InferenceEngine(config=InferenceConfig(use_patterns=True))
 
     def test_confidence_zero_for_unknown_signature(self, fast_delays):
         miner = PatternMiner()
@@ -466,20 +450,12 @@ class TestAdmissibilityIsTheBound:
         )
         assert graph.edge_set() == {(send.event_id, recv.event_id)}
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"link_all_candidates": True},
-            {"ambiguity_discount": False},
-            {"use_patterns": True, "pattern_confidence_threshold": 0.3},
-            {"naive_prefix_timestamp": True},
-        ],
-        ids=lambda knobs: next(iter(knobs)),
-    )
-    def test_late_cause_under_non_default_configs(self, knobs, fast_delays):
+    @pytest.mark.parametrize("rule_set", ["default", "pick_all"])
+    def test_late_cause_under_each_rule_set(self, rule_set, fast_delays):
         """Two sends compete for one receive and the winning one is
         logged after it (within skew), plus a whole skewed capture:
-        every config walks the same candidates, whichever way fed."""
+        every rule set walks the same candidates, whichever way fed.
+        ``pick_all`` is every default rule with ``pick="all"``."""
         net = build_paper_network(
             seed=0, delays=fast_delays, clock_skews={"R1": 0.02}
         )
@@ -487,12 +463,10 @@ class TestAdmissibilityIsTheBound:
         net.announce_prefix("Ext1", P)
         net.run(5)
         capture = net.collector.all_events()
-        miner = PatternMiner()
-        miner.train(capture)
-        engine = InferenceEngine(
-            config=InferenceConfig(**knobs),
-            miner=miner if "use_patterns" in knobs else None,
-        )
+        rules = default_rules()
+        if rule_set == "pick_all":
+            rules = [dataclasses.replace(rule, pick="all") for rule in rules]
+        engine = InferenceEngine(rules=rules)
         stale = _io(IOKind.ROUTE_SEND, "R1", 100.0, peer="R2")
         recv = _io(IOKind.ROUTE_RECEIVE, "R2", 101.0, peer="R1")
         rib = _io(IOKind.RIB_UPDATE, "R2", 101.01)
@@ -505,17 +479,12 @@ class TestAdmissibilityIsTheBound:
                 if e.effect == recv.event_id
             )
         }
-        if "naive_prefix_timestamp" in knobs:
-            assert late.event_id in causes
-        elif "link_all_candidates" in knobs:
+        if rule_set == "pick_all":
             assert set(causes) == {stale.event_id, late.event_id}
             assert causes[late.event_id].confidence == 0.5
-        elif "ambiguity_discount" in knobs:
-            assert set(causes) == {late.event_id}
-            assert causes[late.event_id].confidence == 1.0
         else:
+            assert set(causes) == {late.event_id}
             assert causes[late.event_id].confidence == 0.9
-            assert stale.event_id not in causes
 
 
 class TestScoring:
