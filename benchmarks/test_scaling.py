@@ -2,24 +2,29 @@
 
 Measures, as the network grows: capture volume, HBG construction
 time (indexed default vs the testkit's window-rescan spec),
-snapshot consistency-check time, and provenance-trace time.  The
-paper's premise (§4–§5) is that all of this runs *online* in the
-control plane, so throughput columns (events/sec, edges/sec) make
-the budget explicit.
+snapshot consistency-check time, incremental per-delta verify cost,
+and provenance-trace time.  The paper's premise (§4–§5) is that all
+of this runs *online* in the control plane, so throughput columns
+(events/sec, edges/sec) make the budget explicit.
 
-Two resource columns join the gate (PR 6): ``ledger_peak_bytes`` —
-the resource ledger's high-watermark over a *streaming* build (the
-batch path's index dies with the build; the streaming one is what an
-always-on daemon would hold resident) — and
-``profiler_samples_per_sec``, the deterministic sampling profiler's
-throughput over one profiled build.  Bytes keys regression-gate like
-seconds keys in ``repro bench diff`` (with their own noise floor).
+One resource column joins the gate: ``ledger_peak_bytes`` — the
+resource ledger's high-watermark over a *streaming* build (the batch
+path's index dies with the build; the streaming one is what an
+always-on daemon would hold resident).  Bytes keys regression-gate
+like seconds keys in ``repro bench diff`` (with their own noise
+floor).
 
 The legacy column is only measured up to ``LEGACY_MAX`` routers —
 beyond that the O(N)-window rescans take tens of seconds per build
 and demonstrate nothing new; the differential equality against the
 indexed path is still asserted wherever both run (and fuzzed further
 by the ``hbg-indexed-equivalence`` testkit oracle).
+
+Both shape lines are computed from the columns above them
+(``_report.shape_line``), and the prose prints the measured
+throughputs: how far the central build's events/sec falls as the
+full mesh grows, and every size where the distributed build loses to
+the central one.
 """
 
 import time
@@ -42,7 +47,7 @@ from repro.snapshot.consistent import ConsistentSnapshotter
 from repro.testkit.oracles import rescan_graph
 from repro.verify.incremental import IncrementalVerifier, incremental_engine
 
-from _report import emit, emit_json, table
+from _report import emit, emit_json, shape_line, table
 
 SIZES = (4, 8, 16, 32, 48)
 
@@ -91,13 +96,6 @@ def _streaming_peak_bytes(events):
                 ledger.refresh()
         ledger.refresh()
         return ledger.peak_total_bytes()
-
-
-def _profiled_build(events):
-    """One profiled indexed build; returns samples/sec."""
-    with obs.profiling(stride=97, weights="wall") as profiler:
-        InferenceEngine().build_graph(events)
-        return profiler.samples_per_sec()
 
 
 class _TrippingVerdicts(NullVerdictLedger):
@@ -240,7 +238,6 @@ def test_scaling(benchmark, tmp_path):
         t_trace = time.perf_counter() - t0
 
         peak_bytes = _streaming_peak_bytes(events)
-        samples_per_sec = _profiled_build(events)
         t_watermark = _watermark_overhead_per_event(events, inc_view)
         t_append = _ledger_append_per_event(
             len(events), str(tmp_path / f"verdicts-n{n:02d}.jsonl")
@@ -262,7 +259,6 @@ def test_scaling(benchmark, tmp_path):
                 f"{t_inc_update * 1e6:.0f} µs",
                 f"{t_trace * 1000:.2f} ms",
                 f"{peak_bytes / 1024:,.0f} KiB",
-                f"{samples_per_sec:,.0f}",
                 f"{t_watermark * 1e6:.2f} µs",
                 f"{t_append * 1e6:.2f} µs",
             )
@@ -277,7 +273,6 @@ def test_scaling(benchmark, tmp_path):
             "events_per_sec": round(events_per_sec, 1),
             "edges_per_sec": round(edges_per_sec, 1),
             "ledger_peak_bytes": peak_bytes,
-            "profiler_samples_per_sec": round(samples_per_sec, 1),
             "watermark_overhead_per_event_seconds": round(t_watermark, 9),
             "ledger_append_per_event_seconds": round(t_append, 9),
         }
@@ -288,12 +283,12 @@ def test_scaling(benchmark, tmp_path):
 
     # -- distributed construction family (PR 10) ------------------------
     # Per-router subgraphs + boundary-summary exchange on O(n)-event
-    # scaled networks: per-router throughput must hold roughly flat to
-    # n=128 (the full-mesh family above decays ~5x by n=48), the merge
-    # must be byte-identical to the central indexed build, and the
-    # summaries must cost strictly less than central collection.
+    # scaled networks: per-router throughput must keep at least half
+    # its n=8 value at n=128, the merge must be byte-identical to the
+    # central indexed build, and the summaries must cost strictly less
+    # than central collection (the dist shape line below).
     dist_rows = []
-    per_router_eps = {}
+    identical = {}
     for n in DIST_SIZES:
         net = _capture_scaled(n)
         events = net.collector.all_events()
@@ -324,14 +319,8 @@ def test_scaling(benchmark, tmp_path):
         t0 = time.perf_counter()
         central = InferenceEngine().build_graph(events)
         t_central = time.perf_counter() - t0
-        assert dist.merged_graph().to_records() == central.to_records(), (
-            f"distributed merge not byte-identical to central at n={n}"
-        )
-        assert stats.boundary_bytes < stats.central_bytes, (
-            f"boundary summaries cost more than central collection at n={n}"
-        )
+        identical[n] = dist.merged_graph().to_records() == central.to_records()
 
-        per_router_eps[n] = per_router
         dist_rows.append(
             (
                 n,
@@ -359,14 +348,6 @@ def test_scaling(benchmark, tmp_path):
             }
         )
 
-    # Acceptance: per-router throughput holds to n=128 — at least half
-    # the n=8 figure (vs the ~5x decay of the central full-mesh path).
-    floor = 0.5 * per_router_eps[DIST_SIZES[0]]
-    assert per_router_eps[DIST_SIZES[-1]] >= floor, (
-        f"per-router events/sec decayed past 0.5x: "
-        f"{per_router_eps[DIST_SIZES[-1]]:.0f} vs floor {floor:.0f}"
-    )
-
     benchmark(lambda: InferenceEngine().build_graph(largest_events))
 
     lines = [
@@ -388,34 +369,66 @@ def test_scaling(benchmark, tmp_path):
             "incr/update",
             "provenance trace",
             "peak ledger",
-            "samples/sec",
             "wm/event",
             "verdict/event",
         ),
         rows,
     )
+    full = {n: trajectory["sizes"][f"n{n:02d}"] for n in SIZES}
+    small, large = SIZES[0], SIZES[-1]
+    timed = [n for n in SIZES if "build_legacy_seconds" in full[n]]
+    eps = {n: full[n]["events_per_sec"] for n in SIZES}
+    edge_rates = [full[n]["edges_per_sec"] for n in SIZES]
+    incr = {n: full[n]["incremental_verify_per_update_seconds"] for n in SIZES}
+
+    def speedup(n):
+        return full[n]["build_legacy_seconds"] / full[n]["build_indexed_seconds"]
+
+    def edges_per_event(n):
+        return full[n]["hbg_edges"] / full[n]["events"]
+
+    claims = {
+        "the indexed build beats the window rescan at every timed size, "
+        f"by more at n={timed[-1]} than at n={timed[0]}": (
+            all(speedup(n) > 1 for n in timed)
+            and speedup(timed[-1]) > speedup(timed[0])
+        ),
+        f"central events/sec falls from n={small} to n={large}": (
+            eps[large] < eps[small]
+        ),
+        f"incr/update at n={large} stays within 2x of n={small}": (
+            incr[large] <= 2 * incr[small]
+        ),
+        "provenance trace stays sub-millisecond at every size": all(
+            full[n]["provenance_trace_seconds"] < 1e-3 for n in SIZES
+        ),
+    }
     lines += [
         "",
-        "shape: the indexed build (repro.hbr.index) holds events/sec "
-        "roughly flat as the network grows, where the legacy per-rule "
-        "window rescan degraded quadratically (timed up to "
-        f"{LEGACY_MAX} routers; identical edge sets asserted wherever "
-        "both run).  The consistency check rides the same indexed "
-        "build plus memoized §5 closure walks; incr/update is the "
-        "incremental verifier's mean per-FIB-delta re-verify cost "
-        "(atom refinement + one prefix's §5 closure against persistent "
-        "memos), which stays near-flat because a delta's work is "
-        "scoped to its own prefix, not the snapshot; provenance stays "
-        "sub-millisecond since it touches only one episode's ancestry.  "
+        f"the central indexed build's events/sec falls "
+        f"{eps[small]:,.0f} -> {eps[large]:,.0f} from n={small} to "
+        f"n={large} ({eps[small] / eps[large]:.1f}x lower), while "
+        f"edges/sec stays within {min(edge_rates):,.0f}-"
+        f"{max(edge_rates):,.0f}: the build costs what it links, and "
+        f"a full iBGP mesh links more per event as it grows (HBG edges "
+        f"per event {edges_per_event(small):.1f} -> "
+        f"{edges_per_event(large):.1f}).  The legacy per-rule window "
+        f"rescan is timed up to {LEGACY_MAX} routers, with identical "
+        "edge sets asserted wherever both run.  The consistency check "
+        "rides the same indexed build plus memoized §5 closure walks; "
+        "incr/update is the incremental verifier's mean per-FIB-delta "
+        "re-verify cost (atom refinement + one prefix's §5 closure "
+        "against persistent memos), scoped to its own prefix, not the "
+        "snapshot; provenance touches only one episode's ancestry.  "
         "peak ledger is the resource ledger's high-watermark over a "
         "streaming build (graph + incremental index resident "
-        "together); samples/sec is the deterministic profiler's "
-        "throughput over one profiled build.  wm/event is the extra "
-        "per-event cost of watermark tracking on the streaming feed "
-        "(the bare baseline runs under a tripping verdict ledger, "
-        "proving the disabled path does zero telemetry work); "
-        "verdict/event is the mean cost of one ledger append with "
-        "periodic atomic flushes.",
+        "together).  wm/event is the extra per-event cost of watermark "
+        "tracking on the streaming feed (the bare baseline runs under "
+        "a tripping verdict ledger, proving the disabled path does zero "
+        "telemetry work); verdict/event is the mean cost of one ledger "
+        "append with periodic atomic flushes.",
+        "",
+        shape_line(claims),
         "",
         "distributed construction (route-reflector + static-underlay "
         f"networks, boundary-summary exchange, {DIST_WORKERS} workers):",
@@ -436,14 +449,52 @@ def test_scaling(benchmark, tmp_path):
         ),
         dist_rows,
     )
+    scaled = {
+        n: trajectory["sizes"][f"n{n:03d}_distributed"] for n in DIST_SIZES
+    }
+    first, last = DIST_SIZES[0], DIST_SIZES[-1]
+    router_eps = {
+        n: scaled[n]["per_router_events_per_sec"] for n in DIST_SIZES
+    }
+    slower = [
+        n
+        for n in DIST_SIZES
+        if scaled[n]["distributed_build_seconds"]
+        > scaled[n]["central_build_seconds"]
+    ]
+    dist_claims = {
+        "the merged graph is byte-identical to the central indexed build "
+        "at every size": all(identical.values()),
+        "boundary summaries ship fewer bytes than a central collector "
+        "at every size": all(
+            scaled[n]["boundary_bytes"] < scaled[n]["central_collector_bytes"]
+            for n in DIST_SIZES
+        ),
+        f"per-router events/sec at n={last} keeps at least half its "
+        f"n={first} value": router_eps[last] >= 0.5 * router_eps[first],
+        f"the distributed build loses to the central one at n={first}": (
+            first in slower
+        ),
+    }
     lines += [
         "",
-        "shape: per-router events/sec holds roughly flat as the "
-        "network grows (each router's indexed inference touches only "
-        "its own events plus its neighbors' boundary summaries), the "
-        "merged graph is byte-identical to the central indexed build "
-        "at every size, and boundary summaries ship a small fraction "
-        "of the bytes a central collector would ingest.",
+        "distributed vs central build: "
+        + ", ".join(
+            f"n={n} {scaled[n]['distributed_build_seconds'] * 1000:.1f} vs "
+            f"{scaled[n]['central_build_seconds'] * 1000:.1f} ms"
+            for n in DIST_SIZES
+        )
+        + "; the distributed build (a fork pool plus the summary "
+        "exchange) is slower at "
+        + (", ".join(f"n={n}" for n in slower) or "no size")
+        + f".  Per-router events/sec goes {router_eps[first]:,.0f} -> "
+        f"{router_eps[last]:,.0f} from n={first} to n={last} (each "
+        "router's inference touches only its own events plus its "
+        "neighbours' boundary summaries).",
+        "",
+        shape_line(dist_claims),
     ]
     emit("C-SCALE_scaling", lines)
     emit_json("scaling", trajectory)
+    assert all(claims.values()), claims
+    assert all(dist_claims.values()), dist_claims

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import signal
 import sys
 import time
 from typing import List, Optional
@@ -896,147 +895,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Serve /metrics, /healthz, /resources.json as a live endpoint."""
-    import json
-
-    from repro.obs.health import (
-        DEFAULT_RULES,
-        HealthEngine,
-        HealthRuleError,
-        parse_rule,
-    )
-    from repro.obs.serve import MetricsServer
-
-    # User-supplied specs override same-named defaults, so a deploy can
-    # relax (or tighten) a built-in rule without forking the whole set.
-    by_name = {rule.name: rule for rule in DEFAULT_RULES}
-    for spec in args.health_rule or ():
-        try:
-            rule = parse_rule(spec)
-        except HealthRuleError as exc:
-            print(f"repro serve-metrics: {exc}", file=sys.stderr)
-            return 2
-        by_name[rule.name] = rule
-    rules = list(by_name.values())
-
-    # Treat SIGTERM like Ctrl-C so `kill` from a supervisor (or a CI
-    # cleanup step) still takes the graceful path: server shutdown,
-    # profile written, health-based exit code.  Shells start `&`-jobs
-    # with SIGINT ignored, so TERM is the only signal a pipeline can
-    # rely on.  signal.signal only works from the main thread; when
-    # invoked elsewhere (tests), fall through without a handler.
-    # One-shot: supervisors that signal the whole process group (GNU
-    # timeout, docker stop) deliver TERM more than once, and a repeat
-    # mid-cleanup would abort the shutdown it asked for.
-    def _on_sigterm(signum: int, frame: object) -> None:
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        raise KeyboardInterrupt
-
-    previous_sigterm = None
-    try:
-        previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:
-        pass
-
-    obs.enable()
-    obs.enable_ledger()
-    obs.enable_recording()
-    if args.verdict_ledger:
-        obs.enable_verdicts(path=args.verdict_ledger)
-    if args.profile:
-        obs.enable_profiling()
-    try:
-        # Warm the metrics stream with one scenario run so the very
-        # first scrape already has pipeline data behind it.
-        warmup_output = io.StringIO()
-        if args.scenario == "fuzz":
-            from repro.testkit import FuzzRunner
-
-            runner = FuzzRunner(artifacts_dir=None, shrink_failures=False)
-            with contextlib.redirect_stdout(warmup_output):
-                runner.run(seed=args.seed, cases=args.cases)
-        elif args.scenario != "none":
-            with contextlib.redirect_stdout(warmup_output):
-                _STATS_SCENARIOS[args.scenario](args)
-        if args.verdict_ledger:
-            # One planted-violation replay guarantees the detection /
-            # exposure SLIs have samples and the ledger holds both a
-            # failing and a recovering verdict before the first scrape.
-            with contextlib.redirect_stdout(warmup_output):
-                _run_continuous_replay("fig2", seed=args.seed, repair=True)
-            obs.get_verdicts().flush()
-        obs.get_ledger().refresh()
-
-        engine = HealthEngine(rules=rules)
-        try:
-            server = MetricsServer(
-                host=args.host, port=args.port, engine=engine
-            )
-        except OSError as exc:
-            print(
-                f"repro serve-metrics: cannot bind "
-                f"{args.host}:{args.port}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        server.start()
-        print(
-            f"serving on {server.url} — /metrics /healthz "
-            f"/resources.json /verdicts.json /profile.speedscope.json "
-            f"(scenario={args.scenario}, tick every {args.interval:g}s"
-            + (f", stopping after {args.duration:g}s)" if args.duration else ")")
-        )
-        deadline = (
-            time.monotonic() + args.duration if args.duration > 0 else None
-        )
-        healthy = None
-        try:
-            while True:
-                ok = server.tick()
-                if ok is not healthy:
-                    verdict = engine.last
-                    failing = (
-                        ", ".join(r.rule.name for r in verdict.failing())
-                        if verdict is not None
-                        else ""
-                    )
-                    print(
-                        f"health: {'ok' if ok else 'FAILING'}"
-                        + (f" ({failing})" if failing else "")
-                    )
-                    healthy = ok
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    break
-                wait = args.interval
-                if deadline is not None:
-                    wait = min(wait, max(deadline - now, 0.0))
-                time.sleep(wait)
-        except KeyboardInterrupt:
-            print("\ninterrupted; shutting down")
-        finally:
-            server.stop()
-        if args.profile and args.profile_output:
-            profiler = obs.get_profiler()
-            profiler.stop()
-            with open(args.profile_output, "w") as handle:
-                json.dump(profiler.speedscope(), handle, sort_keys=True)
-            print(
-                f"wrote speedscope profile to {args.profile_output} "
-                f"({profiler.samples_total} samples)"
-            )
-        return 0 if engine.healthy() else 1
-    finally:
-        if previous_sigterm is not None:
-            signal.signal(signal.SIGTERM, previous_sigterm)
-        obs.disable_profiling()
-        obs.disable_verdicts()
-        obs.disable_recording()
-        obs.disable_ledger()
-        obs.disable()
-
-
 #: Scenarios runnable under ``repro watch`` (continuous replay).
 _WATCH_SCENARIOS = ("fig1", "fig2", "fig5")
 
@@ -1169,7 +1027,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     """Replay a scenario and render the continuous-verification table."""
     from repro.obs.continuous import render_watch_table
 
-    obs.enable()
+    # Keep a registry the global --metrics flag installed: main()
+    # prints that one after the command returns.
+    was_enabled = obs.enabled()
+    if not was_enabled:
+        obs.enable()
     obs.enable_verdicts(path=args.verdict_ledger)
     try:
 
@@ -1212,7 +1074,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         return 1 if exposed else 0
     finally:
         obs.disable_verdicts()
-        obs.disable()
+        if not was_enabled:
+            obs.disable()
 
 
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
@@ -1251,9 +1114,8 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 
 def _add_audit_flags(parser: argparse.ArgumentParser) -> None:
     """The audit scenario's knobs, declared once for every subcommand
-    that can run it (`audit`, `stats --scenario audit`, `serve
-    --scenario audit`); :func:`main` rejects `--workers` without
-    `--distributed`."""
+    that can run it (`audit`, `stats --scenario audit`); :func:`main`
+    rejects `--workers` without `--distributed`."""
     parser.add_argument("--routers", type=int, default=8)
     parser.add_argument("--uplinks", type=int, default=2)
     parser.add_argument("--prefixes", type=int, default=6)
@@ -1576,83 +1438,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ring overflow policy (default: drop-oldest)",
     )
     trace.set_defaults(func=_cmd_trace)
-
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="serve /metrics, /healthz, /resources.json over HTTP",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=9464,
-        help="bind port; 0 asks the OS for a free one (default: 9464)",
-    )
-    serve.add_argument(
-        "--scenario",
-        choices=sorted(_STATS_SCENARIOS) + ["fuzz", "none"],
-        default="pipeline",
-        help=(
-            "warmup scenario populating the metrics stream before "
-            "serving; 'fuzz' runs a small testkit campaign, 'none' "
-            "skips warmup (default: pipeline)"
-        ),
-    )
-    serve.add_argument(
-        "--cases",
-        type=int,
-        default=5,
-        help="fuzz cases when --scenario fuzz (default: 5)",
-    )
-    serve.add_argument(
-        "--interval",
-        type=float,
-        default=5.0,
-        help="seconds between health-engine ticks (default: 5)",
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        help="stop after this many seconds; 0 = run until interrupted",
-    )
-    serve.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the deterministic sampling profiler while serving",
-    )
-    serve.add_argument(
-        "--profile-output",
-        default=None,
-        metavar="FILE",
-        help="write the speedscope profile here on shutdown",
-    )
-    serve.add_argument(
-        "--health-rule",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "extra health rule, repeatable — e.g. "
-            "'mem: resource.bytes_total <= 268435456' or "
-            "'p99: inference.build_graph_seconds.p99 <= 0.5'"
-        ),
-    )
-    serve.add_argument(
-        "--verdict-ledger",
-        default=None,
-        metavar="FILE",
-        help=(
-            "enable the verdict ledger, persist it to FILE, and run a "
-            "planted-violation replay during warmup so /verdicts.json "
-            "and the detection/exposure SLIs have data"
-        ),
-    )
-    # So `serve --scenario audit` works.
-    _add_audit_flags(serve)
-    serve.set_defaults(func=_cmd_serve_metrics)
 
     watch = sub.add_parser(
         "watch",

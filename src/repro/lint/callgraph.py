@@ -80,7 +80,6 @@ DEFAULT_RETURN_TYPES: Dict[str, str] = {
     "repro.obs.get_tracer": "repro.obs.tracing.Tracer",
     "repro.obs.get_recorder": "repro.obs.trace.recorder.FlightRecorder",
     "repro.obs.get_ledger": "repro.obs.resources.ResourceLedger",
-    "repro.obs.get_profiler": "repro.obs.profiler.DeterministicProfiler",
     "repro.obs.metrics.MetricsRegistry.counter": "repro.obs.metrics.Counter",
     "repro.obs.metrics.MetricsRegistry.gauge": "repro.obs.metrics.Gauge",
     "repro.obs.metrics.MetricsRegistry.histogram": "repro.obs.metrics.Histogram",
@@ -447,7 +446,7 @@ class ModuleExtractor:
                 fn.local_types[name] = ("call",) + raw
 
     def _record_attr_assignment(self, target: ast.Attribute, value) -> None:
-        # `self.engine = HealthEngine()` inside a method: remember the
+        # `self.engine = InferenceEngine()` inside a method: remember the
         # attribute's constructor so method calls on it resolve.
         if not (
             isinstance(target.value, ast.Name)

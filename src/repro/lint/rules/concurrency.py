@@ -1,10 +1,13 @@
 """CONC — whole-program fork/thread safety rules.
 
 The distributed HBG build (``DistributedHbg.build_all(workers=N)`` in
-:mod:`repro.hbr.distributed`) forks worker processes; the metrics
-endpoint (:mod:`repro.obs.serve`) handles
-requests on pool threads.  Both concurrency boundaries have invisible
-failure modes a per-file pass cannot see:
+:mod:`repro.hbr.distributed`) forks worker processes; code on another
+thread — a ``do_*`` method of an HTTP-handler subclass, a
+``threading.Thread`` target, an executor submission — runs while the
+owner thread keeps mutating observability state (the package starts
+no threads of its own; a scrape handler calling ``render_prometheus``
+would be one).  Both concurrency boundaries have invisible failure
+modes a per-file pass cannot see:
 
 * **CONC001** — code reachable from a *fork worker* must not mutate
   state the parent will read back implicitly: writes to module-level
@@ -18,10 +21,10 @@ failure modes a per-file pass cannot see:
   (:data:`SELF_SYNCHRONIZED`) or on a lock-serialized path.  The
   distinction is two-tier: the process-global
   :class:`~repro.obs.metrics.MetricsRegistry` is mutated by the owner
-  thread *without* the server's render lock, so holding that lock is
-  not enough — the registry itself must synchronize; objects *owned*
-  by the server (health engine, ledger) are only ever touched under
-  the render lock, so a locked path suffices.
+  thread *without* any server lock, so holding such a lock is not
+  enough — the registry itself must synchronize; objects a server
+  *owns* (resource ledger, flight recorder) are safe to touch from a
+  handler only under the server's lock, so a locked path suffices.
 * **CONC003** — a module-level mutable object written by functions
   reachable from two or more different pipeline packages is shared
   mutable state with no owner; once any stage goes concurrent the
@@ -96,12 +99,10 @@ PROCESS_GLOBAL_PREFIXES = ("repro.obs.metrics.MetricsRegistry.",)
 #: render path).
 OWNED_MUTATORS = frozenset(
     {
-        "repro.obs.health.HealthEngine.evaluate",
         "repro.obs.resources.ResourceLedger.refresh",
         "repro.obs.resources.ResourceLedger.register",
         "repro.obs.trace.recorder.FlightRecorder.record",
         "repro.obs.trace.recorder.FlightRecorder.clear",
-        "repro.obs.profiler.DeterministicProfiler.publish",
     }
 )
 

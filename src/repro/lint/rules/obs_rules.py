@@ -120,7 +120,6 @@ SITES: Sequence[Site] = (
         "PROVENANCE_WALK",
     ),
     Site("repro.repair.rollback", "RepairEngine.repair", "recorder", "ROLLBACK"),
-    Site("repro.obs.health", "HealthEngine.evaluate", "recorder", "HEALTH"),
     # -- resource-ledger registrations, by component --------------------
     Site("repro.hbr.graph", "HappensBeforeGraph.__init__", "ledger", "hbr.graph"),
     # Registration moved out of __init__ into the explicit track()

@@ -50,11 +50,6 @@ from repro.obs.metrics import (
     NullRegistry,
     Stopwatch,
 )
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    DeterministicProfiler,
-    NullProfiler,
-)
 from repro.obs.ledger import (
     NULL_VERDICTS,
     NullVerdictLedger,
@@ -92,8 +87,6 @@ __all__ = [
     "VerdictLedger",
     "VerdictRecord",
     "NullVerdictLedger",
-    "DeterministicProfiler",
-    "NullProfiler",
     "enable",
     "disable",
     "enabled",
@@ -101,7 +94,6 @@ __all__ = [
     "get_tracer",
     "get_recorder",
     "get_ledger",
-    "get_profiler",
     "enable_recording",
     "disable_recording",
     "recording",
@@ -112,9 +104,6 @@ __all__ = [
     "enable_verdicts",
     "disable_verdicts",
     "verdicts",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling",
     "span",
     "traced",
     "capturing",
@@ -125,7 +114,6 @@ _registry = NULL_REGISTRY
 _tracer = NULL_TRACER
 _recorder = NULL_RECORDER
 _ledger = NULL_LEDGER
-_profiler = NULL_PROFILER
 _verdicts = NULL_VERDICTS
 
 
@@ -302,51 +290,6 @@ def verdicts(
     finally:
         _verdicts.flush()
         _verdicts = previous
-
-
-def get_profiler():
-    """The process-wide sampling profiler (no-op unless profiling)."""
-    return _profiler
-
-
-def enable_profiling(
-    stride: int = 97, weights: str = "wall", max_stack: int = 64
-) -> DeterministicProfiler:
-    """Install a fresh :class:`DeterministicProfiler` and start it."""
-    global _profiler
-    _profiler.stop()
-    _profiler = DeterministicProfiler(
-        stride=stride, weights=weights, max_stack=max_stack
-    )
-    _profiler.start()
-    return _profiler
-
-
-def disable_profiling() -> None:
-    """Stop the profiler and restore the no-op singleton."""
-    global _profiler
-    _profiler.stop()
-    _profiler = NULL_PROFILER
-
-
-@contextmanager
-def profiling(stride: int = 97, weights: str = "wall", max_stack: int = 64):
-    """``with obs.profiling() as profiler: ...`` — scoped profiling.
-
-    Stops the profiler and restores the previous one on exit, so a
-    profiled block cannot leak the ``sys.setprofile`` hook into
-    timing-sensitive peers.
-    """
-    global _profiler
-    previous = _profiler
-    profiler = enable_profiling(
-        stride=stride, weights=weights, max_stack=max_stack
-    )
-    try:
-        yield profiler
-    finally:
-        profiler.stop()
-        _profiler = previous
 
 
 @contextmanager

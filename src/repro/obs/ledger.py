@@ -15,7 +15,7 @@ stream*, and the metrics registry (aggregates) and flight recorder
   and the per-router watermark ``frontier`` at verdict time (when a
   :class:`~repro.obs.continuous.WatermarkTracker` is attached);
 * :class:`VerdictLedger` — bounded in-memory tail (for
-  ``/verdicts.json`` and ``repro watch``) plus JSONL persistence
+  ``repro watch``) plus JSONL persistence
   with **bounded rotation**: every ``flush_every`` appends the
   unflushed lines are appended to the live file and fsynced, and a
   flush that finds ``rotate_records`` or more in the file first
@@ -32,9 +32,10 @@ Design constraints mirror the flight recorder and resource ledger:
   ``verdicts.enabled`` attribute check when disabled — the
   tripping-ledger test proves the disabled path never reaches
   :meth:`record`.
-* **Thread-safe appends.**  ``repro serve-metrics`` scrapes
-  ``/verdicts.json`` from server threads while the owner's replay
-  loop appends; one lock serialises both.
+* **Thread-safe appends.**  A reader on another thread (a scrape of
+  the registry's read-through gauges, a test's second thread) may
+  read the tail while the owner's replay loop appends; one lock
+  serialises both.
 * **Deterministic content.**  Records carry simulation/arrival
   timestamps, never wall clocks, so two runs of the same scenario
   produce byte-identical ledgers.
@@ -56,8 +57,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.resources import combined_sizeof
-
-SCHEMA = "repro-verdicts/v1"
 
 #: The verdict kinds a record may carry (one per catalogued site).
 KINDS: Tuple[str, ...] = ("snapshot", "incremental", "rollback")
@@ -143,7 +142,7 @@ class VerdictLedger:
         self.rotate_records = rotate_records
         self.flush_every = flush_every
         self._lock = threading.Lock()
-        #: Bounded in-memory tail (drop-oldest) for /verdicts.json.
+        #: Bounded in-memory tail (drop-oldest).
         self._tail: Deque[VerdictRecord] = deque(maxlen=capacity)
         #: Serialised lines not yet appended to the live file.
         self._unflushed: List[str] = []
@@ -158,7 +157,7 @@ class VerdictLedger:
         self._frontier_source: Optional[Callable] = None
         # Self-registration with the resource ledger, mirroring
         # FlightRecorder: the verdict tail is long-lived state the
-        # byte-ceiling health rule must see.
+        # byte totals must see.
         from repro import obs
 
         ledger = obs.get_ledger()
@@ -289,21 +288,6 @@ class VerdictLedger:
         with self._lock:
             return len(self._tail)
 
-    def document(self) -> Dict[str, Any]:
-        """The ``/verdicts.json`` payload."""
-        with self._lock:
-            records = [record.to_dict() for record in self._tail]
-            return {
-                "schema": SCHEMA,
-                "records": records,
-                "appended_total": self.appended_total,
-                "dropped_records": self.dropped_records,
-                "failing_total": self.failing_total,
-                "rotations": self.rotations,
-                "capacity": self.capacity,
-                "path": self.path,
-            }
-
     def account_bytes(self, audit: bool = False) -> int:
         """Resident bytes of the tail + unflushed lines (resource ledger)."""
         from repro import obs
@@ -364,18 +348,6 @@ class NullVerdictLedger:
 
     def __len__(self) -> int:
         return 0
-
-    def document(self) -> Dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "records": [],
-            "appended_total": 0,
-            "dropped_records": 0,
-            "failing_total": 0,
-            "rotations": 0,
-            "capacity": 0,
-            "path": None,
-        }
 
 
 NULL_VERDICTS = NullVerdictLedger()

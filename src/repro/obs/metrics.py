@@ -152,7 +152,7 @@ class Gauge:
 
     A gauge is either *stored* (:meth:`set` / :meth:`inc` /
     :meth:`dec`) or *read-through* (:meth:`read_from`): ``value`` —
-    and so every exporter, ``/metrics`` scrape and health rule — then
+    and so every exporter and Prometheus scrape — then
     returns the source's current value, and the owner of the state
     pays nothing per update.  For a quantity that changes per event
     and is read per scrape, that is the right price.  The last call

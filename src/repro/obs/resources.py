@@ -15,8 +15,7 @@ closure caches, the flight-recorder ring, the fuzz corpus — a way to
   :data:`KNOWN_COMPONENTS`);
 * :meth:`ResourceLedger.refresh` polls every live registration,
   publishes ``resource.bytes{component=}`` gauges (plus per-component
-  high-watermarks and a grand total) into the metrics registry, and
-  feeds the ``/resources.json`` endpoint of ``repro serve-metrics``;
+  high-watermarks and a grand total) into the metrics registry;
 * :meth:`ResourceLedger.audit` re-measures every component with the
   exact (unsampled) ``sys.getsizeof`` walk, cross-checking the fast
   estimates — the acceptance bar is estimates within 20% of audit.
@@ -317,7 +316,7 @@ class ResourceLedger:
 
         ``registry`` defaults to the process-wide metrics registry;
         when metrics are disabled the refresh still updates the
-        ledger's own state (peaks, ``/resources.json``).
+        ledger's own state (last bytes and peaks).
         """
         totals = self._measure(audit=False)
         self.refreshes_total += 1
@@ -362,25 +361,6 @@ class ResourceLedger:
 
     def peak_total_bytes(self) -> int:
         return self._peak_total
-
-    def document(self) -> Dict[str, Any]:
-        """The ``/resources.json`` payload (last refresh, no re-walk)."""
-        components = {
-            component: {
-                "bytes": self._bytes.get(component, 0),
-                "peak_bytes": self._peaks.get(component, 0),
-            }
-            for component in sorted(set(self._bytes) | set(self._peaks))
-        }
-        return {
-            "schema": "repro-resources/v1",
-            "components": components,
-            "total_bytes": self.total_bytes(),
-            "peak_total_bytes": self._peak_total,
-            "registrations": len(self),
-            "refreshes_total": self.refreshes_total,
-            "sample": self.sample,
-        }
 
     def clear(self) -> None:
         self._registrations.clear()
@@ -440,17 +420,6 @@ class NullLedger:
 
     def peak_total_bytes(self) -> int:
         return 0
-
-    def document(self) -> Dict[str, Any]:
-        return {
-            "schema": "repro-resources/v1",
-            "components": {},
-            "total_bytes": 0,
-            "peak_total_bytes": 0,
-            "registrations": 0,
-            "refreshes_total": 0,
-            "sample": self.sample,
-        }
 
     def clear(self) -> None:
         pass

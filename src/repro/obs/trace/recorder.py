@@ -57,9 +57,6 @@ class TraceKind(enum.Enum):
     PROVENANCE_WALK = "provenance_walk"
     #: One repair-engine rollback episode (reverts applied/failed).
     ROLLBACK = "rollback"
-    #: One health-engine evaluation tick (per-rule verdicts in attrs);
-    #: failing rules additionally record one HEALTH event each.
-    HEALTH = "health"
 
 
 #: Overflow policies accepted by :class:`FlightRecorder`.

@@ -60,7 +60,7 @@ class TestExecution:
         assert "policy violated after the episode: False" in out
 
     def test_stats_audit_scenario(self, capsys):
-        # `stats`/`serve` take the same audit flags as `audit` itself
+        # `stats` takes the same audit flags as `audit` itself
         # (they used to hand-copy a subset and crash on the rest).
         rc = main(["stats", "--scenario", "audit", "--routers", "4"])
         assert rc == 0

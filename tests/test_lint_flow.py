@@ -618,16 +618,48 @@ def test_self_check_repo_is_deep_clean(capsys):
     assert rc == 0, f"repo has deep lint findings:\n{out}"
 
 
-def test_analyzer_detects_unsynchronized_registry(monkeypatch):
-    """Re-create the defect this analyzer originally found: with the
-    registry's internally-synchronized contract revoked, the metrics
-    endpoint's handler-thread reads race the owner thread's metric
-    creation, and CONC002 must say so."""
+#: A minimal Prometheus scrape handler: ``do_GET`` runs on a server
+#: thread and renders the process-global registry the owner thread
+#: keeps adding metrics to.  The registry goes through a typed local:
+#: the call graph carries a named argument's type into the callee, not
+#: the type of an inline ``obs.get_registry()`` call.
+SCRAPE_HANDLER = """\
+from http.server import BaseHTTPRequestHandler
+
+from repro import obs
+from repro.obs.export import render_prometheus
+
+
+class ScrapeHandler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        registry = obs.get_registry()
+        body = render_prometheus(registry).encode("utf-8")
+        self.send_response(200)
+        self.end_headers()
+        self.wfile.write(body)
+"""
+
+
+def test_analyzer_detects_unsynchronized_registry(tmp_path, monkeypatch):
+    """Re-create the defect this analyzer originally found: a scrape
+    handler's reads of the registry race the owner thread's metric
+    creation.  With the registry's internally-synchronized contract
+    intact the handler is clean; with it revoked, CONC002 must name
+    MetricsRegistry."""
+    src = tmp_path / "repro"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "obs" / "scrape.py").write_text(SCRAPE_HANDLER)
+    clean = LintRunner(deep=True).run_paths([str(src)])
+    assert [f for f in clean.findings if f.rule == "CONC002"] == []
     monkeypatch.setattr(concurrency, "SELF_SYNCHRONIZED", frozenset())
-    result = LintRunner(deep=True).run_paths([SRC])
+    result = LintRunner(deep=True).run_paths([str(src)])
     conc002 = [f for f in result.findings if f.rule == "CONC002"]
     assert conc002, "emptying SELF_SYNCHRONIZED must resurface the race"
     assert any("MetricsRegistry" in f.message for f in conc002)
+    assert any(
+        any("ScrapeHandler.do_GET" in hop for hop in f.evidence)
+        for f in conc002
+    ), [f.evidence for f in conc002]
 
 
 def test_conc001_sees_into_the_distributed_build_workers(tmp_path):

@@ -159,20 +159,6 @@ class TestResourceLedger:
         assert gauges[("resource.bytes_total", None)] == expected
         assert gauges[("resource.bytes_peak_total", None)] == expected
 
-    def test_document_matches_schema(self):
-        ledger = ResourceLedger()
-        owner = _Accountable()
-        ledger.register("test.component", owner)
-        ledger.refresh(registry=obs.get_registry())
-        document = ledger.document()
-        assert document["schema"] == "repro-resources/v1"
-        assert document["registrations"] == 1
-        assert document["refreshes_total"] == 1
-        assert (
-            document["components"]["test.component"]["bytes"]
-            == document["total_bytes"]
-        )
-
     def test_unregister_and_clear(self):
         ledger = ResourceLedger()
         owner = _Accountable()
@@ -181,8 +167,9 @@ class TestResourceLedger:
         assert len(ledger) == 0
         ledger.register("test.component", owner)
         ledger.refresh(registry=obs.get_registry())
+        assert ledger.total_bytes() > 0
         ledger.clear()
-        assert ledger.document()["total_bytes"] == 0
+        assert ledger.total_bytes() == 0
         assert ledger.refreshes_total == 0
 
     def test_account_bytes_is_deterministic(self):
@@ -353,5 +340,5 @@ class TestLedgerSiteContracts:
         null = NullLedger()
         assert null.enabled is False
         assert null.refresh() == {} and null.audit() == {}
-        assert null.document()["components"] == {}
+        assert null.bytes_by_component() == {} and null.total_bytes() == 0
         assert len(null) == 0

@@ -227,12 +227,11 @@ def _run_pipeline_scenario_inline():
 
     Inline (rather than via the CLI helper) so this file controls the
     recorder's scope; it must exercise verify verdicts (one per
-    guarded write), provenance walks, a rollback, one health tick and
-    — through the offline §6 path, the one that still builds
-    snapshots — a snapshot build.
+    guarded write), provenance walks, a rollback and — through the
+    offline §6 path, the one that still builds snapshots — a snapshot
+    build.
     """
     from repro.core.pipeline import IntegratedControlPlane, PipelineMode
-    from repro.obs.health import HealthEngine
     from repro.scenarios.fig2 import bad_lp_change
     from repro.scenarios.paper_net import P, paper_policy
     from repro.verify.policy import LoopFreedomPolicy
@@ -246,9 +245,6 @@ def _run_pipeline_scenario_inline():
     net.apply_config_change(bad_lp_change())
     net.run(120)
     pipeline.detect_and_repair()
-    # One health-engine tick, the way the serve-metrics loop would:
-    # it records the TraceKind.HEALTH events this scenario asserts on.
-    HealthEngine().evaluate()
     return net, pipeline
 
 

@@ -21,7 +21,6 @@ from repro.obs.continuous import (
 )
 from repro.obs.ledger import (
     KINDS,
-    SCHEMA,
     NullVerdictLedger,
     VerdictLedger,
     load,
@@ -206,15 +205,6 @@ class TestVerdictLedger:
         ledger.flush()
         assert [row["seq"] for row in load(str(path))] == [1, 2, 3, 4, 5]
 
-    def test_document_shape(self):
-        ledger = VerdictLedger()
-        ledger.record(kind="snapshot", at=1.0, ok=True)
-        document = ledger.document()
-        assert document["schema"] == SCHEMA
-        assert document["appended_total"] == 1
-        assert document["failing_total"] == 0
-        assert document["records"][0]["kind"] == "snapshot"
-
     def test_frontier_stamped_from_attached_tracker(self):
         tracker = WatermarkTracker()
         tracker.observe(_Event("FIB_UPDATE", "R1", 5.0, P1))
@@ -256,8 +246,8 @@ class TestVerdictLedger:
         assert null.enabled is False
         assert null.record(kind="nonsense", at=0.0, ok=True) is None
         assert null.records() == []
+        assert null.last() is None
         assert len(null) == 0
-        assert null.document()["records"] == []
 
 
 class TestVerdictSingleton:
@@ -823,6 +813,26 @@ class TestPlantedViolationReplay:
             # judged against.
             assert all(r.frontier for r in records)
 
+            # The Prometheus exposition of the same run is well formed
+            # and carries the SLIs, per-router lag and the HBG size.
+            text = obs.export.render_prometheus(registry)
+            assert obs.export.validate_exposition(text) == []
+            samples = obs.export.parse_exposition(text)["samples"]
+            names = {name for name, _labels, _value in samples}
+            assert "repro_verify_detection_latency_seconds_count" in names
+            assert "repro_verify_exposure_seconds_bucket" in names
+            assert any(
+                name == "repro_stream_watermark_lag_seconds"
+                and "router" in labels
+                for name, labels, _value in samples
+            )
+            edges = [
+                value
+                for name, _labels, value in samples
+                if name == "repro_inference_hbg_edges"
+            ]
+            assert edges and edges[0] > 0
+
             # And the JSONL on disk is the same story.
             rows = [
                 json.loads(line)
@@ -896,6 +906,18 @@ class TestWatchCommand:
             json.loads(line) for line in open(path).read().splitlines()
         ]
         assert any(r["kind"] == "rollback" for r in rows)
+
+    def test_global_metrics_flag_reports_the_watch_registry(self, capsys):
+        """``repro --metrics watch`` prints the registry the replay
+        filled, not an empty one the command swapped in and dropped."""
+        from repro.cli import main as cli_main
+
+        code = cli_main(["--metrics", "watch"])
+        out = capsys.readouterr().out
+        assert code == 0
+        report = out.split("===== metrics =====", 1)[1]
+        assert "(no metrics recorded)" not in report
+        assert "verify.detection_latency_seconds" in report
 
     def test_no_repair_leaves_exposures_open(self, tmp_path, capsys):
         from repro.cli import main as cli_main
