@@ -55,15 +55,6 @@ class Collector:
         self._by_prefix[event.prefix].append(event)
         for subscriber in self._subscribers:
             subscriber(event)
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(
-                obs.TraceKind.IO_CAPTURED,
-                at=event.timestamp,
-                router=event.router,
-                event_id=event.event_id,
-                detail=event.describe(),
-            )
         if registry.enabled:
             events, by_kind, seconds, routers_seen = self._instruments.on(
                 registry

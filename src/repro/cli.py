@@ -778,93 +778,75 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _TRACE_SCENARIOS = ("fig1", "fig2", "fig5", "pipeline")
 
 
-def _run_trace_scenario(
-    scenario: str,
-    seed: int = 0,
-    capacity: int = 4096,
-    overflow: str = "drop-oldest",
-):
-    """Run one scenario with the flight recorder on; returns
-    ``(graph, recorder)`` — the HBG plus the recorded event ring.
+def _run_trace_scenario(scenario: str, seed: int = 0):
+    """Run one scenario and return its HBG.
 
     Shared by ``repro trace`` and the test suite so both exercise the
     exact same capture path.
     """
     from repro.hbr.inference import InferenceEngine
 
-    with obs.recording(capacity=capacity, overflow=overflow) as recorder:
-        if scenario == "pipeline":
-            from repro.core.pipeline import (
-                IntegratedControlPlane,
-                PipelineMode,
-            )
-            from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
-            from repro.scenarios.paper_net import P, paper_policy
-            from repro.verify.policy import LoopFreedomPolicy
+    if scenario == "pipeline":
+        from repro.core.pipeline import IntegratedControlPlane, PipelineMode
+        from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
+        from repro.scenarios.paper_net import P, paper_policy
+        from repro.verify.policy import LoopFreedomPolicy
 
-            net = Fig2Scenario(seed=seed).run_baseline()
-            pipeline = IntegratedControlPlane(
-                net,
-                [paper_policy(), LoopFreedomPolicy(prefixes=[P])],
-                mode=PipelineMode.REPAIR,
-            ).arm()
-            net.apply_config_change(bad_lp_change())
-            net.run(120)
-            graph = pipeline.hbg
-        elif scenario == "fig1":
-            from repro.scenarios.fig1 import Fig1Scenario
+        net = Fig2Scenario(seed=seed).run_baseline()
+        pipeline = IntegratedControlPlane(
+            net,
+            [paper_policy(), LoopFreedomPolicy(prefixes=[P])],
+            mode=PipelineMode.REPAIR,
+        ).arm()
+        net.apply_config_change(bad_lp_change())
+        net.run(120)
+        return pipeline.hbg
+    if scenario == "fig1":
+        from repro.scenarios.fig1 import Fig1Scenario
 
-            net = Fig1Scenario(seed=seed).run_fig1b()
-            graph = InferenceEngine().build_graph(net.collector.all_events())
-        elif scenario == "fig2":
-            from repro.scenarios.fig2 import Fig2Scenario
+        net = Fig1Scenario(seed=seed).run_fig1b()
+    elif scenario == "fig2":
+        from repro.scenarios.fig2 import Fig2Scenario
 
-            net = Fig2Scenario(seed=seed).run_fig2a()
-            graph = InferenceEngine().build_graph(net.collector.all_events())
-        elif scenario == "fig5":
-            from repro.scenarios.fig5 import Fig5Scenario
+        net = Fig2Scenario(seed=seed).run_fig2a()
+    elif scenario == "fig5":
+        from repro.scenarios.fig5 import Fig5Scenario
 
-            net = Fig5Scenario(seed=seed).run_localpref_change()
-            graph = InferenceEngine().build_graph(net.collector.all_events())
-        else:
-            raise ValueError(f"unknown trace scenario {scenario!r}")
-    return graph, recorder
+        net = Fig5Scenario(seed=seed).run_localpref_change()
+    else:
+        raise ValueError(f"unknown trace scenario {scenario!r}")
+    return InferenceEngine().build_graph(net.collector.all_events())
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Record one scenario and export its causal trace."""
+    """Run one scenario and export its HBG as a causal trace."""
     import json
 
     from repro.obs.trace import attribution as attribution_mod
     from repro.obs.trace import export as trace_export
 
     try:
-        graph, recorder = _run_trace_scenario(
-            args.scenario,
-            seed=args.seed,
-            capacity=args.ring_size,
-            overflow=args.overflow,
-        )
+        graph = _run_trace_scenario(args.scenario, seed=args.seed)
     except ValueError as exc:
         print(f"repro trace: {exc}", file=sys.stderr)
         return 2
 
     if args.format == "chrome":
         document = trace_export.chrome_trace(
-            graph, recorder, min_confidence=args.min_confidence
+            graph, min_confidence=args.min_confidence
         )
         problems = trace_export.validate_chrome_trace(document)
         rendered = json.dumps(document, indent=2, sort_keys=True)
     elif args.format == "otlp":
         document = trace_export.otlp_spans(
-            graph, recorder, min_confidence=args.min_confidence
+            graph, min_confidence=args.min_confidence
         )
         problems = trace_export.validate_otlp_spans(document)
         rendered = json.dumps(document, indent=2, sort_keys=True)
     else:
         problems = []
         rendered = trace_export.text_timeline(
-            graph, recorder, min_confidence=args.min_confidence
+            graph, min_confidence=args.min_confidence
         ).rstrip("\n")
 
     if problems:
@@ -876,8 +858,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         atomic_write_text(args.output, rendered + "\n")
         print(
             f"wrote {args.format} trace for scenario {args.scenario!r} "
-            f"to {args.output} ({len(graph.events())} HBG events, "
-            f"{len(recorder)} recorded, {recorder.dropped} dropped)"
+            f"to {args.output} ({len(graph.events())} HBG events)"
         )
     else:
         print(rendered)
@@ -1393,14 +1374,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="record a scenario and export its causal trace "
+        help="run a scenario and export its HBG as a causal trace "
         "(Perfetto/OTLP/text)",
     )
     trace.add_argument(
         "--scenario",
         choices=_TRACE_SCENARIOS,
         default="pipeline",
-        help="which scenario to record (default: pipeline)",
+        help="which scenario to run (default: pipeline)",
     )
     trace.add_argument(
         "--format",
@@ -1424,18 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--output", default=None, help="write the export to this file"
-    )
-    trace.add_argument(
-        "--ring-size",
-        type=int,
-        default=4096,
-        help="flight-recorder ring capacity in events (default: 4096)",
-    )
-    trace.add_argument(
-        "--overflow",
-        choices=("drop-oldest", "drop-newest"),
-        default="drop-oldest",
-        help="ring overflow policy (default: drop-oldest)",
     )
     trace.set_defaults(func=_cmd_trace)
 

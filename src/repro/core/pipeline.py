@@ -156,16 +156,6 @@ class IntegratedControlPlane:
             else SnapshotEntry.from_fib_entry(router, new, self.network.sim.now)
         )
         introduced = self.incremental.what_if(router, prefix, pending)
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(
-                obs.TraceKind.VERIFY_VERDICT,
-                at=self.network.sim.now,
-                router=router,
-                detail="ok" if not introduced else "violations",
-                violations=len(introduced),
-                policies=len(self.incremental.policies),
-            )
         if not introduced:
             if registry.enabled:
                 registry.counter("verify.fib_writes_verified").inc()

@@ -636,21 +636,8 @@ class DistributedHbg:
             central_bytes=self._central_bytes,
         )
         # Workers are throwaway forks (and may not touch the obs
-        # singletons, CONC001): what `_edges_into` emits per edge on
-        # the central path is replayed here in the parent.
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            for cons_ts, cons_id, cause_id, technique, rule, conf in records:
-                recorder.record(
-                    obs.TraceKind.HBR_EDGE,
-                    at=cons_ts,
-                    router=self._owner[cons_id],
-                    event_id=cons_id,
-                    cause=cause_id,
-                    rule=rule,
-                    technique=technique,
-                    confidence=conf,
-                )
+        # singletons, CONC001): what `_edges_into` counts per edge on
+        # the central path is counted here in the parent.
         if registry.enabled:
             registry.counter("distributed.builds_total").inc()
             registry.gauge("distributed.router_count").set(len(names))

@@ -194,7 +194,6 @@ class InferenceEngine:
     def build_graph(self, events: Iterable[IOEvent]) -> HappensBeforeGraph:
         """Infer the full HBG for a finished capture."""
         registry = obs.get_registry()
-        recorder = obs.get_recorder()
         if registry.enabled:
             watch = registry.stopwatch()
         ordered = sorted(events, key=lambda e: (e.timestamp, e.event_id))
@@ -210,9 +209,7 @@ class InferenceEngine:
             index.track(), self.config.clock_skew_tolerance
         )
         for cons in ordered:
-            for ante, evidence in self._edges_into(
-                cons, source, registry, recorder
-            ):
+            for ante, evidence in self._edges_into(cons, source, registry):
                 graph.add_edge(ante.event_id, cons.event_id, evidence)
         if registry.enabled:
             registry.counter("inference.batch_builds_total").inc()
@@ -225,46 +222,31 @@ class InferenceEngine:
         return graph
 
     def _edges_into(
-        self, cons: IOEvent, source, registry, recorder
+        self, cons: IOEvent, source, registry
     ) -> List[Tuple[IOEvent, EdgeEvidence]]:
-        """``_infer_edges`` plus what the obs layer hears about it.
+        """``_infer_edges`` plus what the metrics registry hears about it.
 
-        The caller resolves ``registry`` / ``recorder`` once (per
-        observe, per batch build) and hands them down; with both off
-        this is a straight call into the inference.
+        The caller resolves ``registry`` once (per observe, per batch
+        build) and hands it down; with it off this is a straight call
+        into the inference.
         """
-        if not (registry.enabled or recorder.enabled):
+        if not registry.enabled:
             return self._infer_edges(cons, source)
-        if registry.enabled:
-            # Batch/streaming path: per-rule wall time goes straight
-            # into the registry histograms.  The sink indirection keeps
-            # _infer_edges free of process-global mutation so the
-            # forked workers of DistributedHbg.build_all can reuse it
-            # with an aggregating sink instead — a CONC001 requirement.
-            by_technique, timing_sink, lazy = self._instruments.on(registry)
-            edges = self._infer_edges(cons, source, timing_sink)
-            if edges:
-                if not lazy:
-                    lazy["inferred"] = registry.counter(
-                        "inference.hbg_edges_inferred"
-                    )
-                lazy["inferred"].inc(len(edges))
-                for _ante, evidence in edges:
-                    by_technique[evidence.technique].inc()
-        else:
-            edges = self._infer_edges(cons, source)
-        if edges and recorder.enabled:
-            for ante, evidence in edges:
-                recorder.record(
-                    obs.TraceKind.HBR_EDGE,
-                    at=cons.timestamp,
-                    router=cons.router,
-                    event_id=cons.event_id,
-                    cause=ante.event_id,
-                    rule=evidence.rule,
-                    technique=evidence.technique,
-                    confidence=evidence.confidence,
+        # Batch/streaming path: per-rule wall time goes straight into
+        # the registry histograms.  The sink indirection keeps
+        # _infer_edges free of process-global mutation so the forked
+        # workers of DistributedHbg.build_all can reuse it with an
+        # aggregating sink instead — a CONC001 requirement.
+        by_technique, timing_sink, lazy = self._instruments.on(registry)
+        edges = self._infer_edges(cons, source, timing_sink)
+        if edges:
+            if not lazy:
+                lazy["inferred"] = registry.counter(
+                    "inference.hbg_edges_inferred"
                 )
+            lazy["inferred"].inc(len(edges))
+            for _ante, evidence in edges:
+                by_technique[evidence.technique].inc()
         return edges
 
     def _infer_edges(
@@ -277,7 +259,7 @@ class InferenceEngine:
         once after each, so a sample runs from the previous read (the
         call's start, for the first) and includes the dispatch that
         led to its rule.  This function must stay free of registry
-        / recorder mutation: it runs inside the forked workers of
+        mutation: it runs inside the forked workers of
         ``DistributedHbg.build_all``, where any process-global emission
         would silently die with the worker (lint rule CONC001 checks
         exactly this).
@@ -387,14 +369,13 @@ class StreamingInference:
 
     def observe(self, event: IOEvent) -> None:
         registry = obs.get_registry()
-        recorder = obs.get_recorder()
         if registry.enabled:
             observed, seconds = self._instruments.on(registry)
             watch = registry.stopwatch()
         self._index.add(event)
         self.graph.add_event(event)
-        self._link(event, registry, recorder)
-        relinked = self._relink_forward(event, registry, recorder)
+        self._link(event, registry)
+        relinked = self._relink_forward(event, registry)
         if registry.enabled:
             observed.inc()
             seconds.observe(watch.elapsed())
@@ -413,7 +394,7 @@ class StreamingInference:
         )
 
     def _relink_forward(
-        self, event: IOEvent, registry, recorder
+        self, event: IOEvent, registry
     ) -> Tuple[IOEvent, ...]:
         """Re-link the already-observed events ``event`` may cause.
 
@@ -468,16 +449,16 @@ class StreamingInference:
             if _admissible(confirmed[key], (event,))
         )
         for cons in relinked:
-            self._link(cons, registry, recorder)
+            self._link(cons, registry)
         return relinked
 
-    def _link(self, cons: IOEvent, registry, recorder) -> None:
+    def _link(self, cons: IOEvent, registry) -> None:
         # Replace, don't accumulate: a re-link may change which
         # candidate a pick-latest rule chooses, and the superseded
         # edge must go (clear is a no-op for a fresh event).
         self.graph.clear_in_edges(cons.event_id)
         for ante, evidence in self.engine._edges_into(
-            cons, self._source, registry, recorder
+            cons, self._source, registry
         ):
             self.graph.add_edge(ante.event_id, cons.event_id, evidence)
 

@@ -78,7 +78,6 @@ DEFAULT_RETURN_TYPES: Dict[str, str] = {
     "repro.obs.get_registry": "repro.obs.metrics.MetricsRegistry",
     "repro.obs.enable": "repro.obs.metrics.MetricsRegistry",
     "repro.obs.get_tracer": "repro.obs.tracing.Tracer",
-    "repro.obs.get_recorder": "repro.obs.trace.recorder.FlightRecorder",
     "repro.obs.get_ledger": "repro.obs.resources.ResourceLedger",
     "repro.obs.metrics.MetricsRegistry.counter": "repro.obs.metrics.Counter",
     "repro.obs.metrics.MetricsRegistry.gauge": "repro.obs.metrics.Gauge",

@@ -11,7 +11,7 @@ modes a per-file pass cannot see:
 
 * **CONC001** — code reachable from a *fork worker* must not mutate
   state the parent will read back implicitly: writes to module-level
-  globals vanish at join, metrics/recorder emissions land in the
+  globals vanish at join, metrics/ledger emissions land in the
   forked copy of the registry and are silently lost, and a lock
   acquired in a worker may have been captured mid-held from the
   parent.  Workers communicate through their return value, nothing
@@ -23,7 +23,7 @@ modes a per-file pass cannot see:
   :class:`~repro.obs.metrics.MetricsRegistry` is mutated by the owner
   thread *without* any server lock, so holding such a lock is not
   enough — the registry itself must synchronize; objects a server
-  *owns* (resource ledger, flight recorder) are safe to touch from a
+  *owns* (the resource ledger) are safe to touch from a
   handler only under the server's lock, so a locked path suffices.
 * **CONC003** — a module-level mutable object written by functions
   reachable from two or more different pipeline packages is shared
@@ -62,7 +62,6 @@ OBS_MUTATORS = frozenset(
         "repro.obs.metrics.Histogram.observe",
         "repro.obs.metrics.Bound.on",
         "repro.obs.metrics.Bound.read_through",
-        "repro.obs.trace.recorder.FlightRecorder.record",
         "repro.obs.resources.ResourceLedger.register",
         "repro.obs.resources.ResourceLedger.refresh",
     }
@@ -101,8 +100,6 @@ OWNED_MUTATORS = frozenset(
     {
         "repro.obs.resources.ResourceLedger.refresh",
         "repro.obs.resources.ResourceLedger.register",
-        "repro.obs.trace.recorder.FlightRecorder.record",
-        "repro.obs.trace.recorder.FlightRecorder.clear",
     }
 )
 
@@ -166,7 +163,7 @@ class ForkSafetyRule(Rule):
     description = (
         "fork-worker-reachable code mutates state that does not survive "
         "the join: module globals, the process-global obs registry / "
-        "recorder / ledger, or holds locks captured across the fork"
+        "ledger, or holds locks captured across the fork"
     )
     needs_project = True
 

@@ -5,13 +5,12 @@ PR 1 instrumented every pipeline stage with :mod:`repro.obs`; the
 metric sections at runtime.  OBS001 closes the static half of that
 loop: every function in the ``SITES`` catalogue below must keep
 referencing the *witness* of what it emits — a span or metric, a
-flight-recorder event (``repro.obs.trace``), a resource-ledger
-registration, a verdict-ledger record — so a refactor cannot drop
-instrumentation without either updating the catalogue or failing the
-lint pass.  ``tests/test_trace.py``, ``tests/test_resources.py`` and
+resource-ledger registration, a verdict-ledger record — so a refactor
+cannot drop instrumentation without either updating the catalogue or
+failing the lint pass.  ``tests/test_resources.py`` and
 ``tests/test_verdicts.py`` additionally assert that what the
-catalogue says is emitted and the :class:`TraceKind` enum /
-``KNOWN_COMPONENTS`` / ledger ``KINDS`` cannot drift apart.
+catalogue says is emitted and ``KNOWN_COMPONENTS`` / ledger ``KINDS``
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ class Site(NamedTuple):
     qualname: str
     #: Key into ``_WITNESSES``: which bound name proves it.
     witness: str
-    #: What it must emit: a TraceKind member name, a resource-ledger
-    #: component, a verdict kind ("" for plain spans/metrics).
+    #: What it must emit: a resource-ledger component, a verdict kind
+    #: ("" for plain spans/metrics).
     emits: str = ""
 
 
@@ -46,23 +45,16 @@ class _Witness(NamedTuple):
 #: The canonical idiom binds ``registry = obs.get_registry()`` (or uses
 #: ``obs.span`` / ``@obs.traced`` / ``obs.Stopwatch``), so a reference
 #: to ``obs`` — or to an already-bound registry/tracer — witnesses a
-#: metric.  The other three are stricter: every site follows
-#: ``recorder = obs.get_recorder()`` (``ledger = obs.get_ledger()``,
-#: ``verdicts = obs.get_verdicts()``) + one ``.enabled`` guard, so the
-#: bound object itself is the witness and a metrics-only ``obs``
-#: reference must NOT satisfy it.
+#: metric.  The other two are stricter: every site follows
+#: ``ledger = obs.get_ledger()`` (``verdicts = obs.get_verdicts()``) +
+#: one ``.enabled`` guard, so the bound object itself is the witness
+#: and a metrics-only ``obs`` reference must NOT satisfy it.
 _WITNESSES: Dict[str, _Witness] = {
     "obs": _Witness(
         frozenset({"obs", "registry", "tracer"}),
         "stage entry point",
         "has no repro.obs instrumentation (span, counter, histogram or "
         "stopwatch)",
-    ),
-    "recorder": _Witness(
-        frozenset({"recorder"}),
-        "trace site",
-        "does not reference the flight recorder (must record "
-        "TraceKind.{emits}; bind it via obs.get_recorder())",
     ),
     "ledger": _Witness(
         frozenset({"ledger"}),
@@ -79,11 +71,9 @@ _WITNESSES: Dict[str, _Witness] = {
 }
 
 #: The one catalogue.  Keep in sync with docs/OBSERVABILITY.md.  The
-#: drift tests filter it by witness: every TraceKind member, every
-#: component in :data:`repro.obs.resources.KNOWN_COMPONENTS` and every
-#: kind in :data:`repro.obs.ledger.KINDS` has at least one site (a kind
-#: may have two: the batch verifier and the Fig. 3 guard both record
-#: VERIFY_VERDICT).
+#: drift tests filter it by witness: every component in
+#: :data:`repro.obs.resources.KNOWN_COMPONENTS` and every kind in
+#: :data:`repro.obs.ledger.KINDS` has at least one site.
 SITES: Sequence[Site] = (
     # -- pipeline-stage entry points: a span or metric ------------------
     Site("repro.net.simulator", "Simulator.run", "obs"),
@@ -99,27 +89,6 @@ SITES: Sequence[Site] = (
     Site("repro.repair.provenance", "ProvenanceTracer.trace", "obs"),
     Site("repro.core.pipeline", "IntegratedControlPlane._guard", "obs"),
     Site("repro.testkit.runner", "FuzzRunner.run", "obs"),
-    # -- flight-recorder events, by TraceKind member --------------------
-    Site("repro.net.simulator", "Simulator.run", "recorder", "SIM_EVENT"),
-    Site("repro.capture.collector", "Collector.ingest", "recorder", "IO_CAPTURED"),
-    Site("repro.hbr.inference", "InferenceEngine._edges_into", "recorder", "HBR_EDGE"),
-    Site(
-        "repro.snapshot.base", "DataPlaneSnapshot.from_fib_events",
-        "recorder", "SNAPSHOT_BUILD",
-    ),
-    Site(
-        "repro.verify.verifier", "DataPlaneVerifier.verify", "recorder",
-        "VERIFY_VERDICT",
-    ),
-    Site(
-        "repro.core.pipeline", "IntegratedControlPlane._guard", "recorder",
-        "VERIFY_VERDICT",
-    ),
-    Site(
-        "repro.repair.provenance", "ProvenanceTracer.trace", "recorder",
-        "PROVENANCE_WALK",
-    ),
-    Site("repro.repair.rollback", "RepairEngine.repair", "recorder", "ROLLBACK"),
     # -- resource-ledger registrations, by component --------------------
     Site("repro.hbr.graph", "HappensBeforeGraph.__init__", "ledger", "hbr.graph"),
     # Registration moved out of __init__ into the explicit track()
@@ -129,10 +98,6 @@ SITES: Sequence[Site] = (
     Site(
         "repro.snapshot.consistent", "ConsistentSnapshotter.__init__",
         "ledger", "snapshot.closure_cache",
-    ),
-    Site(
-        "repro.obs.trace.recorder", "FlightRecorder.__init__", "ledger",
-        "obs.recorder",
     ),
     Site("repro.obs.ledger", "VerdictLedger.__init__", "ledger", "obs.verdicts"),
     Site("repro.testkit.runner", "FuzzRunner.run", "ledger", "testkit.corpus"),

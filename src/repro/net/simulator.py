@@ -61,9 +61,6 @@ class Simulator:
         self._running = False
         self.rng = random.Random(seed)
         self.events_processed = 0
-        #: Optional hook invoked with every event just before it fires;
-        #: used by the capture layer and by tests to trace execution.
-        self.trace_hook: Optional[Callable[[Event], None]] = None
 
     @property
     def now(self) -> float:
@@ -130,7 +127,6 @@ class Simulator:
         self._running = True
         processed = 0
         registry = obs.get_registry()
-        recorder = obs.get_recorder()
         if registry.enabled:
             watch = registry.stopwatch()
         try:
@@ -147,15 +143,6 @@ class Simulator:
                 if event.cancelled:
                     continue
                 self._now = event.time
-                if self.trace_hook is not None:
-                    self.trace_hook(event)
-                if recorder.enabled:
-                    recorder.record(
-                        obs.TraceKind.SIM_EVENT,
-                        at=event.time,
-                        detail=event.label,
-                        priority=event.priority,
-                    )
                 event.action()
                 processed += 1
                 self.events_processed += 1

@@ -11,15 +11,17 @@ measurement layer that produces those numbers from any scenario run:
   context-manager/decorator API and exception safety;
 * :mod:`repro.obs.export` — table / JSON / JSON-lines / Prometheus
   renderers over one canonical document;
-* :mod:`repro.obs.trace` — the causal flight recorder (a bounded ring
-  of structured pipeline events keyed by HBG event ids) plus the
-  Chrome/Perfetto, OTLP, and text exporters and the latency
-  attribution pass built on it.
+* :mod:`repro.obs.trace` — the Chrome/Perfetto, OTLP, and text
+  exporters that render the happens-before graph as a causal trace,
+  and the latency attribution pass over its paths;
+* :mod:`repro.obs.ledger` — the verdict ledger, the record of every
+  verify and rollback verdict;
+* :mod:`repro.obs.resources` — the byte-accounting ledger.
 
 Observability is **off by default**: the module-level registry,
-tracer, and flight recorder are no-op singletons, so instrumented hot
-paths cost a single attribute check (``registry.enabled`` /
-``recorder.enabled``) per site.  Enable it per
+tracer, resource ledger, and verdict ledger are no-op singletons, so
+instrumented hot paths cost a single attribute check
+(``registry.enabled`` / ``verdicts.enabled``) per site.  Enable it per
 process with :func:`enable` (the CLI's ``--metrics`` flag and the
 ``repro stats`` subcommand do exactly this)::
 
@@ -57,28 +59,17 @@ from repro.obs.ledger import (
     VerdictRecord,
 )
 from repro.obs.resources import NULL_LEDGER, NullLedger, ResourceLedger
-from repro.obs.trace.recorder import (
-    NULL_RECORDER,
-    FlightRecorder,
-    NullRecorder,
-    TraceEvent,
-    TraceKind,
-)
 from repro.obs.tracing import NULL_TRACER, NullTracer, SpanRecord, Tracer
 
 __all__ = [
     "Bound",
     "Counter",
     "Family",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRecorder",
     "NullRegistry",
     "Stopwatch",
-    "TraceEvent",
-    "TraceKind",
     "Tracer",
     "NullTracer",
     "SpanRecord",
@@ -92,11 +83,7 @@ __all__ = [
     "enabled",
     "get_registry",
     "get_tracer",
-    "get_recorder",
     "get_ledger",
-    "enable_recording",
-    "disable_recording",
-    "recording",
     "enable_ledger",
     "disable_ledger",
     "accounting",
@@ -112,7 +99,6 @@ __all__ = [
 
 _registry = NULL_REGISTRY
 _tracer = NULL_TRACER
-_recorder = NULL_RECORDER
 _ledger = NULL_LEDGER
 _verdicts = NULL_VERDICTS
 
@@ -152,46 +138,6 @@ def disable() -> None:
     _tracer = NULL_TRACER
 
 
-def get_recorder():
-    """The process-wide flight recorder (no-op unless recording)."""
-    return _recorder
-
-
-def enable_recording(
-    capacity: int = 4096, overflow: str = "drop-oldest"
-) -> FlightRecorder:
-    """Install a fresh :class:`FlightRecorder`; returns it.
-
-    Independent of :func:`enable` — metrics and event recording can be
-    switched on separately (``repro trace`` records without metrics;
-    ``repro stats`` measures without recording).
-    """
-    global _recorder
-    _recorder = FlightRecorder(capacity=capacity, overflow=overflow)
-    return _recorder
-
-
-def disable_recording() -> None:
-    """Restore the no-op flight recorder."""
-    global _recorder
-    _recorder = NULL_RECORDER
-
-
-@contextmanager
-def recording(capacity: int = 4096, overflow: str = "drop-oldest"):
-    """``with obs.recording() as recorder: ...`` — scoped recording.
-
-    Restores whatever recorder was installed before, mirroring
-    :func:`capturing`.
-    """
-    global _recorder
-    previous = _recorder
-    try:
-        yield enable_recording(capacity=capacity, overflow=overflow)
-    finally:
-        _recorder = previous
-
-
 def get_ledger():
     """The process-wide resource ledger (no-op unless accounting)."""
     return _ledger
@@ -200,7 +146,7 @@ def get_ledger():
 def enable_ledger(sample: int = 64) -> ResourceLedger:
     """Install a fresh :class:`ResourceLedger`; returns it.
 
-    Independent of :func:`enable`, like recording: structures built
+    Independent of :func:`enable`: structures built
     while the ledger is live register their ``account_bytes`` hooks;
     structures built before stay unaccounted.
     """
@@ -220,7 +166,7 @@ def accounting(sample: int = 64):
     """``with obs.accounting() as ledger: ...`` — scoped byte accounting.
 
     Restores whatever ledger was installed before, mirroring
-    :func:`recording`.
+    :func:`capturing`.
     """
     global _ledger
     previous = _ledger
@@ -243,7 +189,7 @@ def enable_verdicts(
 ) -> VerdictLedger:
     """Install a fresh :class:`VerdictLedger`; returns it.
 
-    Independent of :func:`enable`, like recording and accounting:
+    Independent of :func:`enable`, like accounting:
     verdict sites (``DataPlaneVerifier.verify``,
     ``IncrementalVerifier.apply``, ``RepairEngine.repair``) start
     appending the moment this is on, and pay one attribute check when
@@ -276,7 +222,7 @@ def verdicts(
     """``with obs.verdicts() as ledger: ...`` — scoped verdict logging.
 
     Flushes and restores whatever ledger was installed before,
-    mirroring :func:`recording`.
+    mirroring :func:`accounting`.
     """
     global _verdicts
     previous = _verdicts

@@ -5,8 +5,8 @@ the control plane, continuously — which makes the sequence of
 verdicts itself operational data.  "When did this prefix start
 failing?  What event introduced it?  When did it recover, and was the
 recovery a repair or convergence?" are questions about the *verdict
-stream*, and the metrics registry (aggregates) and flight recorder
-(bounded ring) both forget it.  This module keeps it:
+stream*, and the metrics registry (aggregates) forgets it.  This
+module keeps it:
 
 * :class:`VerdictRecord` — one verdict: a §5/§4 snapshot verification
   (``kind="snapshot"``), one :meth:`IncrementalVerifier.apply` delta
@@ -24,7 +24,7 @@ stream*, and the metrics registry (aggregates) and flight recorder
   file holds.  A killed process can leave one torn last line;
   :func:`load` reads a file back to its last whole record.
 
-Design constraints mirror the flight recorder and resource ledger:
+Design constraints mirror the metrics registry and resource ledger:
 
 * **Off by default.**  The process-wide singleton is a shared
   :class:`NullVerdictLedger`; verdict sites (the ``verdicts``
@@ -155,9 +155,8 @@ class VerdictLedger:
         self.failing_total = 0
         self._listeners: List[Callable] = []
         self._frontier_source: Optional[Callable] = None
-        # Self-registration with the resource ledger, mirroring
-        # FlightRecorder: the verdict tail is long-lived state the
-        # byte totals must see.
+        # Self-registration with the resource ledger: the verdict
+        # tail is long-lived state the byte totals must see.
         from repro import obs
 
         ledger = obs.get_ledger()
@@ -321,7 +320,7 @@ class NullVerdictLedger:
 
     ``record`` still exists (and no-ops) so a site that forgets the
     ``verdicts.enabled`` guard stays correct, merely slower — the same
-    contract as :class:`NullRecorder` and :class:`NullLedger`.
+    contract as :class:`NullLedger`.
     """
 
     enabled = False

@@ -4,14 +4,14 @@ The ROADMAP's next frontier is an always-on streaming service with
 *bounded* memory, and a bound nobody can observe is a bound nobody
 can trust.  This module gives every long-lived structure in the
 pipeline — the happens-before graph, the inference indices, the §5
-closure caches, the flight-recorder ring, the fuzz corpus — a way to
+closure caches, the verdict tail, the fuzz corpus — a way to
 **account for its own bytes**:
 
 * each structure implements ``account_bytes(audit: bool = False)``
   returning its resident size in bytes, and registers itself into the
   process-wide :class:`ResourceLedger` under a stable *component*
   name (``hbr.graph``, ``hbr.index``, ``snapshot.closure_cache``,
-  ``obs.recorder``, ``testkit.corpus`` — see
+  ``obs.verdicts``, ``testkit.corpus`` — see
   :data:`KNOWN_COMPONENTS`);
 * :meth:`ResourceLedger.refresh` polls every live registration,
   publishes ``resource.bytes{component=}`` gauges (plus per-component
@@ -21,7 +21,7 @@ closure caches, the flight-recorder ring, the fuzz corpus — a way to
   estimates — the acceptance bar is estimates within 20% of audit.
 
 Design constraints, mirroring :mod:`repro.obs.metrics` and the
-flight recorder:
+verdict ledger:
 
 * **Off by default.**  The module-level ledger is a shared
   :class:`NullLedger`; registration sites pay a single attribute
@@ -45,7 +45,7 @@ from __future__ import annotations
 import sys
 import types
 import weakref
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Component names with a catalogued registration site; the lint
 #: ``SITES`` table's ``ledger`` rows and their drift test keep this in
@@ -53,7 +53,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 KNOWN_COMPONENTS: Tuple[str, ...] = (
     "hbr.graph",
     "hbr.index",
-    "obs.recorder",
     "obs.verdicts",
     "snapshot.closure_cache",
     "testkit.corpus",

@@ -1,15 +1,11 @@
-"""repro.obs.trace — the causal flight recorder and its exporters.
+"""repro.obs.trace — the happens-before graph as a causal trace.
 
-Three pieces:
+Two pieces:
 
-* :mod:`repro.obs.trace.recorder` — the bounded ring buffer of
-  structured :class:`TraceEvent`\\ s every pipeline stage appends to
-  (off by default; see :func:`repro.obs.enable_recording`);
 * :mod:`repro.obs.trace.export` — causal trace exporters that turn a
-  happens-before graph (plus an optional recorder) into Chrome
-  trace-event / Perfetto JSON, an OTLP-style span tree, or a plain
-  per-router text timeline, with HBG edges rendered as span parent /
-  flow links;
+  happens-before graph into Chrome trace-event / Perfetto JSON, an
+  OTLP-style span tree, or a plain per-router text timeline, with
+  HBG edges rendered as span parent / flow links;
 * :mod:`repro.obs.trace.attribution` — the latency-attribution pass
   that walks HBG paths from each root cause to its downstream FIB
   updates and emits per-hop / per-HBR-rule propagation-latency
@@ -18,26 +14,6 @@ Three pieces:
 This package deliberately imports nothing from the domain layers
 (``capture``, ``hbr``, ...): graphs and events are duck-typed, so
 ``repro.obs`` stays importable from every layer without cycles.
-``export`` and ``attribution`` are plain submodules — import them
-explicitly (``from repro.obs.trace import export``).
+Both are plain submodules — import them explicitly
+(``from repro.obs.trace import export``).
 """
-
-from __future__ import annotations
-
-from repro.obs.trace.recorder import (
-    NULL_RECORDER,
-    OVERFLOW_POLICIES,
-    FlightRecorder,
-    NullRecorder,
-    TraceEvent,
-    TraceKind,
-)
-
-__all__ = [
-    "NULL_RECORDER",
-    "OVERFLOW_POLICIES",
-    "FlightRecorder",
-    "NullRecorder",
-    "TraceEvent",
-    "TraceKind",
-]

@@ -1,4 +1,4 @@
-"""Causal trace exporters: HBG + flight recorder → viewable traces.
+"""Causal trace exporters: HBG → viewable traces.
 
 The happens-before graph already *is* a distributed trace: vertices
 are timed events on named routers, and edges are causal parent
@@ -19,10 +19,9 @@ existing tooling can open:
 
 Each exporter takes the graph duck-typed (anything with
 ``events()`` / ``edges()`` / ``parents()`` / ``children()`` in the
-:class:`repro.hbr.graph.HappensBeforeGraph` shape) plus an optional
-:class:`~repro.obs.trace.recorder.FlightRecorder` whose non-I/O
-events (snapshot builds, verdicts, provenance walks, rollbacks) land
-on a dedicated ``pipeline`` track.
+:class:`repro.hbr.graph.HappensBeforeGraph` shape).  Verdicts and
+rollbacks are not rendered here: the verdict ledger
+(:mod:`repro.obs.ledger`) is their record.
 
 :func:`validate_chrome_trace` and :func:`validate_otlp_spans` are the
 structural schema checks CI and the test suite run against every
@@ -33,16 +32,7 @@ per-track timestamps non-decreasing.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.obs.trace.recorder import TraceKind
-
-#: Trace-event kinds that duplicate HBG vertices (skipped on the
-#: pipeline track when a graph is being exported alongside).
-_GRAPH_DUPLICATE_KINDS = (TraceKind.IO_CAPTURED, TraceKind.HBR_EDGE)
-
-#: The synthetic track carrying recorder (non-I/O) events.
-PIPELINE_TRACK = "pipeline"
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def _us(seconds: float) -> float:
@@ -95,15 +85,10 @@ def _event_args(event) -> Dict[str, Any]:
 # -- Chrome trace-event / Perfetto -------------------------------------------
 
 
-def chrome_trace(
-    graph,
-    recorder=None,
-    min_confidence: float = 0.0,
-) -> Dict[str, Any]:
+def chrome_trace(graph, min_confidence: float = 0.0) -> Dict[str, Any]:
     """Chrome trace-event JSON document (Perfetto-loadable)."""
     routers = _routers(graph)
     tids = {router: index + 1 for index, router in enumerate(routers)}
-    pipeline_tid = len(routers) + 1
     durations = _durations(graph, min_confidence)
 
     trace_events: List[Dict[str, Any]] = [
@@ -181,41 +166,6 @@ def chrome_trace(
             }
         )
 
-    recorder_rows = _pipeline_rows(recorder)
-    if recorder_rows:
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": pipeline_tid,
-                "args": {"name": PIPELINE_TRACK},
-            }
-        )
-        for record in recorder_rows:
-            trace_events.append(
-                {
-                    "name": record.kind.value,
-                    "cat": "pipeline",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": _us(record.at),
-                    "pid": 1,
-                    "tid": pipeline_tid,
-                    "args": {
-                        "seq": record.seq,
-                        **({"router": record.router} if record.router else {}),
-                        **(
-                            {"event_id": record.event_id}
-                            if record.event_id is not None
-                            else {}
-                        ),
-                        **({"detail": record.detail} if record.detail else {}),
-                        **dict(record.attrs),
-                    },
-                }
-            )
-
     return {
         "displayTimeUnit": "ms",
         "traceEvents": trace_events,
@@ -223,31 +173,13 @@ def chrome_trace(
             "tool": "repro.obs.trace",
             "routers": routers,
             "hbg_edges": flow_id,
-            "recorder_events": len(recorder_rows),
-            "recorder_dropped": getattr(recorder, "dropped", 0)
-            if recorder is not None
-            else 0,
         },
     }
-
-
-def _pipeline_rows(recorder) -> List[Any]:
-    """Recorder events for the pipeline track, sorted by (at, seq)."""
-    if recorder is None:
-        return []
-    rows = [
-        event
-        for event in recorder.events()
-        if event.kind not in _GRAPH_DUPLICATE_KINDS
-    ]
-    rows.sort(key=lambda e: (e.at, e.seq))
-    return rows
 
 
 _CHROME_REQUIRED_BY_PHASE = {
     "M": ("name", "pid", "tid", "args"),
     "X": ("name", "ts", "dur", "pid", "tid"),
-    "i": ("name", "ts", "pid", "tid"),
     "s": ("name", "id", "ts", "pid", "tid"),
     "f": ("name", "id", "ts", "pid", "tid"),
 }
@@ -362,7 +294,6 @@ def _primary_parent(graph, event_id: int, min_confidence: float):
 
 def otlp_spans(
     graph,
-    recorder=None,
     min_confidence: float = 0.0,
     service_name: str = "repro",
 ) -> Dict[str, Any]:
@@ -420,17 +351,6 @@ def otlp_spans(
             span["links"] = links
         spans.append(span)
 
-    events_block = [
-        {
-            "timeUnixNano": str(int(round(record.at * 1_000_000_000))),
-            "name": record.kind.value,
-            "attributes": _otlp_attrs(
-                {"seq": record.seq, "router": record.router, **dict(record.attrs)}
-            ),
-        }
-        for record in _pipeline_rows(recorder)
-    ]
-
     scope_spans: List[Dict[str, Any]] = [
         {
             "scope": {"name": "repro.obs.trace", "version": "1"},
@@ -447,8 +367,6 @@ def otlp_spans(
             }
         ]
     }
-    if events_block:
-        document["resourceSpans"][0]["pipelineEvents"] = events_block
     return document
 
 
@@ -548,11 +466,7 @@ def otlp_parent_edges(document: Dict[str, Any]) -> set:
 # -- plain-text timeline -----------------------------------------------------
 
 
-def text_timeline(
-    graph,
-    recorder=None,
-    min_confidence: float = 0.0,
-) -> str:
+def text_timeline(graph, min_confidence: float = 0.0) -> str:
     """Per-router plain-text timeline with causal annotations."""
     lines: List[str] = []
     for router in _routers(graph):
@@ -574,20 +488,6 @@ def text_timeline(
             lines.append(
                 f"  t={event.timestamp:9.4f}  #{event.event_id:<4d} "
                 f"{event.describe()}{caused}"
-            )
-        lines.append("")
-    rows = _pipeline_rows(recorder)
-    if rows:
-        lines.append(f"== {PIPELINE_TRACK} ==")
-        for record in rows:
-            extras = " ".join(
-                f"{key}={value}" for key, value in record.attrs
-            )
-            lines.append(
-                f"  t={record.at:9.4f}  {record.kind.value}"
-                + (f" [{record.router}]" if record.router else "")
-                + (f" {record.detail}" if record.detail else "")
-                + (f"  {extras}" if extras else "")
             )
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

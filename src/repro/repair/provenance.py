@@ -117,16 +117,6 @@ class ProvenanceTracer:
             registry.histogram("repair.provenance_root_causes").observe(
                 len(roots)
             )
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(
-                obs.TraceKind.PROVENANCE_WALK,
-                at=target.timestamp,
-                router=target.router,
-                event_id=target.event_id,
-                roots=len(roots),
-                ancestry=len(ancestry),
-            )
         return ProvenanceResult(
             target=target,
             root_causes=roots,

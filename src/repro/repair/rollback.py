@@ -206,17 +206,6 @@ class RepairEngine:
                 registry.histogram("repair.converge_sim_seconds").observe(
                     converge_seconds
                 )
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(
-                obs.TraceKind.ROLLBACK,
-                at=self.network.sim.now,
-                event_id=provenance.target.event_id,
-                detail="; ".join(a.note for a in actions if a.succeeded),
-                reverted=sum(1 for a in actions if a.succeeded),
-                failed=sum(1 for a in actions if not a.succeeded),
-                unrepairable=len(unrepairable),
-            )
         verdicts = obs.get_verdicts()
         if verdicts.enabled:
             reverted = sum(1 for a in actions if a.succeeded)

@@ -310,18 +310,6 @@ class DataPlaneSnapshot:
             registry.histogram("snapshot.reconstruct_events").observe(
                 len(ordered)
             )
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(
-                obs.TraceKind.SNAPSHOT_BUILD,
-                at=(
-                    taken_at
-                    if taken_at is not None
-                    else (ordered[-1].timestamp if ordered else 0.0)
-                ),
-                events=len(ordered),
-                routers=len(snapshot.routers()),
-            )
         return snapshot
 
     @classmethod

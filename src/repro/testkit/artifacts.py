@@ -16,18 +16,20 @@ expectation, so a fixed bug that regresses fails tier-1 immediately.
 Schema history:
 
 * v1 — oracle, expect, detail, case, events, probe_times, shrink.
-* v2 — adds an optional ``trace`` block: the flight-recorder tail of
-  the *original* (pre-shrink) failing run, so every committed repro
-  carries the causal event sequence that led to the finding.  v1
-  fixtures remain loadable forever; they simply have no trace.
+* v2 — added an optional ``trace`` block: a tail of recorded pipeline
+  events from the *original* (pre-shrink) failing run.  No artifact
+  is written with it any more: the shrunk plan replays the run, and
+  its HBG and verdicts are the record.  The loader ignores a ``trace``
+  block if one is present.  v1 and v2 fixtures remain loadable
+  forever.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.testkit.case import CasePlan
 from repro.testkit.oracles import ORACLES, OracleContext, OracleVerdict
@@ -46,10 +48,6 @@ class Artifact:
     plan: CasePlan
     detail: str = ""
     shrink: Optional[dict] = None
-    #: Flight-recorder tail of the failing run: a list of
-    #: ``TraceEvent.to_record()`` dicts (empty when recording was off
-    #: or the artifact predates schema v2).
-    trace: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         plan = self.plan.to_dict()
@@ -65,8 +63,6 @@ class Artifact:
         }
         if self.shrink is not None:
             data["shrink"] = self.shrink
-        if self.trace:
-            data["trace"] = list(self.trace)
         return data
 
     @classmethod
@@ -94,18 +90,12 @@ class Artifact:
                 "probe_times": data.get("probe_times", ()),
             }
         )
-        trace = data.get("trace", [])
-        if not isinstance(trace, list) or not all(
-            isinstance(item, dict) for item in trace
-        ):
-            raise ValueError("artifact trace must be a list of objects")
         return cls(
             oracle=str(data["oracle"]),
             expect=str(data["expect"]),
             plan=plan,
             detail=str(data.get("detail", "")),
             shrink=data.get("shrink"),
-            trace=trace,
         )
 
 

@@ -12,12 +12,11 @@ obs metrics stream.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.testkit.artifacts import Artifact, write_artifact
@@ -118,7 +117,6 @@ class FuzzRunner:
         artifacts_dir: Optional[Path] = None,
         shrink_failures: bool = True,
         max_shrink_runs: int = 200,
-        trace_tail: int = 200,
     ) -> None:
         names = (
             list(oracle_names)
@@ -132,10 +130,6 @@ class FuzzRunner:
         self.artifacts_dir = artifacts_dir
         self.shrink_failures = shrink_failures
         self.max_shrink_runs = max_shrink_runs
-        #: How many flight-recorder events to embed in a failure
-        #: artifact (the tail of the original, pre-shrink run);
-        #: 0 disables per-case recording entirely.
-        self.trace_tail = trace_tail
 
     def run(
         self,
@@ -193,27 +187,9 @@ class FuzzRunner:
 
     def _run_case(self, index, case, registry) -> CaseResult:
         watch = registry.stopwatch()
-        # Record the case under the flight recorder so a failure can
-        # persist its causal event tail.  The tail is snapshotted
-        # BEFORE shrinking: it documents the original failing run, not
-        # the hundreds of shrink re-executions.
-        if self.trace_tail > 0:
-            recording = obs.recording(
-                capacity=max(self.trace_tail, 1024)
-            )
-        else:
-            recording = contextlib.nullcontext(obs.get_recorder())
-        with recording as recorder:
-            plan = plan_case(case)
-            context = OracleContext(plan)
-            verdicts = [
-                ORACLES[name](context) for name in self.oracle_names
-            ]
-            trace = (
-                [e.to_record() for e in recorder.tail(self.trace_tail)]
-                if self.trace_tail > 0
-                else []
-            )
+        plan = plan_case(case)
+        context = OracleContext(plan)
+        verdicts = [ORACLES[name](context) for name in self.oracle_names]
         result = CaseResult(
             index=index,
             case=case,
@@ -223,7 +199,7 @@ class FuzzRunner:
         )
         failure = next((v for v in verdicts if not v.ok), None)
         if failure is not None:
-            self._capture_failure(result, plan, failure, registry, trace)
+            self._capture_failure(result, plan, failure, registry)
         registry.histogram("testkit.case_seconds").observe(watch.elapsed())
         return result
 
@@ -233,7 +209,6 @@ class FuzzRunner:
         plan: CasePlan,
         failure: OracleVerdict,
         registry,
-        trace: Optional[List[dict]] = None,
     ) -> None:
         shrunk_plan = plan
         detail = failure.detail
@@ -264,7 +239,6 @@ class FuzzRunner:
                 plan=shrunk_plan,
                 detail=detail,
                 shrink=shrink_meta,
-                trace=list(trace or []),
             )
             path = write_artifact(artifact, self.artifacts_dir)
             result.artifact_path = str(path)

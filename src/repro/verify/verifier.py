@@ -102,16 +102,6 @@ class DataPlaneVerifier:
             )
             registry.histogram("verify.verify_seconds").observe(elapsed)
             registry.histogram("verify.probe_count").observe(probes)
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(
-                obs.TraceKind.VERIFY_VERDICT,
-                at=snapshot.taken_at if snapshot.taken_at is not None else 0.0,
-                detail="ok" if not violations else "violations",
-                violations=len(violations),
-                policies=len(self.policies),
-                probes=probes,
-            )
         verdicts = obs.get_verdicts()
         if verdicts.enabled:
             verdicts.record(

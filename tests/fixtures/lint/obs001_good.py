@@ -1,18 +1,16 @@
-# repro: lint-module=repro.capture.collector
-"""Good: the stage entry point records a metric AND a trace event
-(OBS001 checks both the metrics catalogue and TRACE_SITES here)."""
+# repro: lint-module=repro.verify.verifier
+"""Good: the stage entry point records a metric AND a verdict (OBS001
+checks both the metrics rows and the verdict rows of SITES here)."""
 
 from repro import obs
 
 
-class Collector:
-    def __init__(self):
-        self.events = []
-
-    def ingest(self, event):
+class DataPlaneVerifier:
+    def verify(self, snapshot):
         registry = obs.get_registry()
-        self.events.append(event)
-        recorder = obs.get_recorder()
-        if recorder.enabled:
-            recorder.record(obs.TraceKind.IO_CAPTURED, at=event.timestamp)
-        registry.counter("capture.events_total").inc()
+        registry.counter("verify.verifications_total").inc()
+        verdicts = obs.get_verdicts()
+        if verdicts.enabled:
+            verdicts.record(kind="snapshot", at=0.0, ok=True)
+        return []
+

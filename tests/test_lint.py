@@ -172,24 +172,24 @@ def test_obs001_reports_stale_catalogue():
     assert "not found" in result.findings[0].message
 
 
-def test_obs001_trace_fixture_pair():
-    """Metrics-only instrumentation must not satisfy a recorder site."""
-    bad = lint_fixture("obs001_trace_bad.py")
+def test_obs001_verdict_fixture_pair():
+    """Metrics-only instrumentation must not satisfy a verdict site."""
+    bad = lint_fixture("obs001_verdict_bad.py")
     assert rules_fired(bad) == ["OBS001"]
-    assert any("flight recorder" in f.message for f in bad.findings)
+    assert any("verdict ledger" in f.message for f in bad.findings)
     assert rules_fired(lint_fixture("obs001_good.py")) == []
 
 
-def test_obs001_trace_reports_stale_catalogue():
+def test_obs001_verdict_reports_stale_catalogue():
     rule = InstrumentationRule(
-        [Site("repro.net.fake", "Ghost.run", "recorder", "SIM_EVENT")]
+        [Site("repro.net.fake", "Ghost.run", "verdicts", "snapshot")]
     )
     result = LintRunner(rules=[rule]).run_source(
         "# repro: lint-module=repro.net.fake\nclass Other:\n    pass\n",
         path="<fixture>",
     )
     assert rules_fired(result) == ["OBS001"]
-    assert "trace site" in result.findings[0].message
+    assert "verdict site" in result.findings[0].message
 
 
 # -- HYG rules ------------------------------------------------------------
@@ -356,7 +356,7 @@ def test_cli_lint_bad_fixture_fails(capsys):
         "lay001_bad.py",
         "lay002_bad",
         "obs001_bad.py",
-        "obs001_trace_bad.py",
+        "obs001_verdict_bad.py",
         "hyg001_bad.py",
         "hyg002_bad.py",
         "hyg003_bad.py",

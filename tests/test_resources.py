@@ -33,7 +33,6 @@ def _clean_global_state():
     yield
     obs.disable()
     obs.disable_ledger()
-    obs.disable_recording()
 
 
 # -- the sizeof walk -------------------------------------------------------
@@ -305,7 +304,7 @@ class TestLedgerSiteContracts:
 
         import repro.obs as obs_module
 
-        from repro.obs.trace.recorder import FlightRecorder
+        from repro.obs.ledger import VerdictLedger
         from repro.snapshot.base import VerifierView
         from repro.snapshot.consistent import ConsistentSnapshotter
         from repro.testkit.runner import FuzzRunner
@@ -314,7 +313,7 @@ class TestLedgerSiteContracts:
         obs_module._ledger = TrippingLedger()
         try:
             # Exercise every catalogued site: graph + index (via a
-            # build), snapshotter, flight-recorder ring, fuzz corpus.
+            # build), snapshotter, verdict tail, fuzz corpus.
             net, specs = build_random_network(4, uplinks=2, seed=1)
             net.start()
             churn_workload(
@@ -328,7 +327,7 @@ class TestLedgerSiteContracts:
                 internal_routers=net.topology.internal_routers(),
                 engine=engine,
             )
-            FlightRecorder(capacity=8)
+            VerdictLedger(capacity=8)
             report = FuzzRunner(
                 artifacts_dir=None, shrink_failures=False
             ).run(seed=0, cases=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.simulator import DelayModel, Event, SimulationError, Simulator
+from repro.net.simulator import DelayModel, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -94,14 +94,6 @@ class TestScheduling:
         sim.schedule(0.0, reenter)
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_trace_hook_sees_events(self):
-        sim = Simulator()
-        seen = []
-        sim.trace_hook = lambda event: seen.append(event.label)
-        sim.schedule(1.0, lambda: None, label="a")
-        sim.run()
-        assert seen == ["a"]
 
     def test_peek_time(self):
         sim = Simulator()

@@ -1,9 +1,9 @@
-"""Tests for the causal flight recorder, trace exporters, latency
-attribution, and the instrumentation/overhead contracts around them."""
+"""Tests for the causal trace exporters over the HBG, latency
+attribution, and the records that hold what each pipeline stage did:
+the HBG itself, the verdict ledger, and the metrics registry."""
 
-import ast
 import json
-import os
+import pathlib
 
 import pytest
 
@@ -11,207 +11,94 @@ from repro import obs
 from repro.cli import _run_trace_scenario
 from repro.cli import main as cli_main
 from repro.hbr.inference import InferenceEngine
-from repro.lint.rules.obs_rules import SITES
-from repro.obs.trace import (
-    FlightRecorder,
-    NullRecorder,
-    TraceEvent,
-    TraceKind,
-)
+from repro.obs.ledger import KINDS
 from repro.obs.trace import attribution, export
 from repro.scenarios.fig2 import Fig2Scenario
 
 
 @pytest.fixture(autouse=True)
 def _clean_global_state():
-    """Never leak an enabled registry/recorder into other tests."""
+    """Never leak an enabled registry/ledger into other tests."""
     yield
     obs.disable()
-    obs.disable_recording()
-
-
-# -- ring buffer -----------------------------------------------------------
-
-
-class TestFlightRecorder:
-    def test_records_in_order_with_monotonic_seq(self):
-        recorder = FlightRecorder(capacity=10)
-        for t in (0.1, 0.2, 0.3):
-            recorder.record(TraceKind.SIM_EVENT, at=t, router="R1")
-        events = recorder.events()
-        assert [e.seq for e in events] == [1, 2, 3]
-        assert [e.at for e in events] == [0.1, 0.2, 0.3]
-        assert recorder.recorded_total == 3
-        assert recorder.dropped == 0
-
-    def test_drop_oldest_evicts_ring_head(self):
-        recorder = FlightRecorder(capacity=3, overflow="drop-oldest")
-        for i in range(7):
-            recorder.record(TraceKind.SIM_EVENT, at=float(i))
-        assert len(recorder) == 3
-        assert recorder.dropped == 4
-        assert recorder.recorded_total == 7
-        # The newest three survive, order preserved.
-        assert [e.seq for e in recorder.events()] == [5, 6, 7]
-
-    def test_drop_newest_keeps_run_head(self):
-        recorder = FlightRecorder(capacity=3, overflow="drop-newest")
-        kept = [
-            recorder.record(TraceKind.SIM_EVENT, at=float(i))
-            for i in range(6)
-        ]
-        assert [e.seq for e in recorder.events()] == [1, 2, 3]
-        assert recorder.dropped == 3
-        assert kept[3] is None and kept[0] is not None
-
-    def test_eviction_compacts_backing_list(self):
-        recorder = FlightRecorder(capacity=4, overflow="drop-oldest")
-        for i in range(100):
-            recorder.record(TraceKind.SIM_EVENT, at=float(i))
-        # The lazy compaction keeps storage O(capacity), not O(total).
-        assert len(recorder._events) <= 2 * recorder.capacity
-        assert [e.at for e in recorder.events()] == [96.0, 97.0, 98.0, 99.0]
-
-    def test_tail_and_filters(self):
-        recorder = FlightRecorder(capacity=10)
-        recorder.record(TraceKind.SIM_EVENT, at=0.1, router="R1")
-        recorder.record(TraceKind.IO_CAPTURED, at=0.2, router="R2", event_id=7)
-        recorder.record(TraceKind.IO_CAPTURED, at=0.3, router="R1", event_id=8)
-        assert [e.seq for e in recorder.tail(2)] == [2, 3]
-        assert recorder.tail(0) == []
-        assert [e.event_id for e in recorder.events(TraceKind.IO_CAPTURED)] == [
-            7,
-            8,
-        ]
-        assert [e.seq for e in recorder.events(router="R1")] == [1, 3]
-
-    def test_record_roundtrip(self):
-        recorder = FlightRecorder(capacity=4)
-        original = recorder.record(
-            TraceKind.HBR_EDGE,
-            at=1.5,
-            router="R2",
-            event_id=42,
-            detail="x",
-            rule="rib-before-fib",
-            confidence=0.9,
-        )
-        restored = TraceEvent.from_record(
-            json.loads(json.dumps(original.to_record()))
-        )
-        assert restored == original
-        assert restored.attr("rule") == "rib-before-fib"
-        assert restored.attr("missing", "d") == "d"
-
-    def test_validates_capacity_and_policy(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(overflow="wrap")
-
-    def test_clear_resets_everything(self):
-        recorder = FlightRecorder(capacity=2)
-        for i in range(5):
-            recorder.record(TraceKind.ROLLBACK, at=float(i))
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.dropped == 0
-        assert recorder.events() == []
-
-    def test_null_recorder_is_inert(self):
-        null = NullRecorder()
-        assert null.enabled is False
-        assert null.record(TraceKind.SIM_EVENT, at=0.0) is None
-        assert len(null) == 0
-        assert null.events() == [] and null.tail(5) == []
+    obs.disable_verdicts()
 
 
 class TestObsWiring:
     def test_off_by_default(self):
-        assert obs.get_recorder().enabled is False
-
-    def test_enable_disable_recording(self):
-        recorder = obs.enable_recording(capacity=8)
-        assert obs.get_recorder() is recorder and recorder.enabled
-        obs.disable_recording()
-        assert obs.get_recorder().enabled is False
-
-    def test_recording_context_restores_previous(self):
-        outer = obs.enable_recording(capacity=8)
-        with obs.recording(capacity=4) as inner:
-            assert obs.get_recorder() is inner
-            assert inner.capacity == 4
-        assert obs.get_recorder() is outer
-        obs.disable_recording()
-
-    def test_recording_independent_of_metrics(self):
-        with obs.recording():
-            assert obs.get_recorder().enabled
-            assert not obs.get_registry().enabled
+        assert obs.get_registry().enabled is False
+        assert obs.get_tracer().enabled is False
+        assert obs.get_ledger().enabled is False
+        assert obs.get_verdicts().enabled is False
 
 
-# -- instrumentation: every stage lands in the ring ------------------------
+# -- every stage's facts land in one record ------------------------------
 
 
-def _record_fig2a():
-    with obs.recording(capacity=100_000) as recorder:
-        net = Fig2Scenario().run_fig2a()
-        graph = InferenceEngine().build_graph(net.collector.all_events())
-    return net, graph, recorder
+def _build_fig2a():
+    net = Fig2Scenario().run_fig2a()
+    graph = InferenceEngine().build_graph(net.collector.all_events())
+    return net, graph
 
 
 class TestInstrumentation:
     def test_capture_layer_events_join_to_hbg_vertices(self):
-        net, graph, recorder = _record_fig2a()
-        captured = recorder.events(TraceKind.IO_CAPTURED)
-        assert len(captured) == len(net.collector)
-        hbg_ids = {e.event_id for e in graph.events()}
-        assert {e.event_id for e in captured} == hbg_ids
+        net, graph = _build_fig2a()
+        captured = net.collector.all_events()
+        assert len(captured) == len(graph.events())
+        assert {e.event_id for e in captured} == {
+            e.event_id for e in graph.events()
+        }
 
     def test_hbr_edge_records_name_the_exact_edge(self):
-        _net, graph, recorder = _record_fig2a()
-        recorded = {
-            (e.attr("cause"), e.event_id)
-            for e in recorder.events(TraceKind.HBR_EDGE)
+        """Each exported flow names its edge's cause, effect, rule,
+        technique and confidence exactly as the HBG holds them."""
+        _net, graph = _build_fig2a()
+        document = export.chrome_trace(graph)
+        flows = {
+            (e["args"]["cause"], e["args"]["effect"]): e["args"]
+            for e in document["traceEvents"]
+            if e.get("ph") == "s"
         }
-        assert recorded == graph.edge_set()
-        sample = recorder.events(TraceKind.HBR_EDGE)[0]
-        assert sample.attr("technique") in ("rule", "pattern", "naive")
-        assert 0.0 <= sample.attr("confidence") <= 1.0
+        assert set(flows) == graph.edge_set()
+        for edge in graph.edges():
+            args = flows[edge.cause, edge.effect]
+            assert args["rule"] == edge.evidence.rule
+            assert args["technique"] == edge.evidence.technique
+            assert args["confidence"] == round(edge.evidence.confidence, 6)
 
-    def test_sim_events_recorded_with_sim_timestamps(self):
-        _net, _graph, recorder = _record_fig2a()
-        fired = recorder.events(TraceKind.SIM_EVENT)
-        assert fired
-        times = [e.at for e in fired]
-        assert times == sorted(times)
+    def test_sim_events_counted_in_registry(self):
+        with obs.capturing() as (registry, _tracer):
+            net, _graph = _build_fig2a()
+        counted = {c.name: c.value for c in registry.counters()}
+        assert counted["sim.events_processed_total"] == (
+            net.sim.events_processed
+        )
+        assert net.sim.events_processed > 0
 
     def test_full_pipeline_records_every_kind(self):
-        with obs.recording(capacity=100_000) as recorder:
+        with obs.verdicts() as ledger:
             _run_pipeline_scenario_inline()
-        kinds = {e.kind for e in recorder.events()}
-        assert kinds == set(TraceKind)
+        assert {record.kind for record in ledger.records()} == set(KINDS)
 
     def test_guard_records_one_verdict_per_guarded_write(self):
-        """The what-if guard never calls ``DataPlaneVerifier.verify``
-        (which used to record two verdicts per write on its behalf)."""
-        with obs.recording(capacity=100_000) as recorder:
+        """The guard's verdicts are the registry's fib-write counters,
+        and each write it flags keeps an incident with provenance."""
+        with obs.capturing() as (registry, _tracer):
             _net, pipeline = _run_pipeline_scenario_inline()
-        guarded = [
-            e
-            for e in recorder.events(TraceKind.VERIFY_VERDICT)
-            if e.router is not None
-        ]
-        assert len(guarded) == pipeline.updates_checked > 0
-        assert sum(e.detail == "violations" for e in guarded) == len(
-            pipeline.incidents
-        )
+        counted = {c.name: c.value for c in registry.counters()}
+        assert counted["verify.fib_writes_verified"] == (
+            pipeline.updates_checked
+        ) > 0
+        assert counted["verify.fib_writes_blocked"] == (
+            pipeline.updates_blocked
+        ) == len(pipeline.incidents) > 0
+        assert all(i.provenance is not None for i in pipeline.incidents)
 
     def test_trace_is_deterministic_across_runs(self):
         def run():
-            with obs.recording(capacity=100_000) as recorder:
-                Fig2Scenario().run_fig2a()
-            return [e.to_record() for e in recorder.events()]
+            _net, graph = _build_fig2a()
+            return json.dumps(export.chrome_trace(graph), sort_keys=True)
 
         from repro.capture.io_events import reset_event_ids
 
@@ -225,11 +112,9 @@ class TestInstrumentation:
 def _run_pipeline_scenario_inline():
     """The Fig. 3 pipeline in REPAIR mode over the Fig. 2 episode.
 
-    Inline (rather than via the CLI helper) so this file controls the
-    recorder's scope; it must exercise verify verdicts (one per
-    guarded write), provenance walks, a rollback and — through the
-    offline §6 path, the one that still builds snapshots — a snapshot
-    build.
+    Inline (rather than via the CLI helper) so it also runs the
+    offline §6 path: guarded writes, incremental verdicts, provenance
+    walks, a rollback, and a snapshot verification.
     """
     from repro.core.pipeline import IntegratedControlPlane, PipelineMode
     from repro.scenarios.fig2 import bad_lp_change
@@ -253,26 +138,26 @@ def _run_pipeline_scenario_inline():
 
 class TestChromeExport:
     def test_pipeline_scenario_validates_with_one_track_per_router(self):
-        graph, recorder = _run_trace_scenario("pipeline")
-        document = export.chrome_trace(graph, recorder)
+        graph = _run_trace_scenario("pipeline")
+        document = export.chrome_trace(graph)
         assert export.validate_chrome_trace(document) == []
         tracks = {
             event["args"]["name"]
             for event in document["traceEvents"]
             if event.get("ph") == "M" and event["name"] == "thread_name"
         }
-        # One track per router in the Fig. 1 topology, plus the
-        # pipeline track for recorder events.
+        # One track per router that logged an HBG event, nothing else.
         assert {"R1", "R2", "R3"}.issubset(tracks)
+        assert tracks == {event.router for event in graph.events()}
 
     def test_flow_events_match_hbg_edges_exactly(self):
-        graph, recorder = _run_trace_scenario("pipeline")
-        document = export.chrome_trace(graph, recorder)
+        graph = _run_trace_scenario("pipeline")
+        document = export.chrome_trace(graph)
         assert export.chrome_flow_edges(document) == graph.edge_set()
 
     def test_slice_timestamps_non_decreasing_per_track(self):
-        graph, recorder = _run_trace_scenario("fig2")
-        document = export.chrome_trace(graph, recorder)
+        graph = _run_trace_scenario("fig2")
+        document = export.chrome_trace(graph)
         per_track = {}
         for event in document["traceEvents"]:
             if event.get("ph") == "X":
@@ -282,8 +167,8 @@ class TestChromeExport:
             assert timestamps == sorted(timestamps)
 
     def test_validator_rejects_structural_damage(self):
-        graph, recorder = _run_trace_scenario("fig2")
-        document = export.chrome_trace(graph, recorder)
+        graph = _run_trace_scenario("fig2")
+        document = export.chrome_trace(graph)
         orphan = {"name": "x", "ph": "s", "id": 10**9, "ts": 0.0,
                   "pid": 1, "tid": 1}
         document["traceEvents"].append(orphan)
@@ -299,17 +184,17 @@ class TestChromeExport:
 
 class TestOtlpExport:
     def test_pipeline_scenario_validates(self):
-        graph, recorder = _run_trace_scenario("pipeline")
-        document = export.otlp_spans(graph, recorder)
+        graph = _run_trace_scenario("pipeline")
+        document = export.otlp_spans(graph)
         assert export.validate_otlp_spans(document) == []
 
     def test_parents_plus_links_reproduce_hbg_edges(self):
-        graph, recorder = _run_trace_scenario("pipeline")
-        document = export.otlp_spans(graph, recorder)
+        graph = _run_trace_scenario("pipeline")
+        document = export.otlp_spans(graph)
         assert export.otlp_parent_edges(document) == graph.edge_set()
 
     def test_parent_is_highest_confidence_in_edge(self):
-        graph, _recorder = _run_trace_scenario("fig2")
+        graph = _run_trace_scenario("fig2")
         document = export.otlp_spans(graph)
         spans = document["resourceSpans"][0]["scopeSpans"][0]["spans"]
         by_id = {span["spanId"]: span for span in spans}
@@ -325,7 +210,7 @@ class TestOtlpExport:
             assert span["parentSpanId"] == export.span_id(best[0].event_id)
 
     def test_validator_rejects_unresolved_parent(self):
-        graph, _recorder = _run_trace_scenario("fig2")
+        graph = _run_trace_scenario("fig2")
         document = export.otlp_spans(graph)
         spans = document["resourceSpans"][0]["scopeSpans"][0]["spans"]
         spans[0]["parentSpanId"] = "f" * 16
@@ -342,11 +227,11 @@ class TestOtlpExport:
 
 class TestTextTimeline:
     def test_per_router_sections_and_causal_annotations(self):
-        graph, recorder = _run_trace_scenario("fig2")
-        text = export.text_timeline(graph, recorder)
+        graph = _run_trace_scenario("fig2")
+        text = export.text_timeline(graph)
         for router in ("R1", "R2", "R3"):
             assert f"== {router} ==" in text
-        assert "== pipeline ==" in text
+        assert "== pipeline ==" not in text
         assert "<-" in text  # at least one causal annotation
 
 
@@ -355,7 +240,7 @@ class TestTextTimeline:
 
 class TestAttribution:
     def test_fig2_repair_scenario_reports_per_rule_histograms(self):
-        graph, _recorder = _run_trace_scenario("pipeline")
+        graph = _run_trace_scenario("pipeline")
         with obs.capturing() as (registry, _tracer):
             report = attribution.attribute_latency(graph)
         assert report.fib_updates > 0
@@ -377,7 +262,7 @@ class TestAttribution:
         assert end_to_end and end_to_end[0].count == len(report.paths)
 
     def test_hop_sums_are_consistent_with_paths(self):
-        graph, _recorder = _run_trace_scenario("fig2")
+        graph = _run_trace_scenario("fig2")
         report = attribution.attribute_latency(graph)
         for path in report.paths:
             assert path.seconds >= 0
@@ -387,7 +272,7 @@ class TestAttribution:
             assert path.hops[-1].effect == path.fib_update
 
     def test_report_serialises_and_renders(self):
-        graph, _recorder = _run_trace_scenario("fig2")
+        graph = _run_trace_scenario("fig2")
         report = attribution.attribute_latency(graph)
         document = json.loads(json.dumps(report.to_dict()))
         assert document["attributed_paths"] == len(report.paths)
@@ -396,86 +281,9 @@ class TestAttribution:
         assert any("slowest" in line for line in lines)
 
     def test_no_registry_side_effects_when_disabled(self):
-        graph, _recorder = _run_trace_scenario("fig2")
+        graph = _run_trace_scenario("fig2")
         attribution.attribute_latency(graph)
         assert len(obs.get_registry()) == 0
-
-
-# -- drift + overhead guards ----------------------------------------------
-
-
-def _site_function(module: str, qualname: str) -> ast.AST:
-    root = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.path.join(root, *module.split(".")) + ".py"
-    tree = ast.parse(open(path).read())
-    node = tree
-    for part in qualname.split("."):
-        node = next(
-            child
-            for child in ast.walk(node)
-            if isinstance(
-                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-            )
-            and child.name == part
-        )
-    return node
-
-
-TRACE_SITES = [site for site in SITES if site.witness == "recorder"]
-
-
-class TestTraceSiteContracts:
-    def test_catalogue_and_kind_enum_cannot_drift(self):
-        """The recorder sites and TraceKind must cover each other (a
-        kind may have two sites: the batch verifier and the Fig. 3
-        guard both record VERIFY_VERDICT)."""
-        assert {site.emits for site in TRACE_SITES} == {
-            member.name for member in TraceKind
-        }, (
-            "the recorder sites in SITES (repro/lint/rules/obs_rules.py) "
-            "and TraceKind (repro/obs/trace/recorder.py) have drifted apart"
-        )
-
-    def test_every_site_guards_on_recorder_enabled(self):
-        """The disabled fast path is one attribute check per site."""
-        for site in TRACE_SITES:
-            func = _site_function(site.module, site.qualname)
-            guards = [
-                node
-                for node in ast.walk(func)
-                if isinstance(node, ast.Attribute)
-                and node.attr == "enabled"
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "recorder"
-            ]
-            assert guards, (
-                f"{site.module}:{site.qualname} must guard recording "
-                "behind a single `recorder.enabled` check"
-            )
-
-    def test_disabled_recorder_never_reaches_record(self):
-        """Behavioral half of the overhead guard: with recording off,
-        no instrumentation site may even *call* record()."""
-
-        class TrippingRecorder(NullRecorder):
-            def record(self, *args, **kwargs):
-                raise AssertionError(
-                    "record() called while recorder.enabled is False"
-                )
-
-        import repro.obs as obs_module
-
-        previous = obs_module._recorder
-        obs_module._recorder = TrippingRecorder()
-        try:
-            net, _pipeline = _run_pipeline_scenario_inline()
-            assert len(net.collector) > 0
-        finally:
-            obs_module._recorder = previous
-
-    def test_disabled_recorder_records_nothing(self):
-        Fig2Scenario().run_fig2a()
-        assert len(obs.get_recorder()) == 0
 
 
 # -- CLI -------------------------------------------------------------------
@@ -515,41 +323,35 @@ class TestTraceCli:
         assert "== R1 ==" in captured.out
         assert "latency attribution" in captured.err
 
-    def test_ring_size_controls_eviction(self, capsys):
-        rc = cli_main(
-            [
-                "trace",
-                "--scenario",
-                "fig2",
-                "--format",
-                "table",
-                "--ring-size",
-                "10",
-                "--overflow",
-                "drop-newest",
-            ]
-        )
-        assert rc == 0
+    @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig5", "pipeline"])
+    def test_every_scenario_exports_in_every_format(self, scenario, capsys):
+        for fmt in ("chrome", "otlp", "table"):
+            assert cli_main(
+                ["trace", "--scenario", scenario, "--format", fmt]
+            ) == 0
         capsys.readouterr()
 
     def test_cli_state_is_restored(self, capsys):
         cli_main(["trace", "--scenario", "fig2", "--format", "table"])
         capsys.readouterr()
-        assert obs.get_recorder().enabled is False
+        assert obs.get_registry().enabled is False
+        assert obs.get_verdicts().enabled is False
 
 
-# -- fuzz artifacts carry a trace tail -------------------------------------
+# -- fuzz artifacts --------------------------------------------------------
 
 
 class TestFuzzTraceArtifacts:
-    def test_failure_artifact_embeds_recorder_tail(self, tmp_path):
+    def test_failure_artifact_carries_no_trace_block(self, tmp_path):
+        """The shrunk plan replays the failing run; the artifact holds
+        no per-case event tail beside it."""
         from repro.testkit import load_artifact
         from repro.testkit import oracles as oracles_mod
         from repro.testkit.oracles import OracleVerdict
         from repro.testkit.runner import FuzzRunner
 
         def planted_failure(context):
-            context.shared  # force plan execution under the recorder
+            context.shared  # force plan execution
             return OracleVerdict(
                 oracle="planted-failure", ok=False, detail="planted"
             )
@@ -560,65 +362,62 @@ class TestFuzzTraceArtifacts:
                 oracle_names=["planted-failure"],
                 artifacts_dir=tmp_path,
                 shrink_failures=False,
-                trace_tail=50,
             )
             report = runner.run(seed=3, cases=1)
+            [result] = report.results
+            path = pathlib.Path(result.artifact_path)
+            written = json.loads(path.read_text())
+            assert written["schema"] == 2
+            assert "trace" not in written
+            assert load_artifact(path).to_dict() == written
         finally:
             del oracles_mod.ORACLES["planted-failure"]
-        [result] = report.results
-        artifact = load_artifact(
-            __import__("pathlib").Path(result.artifact_path)
-        )
-        assert artifact.trace, "failure artifact must carry a trace tail"
-        assert len(artifact.trace) <= 50
-        assert {"seq", "kind", "at"}.issubset(artifact.trace[0])
-
-    def test_trace_tail_zero_disables_recording(self, tmp_path):
-        from repro.testkit import load_artifact
-        from repro.testkit import oracles as oracles_mod
-        from repro.testkit.oracles import OracleVerdict
-        from repro.testkit.runner import FuzzRunner
-
-        def planted_failure(context):
-            context.shared
-            return OracleVerdict(
-                oracle="planted-failure", ok=False, detail="planted"
-            )
-
-        oracles_mod.ORACLES["planted-failure"] = planted_failure
-        try:
-            runner = FuzzRunner(
-                oracle_names=["planted-failure"],
-                artifacts_dir=tmp_path,
-                shrink_failures=False,
-                trace_tail=0,
-            )
-            report = runner.run(seed=3, cases=1)
-        finally:
-            del oracles_mod.ORACLES["planted-failure"]
-        [result] = report.results
-        artifact = load_artifact(
-            __import__("pathlib").Path(result.artifact_path)
-        )
-        assert artifact.trace == []
 
     def test_schema_one_artifacts_still_load(self, tmp_path):
+        """v1 artifacts, and v2 ones written with a recorded ``trace``
+        block, load, replay to their ``expect`` and re-serialise as
+        schema 2 without ``trace``."""
         from repro.testkit import load_artifact
+        from repro.testkit.artifacts import artifact_matches_expectation
         from repro.testkit.case import FuzzCase
 
-        plan_dict = FuzzCase(seed=1).to_dict()
-        data = {
+        legacy = {
             "schema": 1,
             "oracle": "snapshot-consistency",
             "expect": "pass",
-            "case": plan_dict,
+            "case": FuzzCase(seed=1).to_dict(),
             "events": [],
             "probe_times": [],
         }
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(data))
-        artifact = load_artifact(path)
-        assert artifact.trace == []
+        committed = (
+            pathlib.Path(__file__).parent
+            / "fixtures"
+            / "fuzz_regressions"
+            / "hbg-distributed-seed753266700-4ev.json"
+        )
+        traced = json.loads(committed.read_text())
+        assert traced["schema"] == 2
+        traced["trace"] = [
+            {"seq": 0, "kind": "sim_event", "at": 1.0, "detail": "start"},
+            {
+                "seq": 1,
+                "kind": "io_captured",
+                "at": 1.2,
+                "router": "R0",
+                "event_id": 3,
+                "attrs": {"peer": "R1"},
+            },
+        ]
+        for name, data in (("legacy", legacy), ("traced", traced)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            artifact = load_artifact(path)
+            artifact_matches_expectation(artifact)
+            rewritten = artifact.to_dict()
+            assert rewritten["schema"] == 2
+            assert "trace" not in rewritten
+            assert rewritten["events"] == data["events"]
+            assert rewritten["expect"] == data["expect"]
 
     def test_unsupported_schema_rejected(self, tmp_path):
         path = tmp_path / "future.json"
