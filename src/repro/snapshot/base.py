@@ -22,6 +22,9 @@ from repro.capture.collector import Collector
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.net.addr import Prefix, PrefixTrie
 
+#: :meth:`DataPlaneSnapshot.trace`'s default hop bound, the one memoised.
+_MAX_HOPS = 64
+
 
 @dataclass(frozen=True)
 class SnapshotEntry:
@@ -96,11 +99,10 @@ class DataPlaneSnapshot:
         self._rows: Dict[int, Dict[str, Optional[SnapshotEntry]]] = {}
         #: ``sorted(self._rows)``; None when a row was added since.
         self._row_addresses: Optional[List[int]] = []
-        #: address -> {(source, max_hops) -> (path, outcome)}, shared by
-        #: every policy probing the address.
-        self._traces: Dict[
-            int, Dict[Tuple[str, int], Tuple[Tuple[str, ...], str]]
-        ] = {}
+        #: address -> {source -> (path, outcome)} of the traces walked
+        #: with the default hop bound, shared by every policy probing
+        #: the address.
+        self._traces: Dict[int, Dict[str, Tuple[Tuple[str, ...], str]]] = {}
 
     @property
     def taken_at(self) -> Optional[float]:
@@ -167,8 +169,9 @@ class DataPlaneSnapshot:
     def _forget_matches(self, router: str, prefix: Prefix) -> None:
         """Drop ``router``'s memoised longest matches under ``prefix``
         (the only ones its install/remove can change — including a
-        more specific address under a /8), and the traces of those
-        addresses."""
+        more specific address under a /8), and those addresses' traces
+        that visit ``router``: a trace reads only the rows of the
+        routers on its path, so every other trace is still exact."""
         addresses = self._row_addresses
         if addresses is None:
             addresses = self._row_addresses = sorted(self._rows)
@@ -176,7 +179,10 @@ class DataPlaneSnapshot:
         high = bisect_right(addresses, prefix.last_address())
         for address in addresses[low:high]:
             self._rows[address].pop(router, None)
-            self._traces.pop(address, None)
+            traces = self._traces.get(address)
+            if traces:
+                for key in [k for k, (path, _) in traces.items() if router in path]:
+                    del traces[key]
 
     def routers(self) -> List[str]:
         return sorted(self._tables)
@@ -227,7 +233,7 @@ class DataPlaneSnapshot:
         return list(self._first_addresses)
 
     def trace(
-        self, source: str, address: int, max_hops: int = 64
+        self, source: str, address: int, max_hops: int = _MAX_HOPS
     ) -> Tuple[List[str], str]:
         """Walk the *reconstructed* FIBs (the verifier's world view).
 
@@ -237,16 +243,19 @@ class DataPlaneSnapshot:
         as ``delivered`` (external routers are not captured).
 
         Hops read the address's next-hop row, doing the longest match
-        only for cells no earlier trace filled; the result is kept
-        until a delta touches the row.  The returned path is the
-        caller's own list.
+        only for cells no earlier trace filled; a trace with the
+        default hop bound is kept until a delta touches the row of a
+        router on its path.  The returned path is the caller's own
+        list.
         """
-        traces = self._traces.get(address)
-        if traces is None:
-            traces = self._traces[address] = {}
-        known = traces.get((source, max_hops))
-        if known is not None:
-            return list(known[0]), known[1]
+        traces = None
+        if max_hops == _MAX_HOPS:
+            traces = self._traces.get(address)
+            if traces is None:
+                traces = self._traces[address] = {}
+            known = traces.get(source)
+            if known is not None:
+                return list(known[0]), known[1]
         row = self._rows.get(address)
         if row is None:
             row = self._rows[address] = {}
@@ -277,8 +286,14 @@ class DataPlaneSnapshot:
             if current in seen:
                 break
             seen.add(current)
-        traces[(source, max_hops)] = (tuple(path), outcome)
+        if traces is not None:
+            traces[source] = (tuple(path), outcome)
         return path, outcome
+
+    def traced_sources(self, address: int) -> Set[str]:
+        """Sources whose trace to ``address`` is memoised: no delta has
+        touched a row on their path since :meth:`trace` walked it."""
+        return set(self._traces.get(address, ()))
 
     @classmethod
     def from_fib_events(

@@ -12,8 +12,8 @@ incrementally, and on each FIB delta re-check only
   per-prefix memos :class:`ConsistentSnapshotter` maintains from the
   same feed (:meth:`ConsistentSnapshotter.observe`), and
 * the policy invariants of the probe addresses inside the delta's
-  atoms — every other atom's forwarding behaviour is provably
-  untouched by the delta.
+  atoms, from the sources whose path crosses the delta's router —
+  every other (address, source) trace is provably untouched by it.
 
 CB-VER's stable-interface framing (PAPERS.md) dictates the contract
 held invariant between deltas: after every observed event, verdicts
@@ -50,6 +50,10 @@ from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
 from repro.snapshot.consistent import ConsistencyReport, ConsistentSnapshotter
 from repro.verify.atoms import AtomTable
 from repro.verify.policy import Policy, Violation
+
+
+#: (verdict context, violations in probe_sources order) of one address.
+_Verdict = Tuple[object, Tuple[Violation, ...]]
 
 
 def incremental_engine() -> InferenceEngine:
@@ -111,10 +115,14 @@ class IncrementalVerifier:
         self.snapshot = DataPlaneSnapshot()
         #: Last §5 report per prefix (refreshed on each delta).
         self._reports: Dict[Prefix, ConsistencyReport] = {}
-        #: Per-policy violation cache keyed by probe address.
-        self._policy_hits: List[Dict[int, List[Violation]]] = [
+        #: Per policy: judged probe address -> (verdict context, its
+        #: violations in probe_sources order).  Values are immutable,
+        #: so a shallow copy is a snapshot (what_if's copy-on-write).
+        self._policy_hits: List[Dict[int, _Verdict]] = [
             {} for _ in self.policies
         ]
+        #: ``sorted`` keys of each cache; None once an address came or went.
+        self._judged: List[Optional[List[int]]] = [None] * len(self.policies)
         #: Verifier-visible wall clock (max arrival time seen).
         self.clock = 0.0
         # Plain accumulators for benchmarks (the registry histograms
@@ -148,6 +156,7 @@ class IncrementalVerifier:
         self._reports.clear()
         for cache in self._policy_hits:
             cache.clear()
+        self._judged = [None] * len(self.policies)
 
     # -- the delta feed ---------------------------------------------------
 
@@ -246,6 +255,7 @@ class IncrementalVerifier:
         """
         before = {violation.key() for violation in self.violations()}
         caches = [dict(cache) for cache in self._policy_hits]
+        judged = list(self._judged)
         global_dirty = entry is not None and not self.snapshot.has_router(
             router
         )
@@ -256,7 +266,7 @@ class IncrementalVerifier:
                 for violation in self.violations()
                 if violation.key() not in before
             ]
-        self._policy_hits = caches
+        self._policy_hits, self._judged = caches, judged
         return introduced
 
     # -- verdicts ---------------------------------------------------------
@@ -287,51 +297,84 @@ class IncrementalVerifier:
 
     def _violations_within(self, prefix: Prefix) -> List[Violation]:
         """Cached policy violations probed inside ``prefix``'s range."""
-        first = prefix.first_address()
-        last = prefix.last_address()
         result: List[Violation] = []
-        for cache in self._policy_hits:
-            for address in sorted(cache):
-                if first <= address <= last:
-                    result.extend(cache[address])
+        for index, cache in enumerate(self._policy_hits):
+            for address in self._judged_within(index, prefix):
+                result.extend(cache[address][1])
         return result
 
     def violations(self) -> List[Violation]:
         """Current policy violations, in batch-verifier order."""
         result: List[Violation] = []
-        for cache in self._policy_hits:
-            for address in sorted(cache):
-                result.extend(cache[address])
+        for index, cache in enumerate(self._policy_hits):
+            for address in self._judged_within(index, None):
+                result.extend(cache[address][1])
         return result
 
     # -- internals --------------------------------------------------------
 
+    def _judged_within(self, index: int, prefix: Optional[Prefix]) -> List[int]:
+        """Policy ``index``'s judged addresses inside ``prefix`` (None:
+        all), ascending."""
+        judged = self._judged[index]
+        if judged is None:
+            judged = self._judged[index] = sorted(self._policy_hits[index])
+        if prefix is None:
+            return judged
+        low = bisect_left(judged, prefix.first_address())
+        return judged[low : bisect_right(judged, prefix.last_address(), low)]
+
     def _refresh_policies(self, prefix: Prefix, global_dirty: bool) -> None:
+        """Re-judge the probe addresses inside the delta's prefix; of
+        each, only the stale sources (no memoised trace: the delta
+        dropped those whose path visits its router), unless the address
+        is new to the policy's cache or its verdict context changed."""
         if not self.policies or self.topology is None:
             return
+        snapshot, topology = self.snapshot, self.topology
         first = prefix.first_address()
         last = prefix.last_address()
-        for policy, cache in zip(self.policies, self._policy_hits):
-            addresses = policy.probe_addresses(self.snapshot)
+        scopes = []
+        for index, policy in enumerate(self.policies):
+            cache = self._policy_hits[index]
+            relevant = policy.probe_addresses(snapshot)
             if global_dirty:
-                relevant = addresses
                 cache.clear()
+                self._judged[index] = None
             else:
-                # Only probe addresses inside the delta's atoms can
-                # change outcome; prune cached ones its withdraw
-                # removed from the probe set.
-                low = bisect_left(addresses, first)
-                relevant = addresses[low : bisect_right(addresses, last, low)]
-                live = set(relevant)
-                for stale in [
-                    a for a in cache if first <= a <= last and a not in live
-                ]:
-                    del cache[stale]
+                low = bisect_left(relevant, first)
+                relevant = relevant[low : bisect_right(relevant, last, low)]
+                # Forget addresses a withdraw took out of the probe set.
+                for gone in set(self._judged_within(index, prefix)) - set(relevant):
+                    del cache[gone]
+                    self._judged[index] = None
+            scopes.append((index, policy, cache, relevant))
+        # Read once, before any policy re-traces: the memo is shared, so
+        # the first policy's re-trace would hide a stale source.
+        traced = {
+            address: snapshot.traced_sources(address)
+            for *_, relevant in scopes
+            for address in relevant
+        }
+        for index, policy, cache, relevant in scopes:
+            if not relevant:
+                continue
+            sources = policy.probe_sources(snapshot, topology)
+            context = policy.verdict_context(topology)
             for address in relevant:
-                found = policy.check_addresses(
-                    self.snapshot, self.topology, [address]
-                )
-                if found:
-                    cache[address] = found
+                known = cache.get(address)
+                if known is None or known[0] != context:
+                    stale, kept = sources, []
+                    if known is None:
+                        self._judged[index] = None
                 else:
-                    cache.pop(address, None)
+                    stale = [s for s in sources if s not in traced[address]]
+                    if not stale:
+                        continue
+                    kept = [v for v in known[1] if v.router not in stale]
+                found = kept + policy.check_addresses(
+                    snapshot, topology, [address], sources=stale
+                )
+                if kept:
+                    found.sort(key=lambda v, order=sources: order.index(v.router))
+                cache[address] = (context, tuple(found))

@@ -45,17 +45,23 @@ class Violation:
 
 
 class Policy:
-    """Base class; subclasses implement :meth:`check_addresses`.
+    """Base class; subclasses implement :meth:`judge`, the one decider
+    per (address, source).
 
-    :meth:`check` probes every address in :meth:`probe_addresses`;
-    :meth:`check_addresses` restricts the probe set, which is how the
-    incremental verifier re-checks only the addresses a FIB delta can
-    affect.  The contract the differential oracle pins down:
+    :meth:`check` judges every address in :meth:`probe_addresses` from
+    every source in :meth:`probe_sources`; :meth:`check_addresses`
+    restricts both, which is how the incremental verifier re-judges
+    only the (address, source) pairs a FIB delta can affect.  The
+    contract the differential oracle pins down:
     ``check(s, t) == check_addresses(s, t, probe_addresses(s))``, and
-    checking addresses one at a time concatenates to the same result.
+    checking addresses one at a time, or one address's sources a
+    subset at a time merged back into :meth:`probe_sources` order,
+    gives the same violations.
     """
 
     name = "policy"
+    #: Explicit sources; None: every internal router with a table.
+    sources: Optional[List[str]] = None
 
     def check(
         self, snapshot: DataPlaneSnapshot, topology: Topology
@@ -69,8 +75,37 @@ class Policy:
         snapshot: DataPlaneSnapshot,
         topology: Topology,
         addresses: Sequence[int],
+        sources: Optional[Sequence[str]] = None,
     ) -> List[Violation]:
+        """Violations by address, then by source (default:
+        :meth:`probe_sources`)."""
+        if sources is None:
+            sources = self.probe_sources(snapshot, topology)
+        context = self.verdict_context(topology)
+        violations: List[Violation] = []
+        for address in addresses:
+            for source in sources:
+                found = self.judge(snapshot, address, source, context)
+                if found is not None:
+                    violations.append(found)
+        return violations
+
+    def judge(
+        self,
+        snapshot: DataPlaneSnapshot,
+        address: int,
+        source: str,
+        context: object,
+    ) -> Optional[Violation]:
+        """The violation of traffic from ``source`` to ``address``, if
+        any; its ``router`` is ``source``."""
         raise NotImplementedError
+
+    def verdict_context(self, topology: Topology) -> object:
+        """What :meth:`judge` reads besides the snapshot (compared by
+        ``==``: the incremental verifier re-judges every source when it
+        changes).  Default: nothing."""
+        return None
 
     def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
         """The addresses this policy probes on ``snapshot``, ascending
@@ -81,52 +116,51 @@ class Policy:
         """Default probe set: first address of every snapshot prefix."""
         return snapshot.first_addresses()
 
-    def _internal_sources(
+    def probe_sources(
         self, snapshot: DataPlaneSnapshot, topology: Topology
     ) -> List[str]:
-        internal = set(topology.internal_routers())
-        return [r for r in snapshot.routers() if r in internal]
+        """The sources this policy traces from, in verdict order."""
+        if self.sources is not None:
+            return self.sources
+        nodes = topology.routers
+        return [
+            r for r in snapshot.routers() if r in nodes and not nodes[r].external
+        ]
 
 
-class LoopFreedomPolicy(Policy):
+class _ScopedPolicy(Policy):
+    """Probes the first address of each of ``prefixes`` if given, else
+    of every snapshot prefix."""
+
+    def __init__(self, prefixes: Optional[Sequence[Prefix]] = None):
+        self.prefixes = sorted(prefixes) if prefixes else None
+        self._probed = self.prefixes and [p.first_address() for p in self.prefixes]
+
+    def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
+        if self._probed is not None:
+            return list(self._probed)
+        return self.addresses_of_interest(snapshot)
+
+
+class LoopFreedomPolicy(_ScopedPolicy):
     """Packets must never revisit a router (always-property)."""
 
     name = "loop-freedom"
 
-    def __init__(self, prefixes: Optional[Sequence[Prefix]] = None):
-        self.prefixes = sorted(prefixes) if prefixes else None
-
-    def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
-        if self.prefixes is not None:
-            return [p.first_address() for p in self.prefixes]
-        return self.addresses_of_interest(snapshot)
-
-    def check_addresses(
-        self,
-        snapshot: DataPlaneSnapshot,
-        topology: Topology,
-        addresses: Sequence[int],
-    ) -> List[Violation]:
-        violations: List[Violation] = []
-        sources = self._internal_sources(snapshot, topology)
-        for address in addresses:
-            prefix = Prefix(address, 32)
-            for source in sources:
-                path, outcome = snapshot.trace(source, address)
-                if outcome == "loop":
-                    violations.append(
-                        Violation(
-                            policy=self.name,
-                            detail=f"forwarding loop {'->'.join(path)}",
-                            prefix=prefix,
-                            router=source,
-                            path=tuple(path),
-                        )
-                    )
-        return violations
+    def judge(self, snapshot, address, source, context):
+        path, outcome = snapshot.trace(source, address)
+        if outcome != "loop":
+            return None
+        return Violation(
+            policy=self.name,
+            detail=f"forwarding loop {'->'.join(path)}",
+            prefix=Prefix(address, 32),
+            router=source,
+            path=tuple(path),
+        )
 
 
-class BlackholeFreedomPolicy(Policy):
+class BlackholeFreedomPolicy(_ScopedPolicy):
     """A router must not forward to a next hop that drops the packet.
 
     Only *forwarding inconsistencies* count: a path of length > 1
@@ -137,40 +171,45 @@ class BlackholeFreedomPolicy(Policy):
 
     name = "blackhole-freedom"
 
-    def __init__(self, prefixes: Optional[Sequence[Prefix]] = None):
-        self.prefixes = sorted(prefixes) if prefixes else None
+    def judge(self, snapshot, address, source, context):
+        path, outcome = snapshot.trace(source, address)
+        if outcome != "blackhole" or len(path) == 1:
+            return None
+        return Violation(
+            policy=self.name,
+            detail=f"traffic black-holed along {'->'.join(path)}",
+            prefix=Prefix(address, 32),
+            router=source,
+            path=tuple(path),
+        )
+
+
+class _PrefixPolicy(Policy):
+    """Probes ``prefix``'s first address only (others judge clean)."""
+
+    prefix: Prefix
 
     def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
-        if self.prefixes is not None:
-            return [p.first_address() for p in self.prefixes]
-        return self.addresses_of_interest(snapshot)
+        return [self.prefix.first_address()]
 
-    def check_addresses(
-        self,
-        snapshot: DataPlaneSnapshot,
-        topology: Topology,
-        addresses: Sequence[int],
-    ) -> List[Violation]:
-        violations: List[Violation] = []
-        sources = self._internal_sources(snapshot, topology)
-        for address in addresses:
-            prefix = Prefix(address, 32)
-            for source in sources:
-                path, outcome = snapshot.trace(source, address)
-                if outcome == "blackhole" and len(path) > 1:
-                    violations.append(
-                        Violation(
-                            policy=self.name,
-                            detail=f"traffic black-holed along {'->'.join(path)}",
-                            prefix=prefix,
-                            router=source,
-                            path=tuple(path),
-                        )
-                    )
-        return violations
+    def _trace(self, snapshot, address, source):
+        """``snapshot.trace(source, address)`` if ``address`` is the
+        probed one, else None."""
+        if address != self.prefix.first_address():
+            return None
+        return snapshot.trace(source, address)
+
+    def _violation(self, source: str, path: List[str], detail: str) -> Violation:
+        return Violation(
+            policy=self.name,
+            detail=detail,
+            prefix=self.prefix,
+            router=source,
+            path=tuple(path),
+        )
 
 
-class ReachabilityPolicy(Policy):
+class ReachabilityPolicy(_PrefixPolicy):
     """Given sources must be able to deliver traffic for ``prefix``."""
 
     name = "reachability"
@@ -179,38 +218,20 @@ class ReachabilityPolicy(Policy):
         self.prefix = prefix
         self.sources = list(sources)
 
-    def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
-        return [self.prefix.first_address()]
-
-    def check_addresses(
-        self,
-        snapshot: DataPlaneSnapshot,
-        topology: Topology,
-        addresses: Sequence[int],
-    ) -> List[Violation]:
-        violations: List[Violation] = []
-        address = self.prefix.first_address()
-        if address not in addresses:
-            return violations
-        for source in self.sources:
-            path, outcome = snapshot.trace(source, address)
-            if outcome != "delivered":
-                violations.append(
-                    Violation(
-                        policy=self.name,
-                        detail=(
-                            f"{source} cannot reach {self.prefix} "
-                            f"({outcome} along {'->'.join(path)})"
-                        ),
-                        prefix=self.prefix,
-                        router=source,
-                        path=tuple(path),
-                    )
-                )
-        return violations
+    def judge(self, snapshot, address, source, context):
+        traced = self._trace(snapshot, address, source)
+        if traced is None or traced[1] == "delivered":
+            return None
+        path, outcome = traced
+        return self._violation(
+            source,
+            path,
+            f"{source} cannot reach {self.prefix} "
+            f"({outcome} along {'->'.join(path)})",
+        )
 
 
-class WaypointPolicy(Policy):
+class WaypointPolicy(_PrefixPolicy):
     """Delivered traffic for ``prefix`` must traverse ``waypoint``
     (e.g. "traffic should never bypass a firewall", §5)."""
 
@@ -226,41 +247,22 @@ class WaypointPolicy(Policy):
         self.waypoint = waypoint
         self.sources = list(sources) if sources else None
 
-    def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
-        return [self.prefix.first_address()]
-
-    def check_addresses(
-        self,
-        snapshot: DataPlaneSnapshot,
-        topology: Topology,
-        addresses: Sequence[int],
-    ) -> List[Violation]:
-        violations: List[Violation] = []
-        address = self.prefix.first_address()
-        if address not in addresses:
-            return violations
-        sources = self.sources or self._internal_sources(snapshot, topology)
-        for source in sources:
-            if source == self.waypoint:
-                continue
-            path, outcome = snapshot.trace(source, address)
-            if outcome == "delivered" and self.waypoint not in path:
-                violations.append(
-                    Violation(
-                        policy=self.name,
-                        detail=(
-                            f"traffic from {source} bypasses waypoint "
-                            f"{self.waypoint} ({'->'.join(path)})"
-                        ),
-                        prefix=self.prefix,
-                        router=source,
-                        path=tuple(path),
-                    )
-                )
-        return violations
+    def judge(self, snapshot, address, source, context):
+        if source == self.waypoint:
+            return None
+        traced = self._trace(snapshot, address, source)
+        if traced is None or traced[1] != "delivered" or self.waypoint in traced[0]:
+            return None
+        path = traced[0]
+        return self._violation(
+            source,
+            path,
+            f"traffic from {source} bypasses waypoint "
+            f"{self.waypoint} ({'->'.join(path)})",
+        )
 
 
-class PreferredExitPolicy(Policy):
+class PreferredExitPolicy(_PrefixPolicy):
     """The §2 policy: use the preferred exit while its uplink is up.
 
         "R2 is the preferred exit point when its uplink is up;
@@ -268,7 +270,7 @@ class PreferredExitPolicy(Policy):
 
     ``uplink_of`` maps each exit router to its external uplink peer;
     the uplink's link status is read from the live topology (a
-    hardware fact, not data-plane state).
+    hardware fact, not data-plane state) as the verdict context.
     """
 
     name = "preferred-exit"
@@ -301,40 +303,22 @@ class PreferredExitPolicy(Policy):
             return self.fallback_exit
         return None
 
-    def probe_addresses(self, snapshot: DataPlaneSnapshot) -> List[int]:
-        return [self.prefix.first_address()]
+    def verdict_context(self, topology: Topology) -> Optional[str]:
+        return self.required_exit(topology)
 
-    def check_addresses(
-        self,
-        snapshot: DataPlaneSnapshot,
-        topology: Topology,
-        addresses: Sequence[int],
-    ) -> List[Violation]:
-        required = self.required_exit(topology)
-        if required is None:
-            return []  # no uplink available; nothing to enforce
-        required_uplink = self.uplink_of[required]
-        violations: List[Violation] = []
-        address = self.prefix.first_address()
-        if address not in addresses:
-            return violations
-        sources = self.sources or self._internal_sources(snapshot, topology)
-        for source in sources:
-            path, outcome = snapshot.trace(source, address)
-            if outcome != "delivered":
-                continue  # not this policy's concern (blackhole policy's)
-            if required_uplink not in path:
-                violations.append(
-                    Violation(
-                        policy=self.name,
-                        detail=(
-                            f"traffic from {source} exits via "
-                            f"{'->'.join(path)} instead of {required} "
-                            f"(uplink {required_uplink})"
-                        ),
-                        prefix=self.prefix,
-                        router=source,
-                        path=tuple(path),
-                    )
-                )
-        return violations
+    def judge(self, snapshot, address, source, context):
+        if context is None:
+            return None  # no uplink available; nothing to enforce
+        traced = self._trace(snapshot, address, source)
+        if traced is None or traced[1] != "delivered":
+            return None  # not this policy's concern (blackhole policy's)
+        path = traced[0]
+        required_uplink = self.uplink_of[context]
+        if required_uplink in path:
+            return None
+        return self._violation(
+            source,
+            path,
+            f"traffic from {source} exits via {'->'.join(path)} "
+            f"instead of {context} (uplink {required_uplink})",
+        )

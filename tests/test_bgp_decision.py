@@ -6,7 +6,6 @@ from repro.net.addr import Prefix
 from repro.protocols.bgp_decision import (
     VendorProfile,
     best_path,
-    compare_local_pref,
     compare_med_always,
     compare_med_same_as,
     compare_oldest,

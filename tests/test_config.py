@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.addr import Prefix, parse_ip
+from repro.net.addr import Prefix
 from repro.net.config import (
     BgpNeighborConfig,
     ConfigChange,

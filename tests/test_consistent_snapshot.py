@@ -1,12 +1,9 @@
 """Tests for the §5 consistent snapshot algorithm — the heart of the
 paper's verification story."""
 
-import pytest
-
-from repro.hbr.inference import InferenceEngine
 from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.fig5 import Fig5Scenario
-from repro.scenarios.paper_net import P, paper_policy
+from repro.scenarios.paper_net import P
 from repro.snapshot.base import VerifierView
 from repro.snapshot.consistent import ConsistentSnapshotter
 from repro.snapshot.naive import NaiveSnapshotter

@@ -1,15 +1,13 @@
 """Tests for the EIGRP-style distance-vector protocol and the §4.1
 FIB-before-send ordering contrast with BGP."""
 
-import pytest
-
-from repro.capture.io_events import IOKind, RouteAction
+from repro.capture.io_events import IOKind
 from repro.hbr.inference import InferenceEngine, score_inference
 from repro.net.addr import Prefix
 from repro.net.config import ConfigChange, RouterConfig
 from repro.net.simulator import DelayModel
 from repro.net.topology import line_topology
-from repro.protocols.dvp import INFINITY, DistanceVectorProcess, DvRoute
+from repro.protocols.dvp import INFINITY, DistanceVectorProcess
 from repro.protocols.network import Network
 
 DP = Prefix.parse("172.16.0.0/16")

@@ -5,8 +5,6 @@ and unsynchronised.  These tests quantify how the paper's machinery
 degrades — and where it stays safe — under those conditions.
 """
 
-import pytest
-
 from repro.capture.io_events import IOKind
 from repro.hbr.inference import InferenceEngine, score_inference
 from repro.scenarios.paper_net import P, build_paper_network

@@ -5,7 +5,6 @@ import pytest
 from repro.capture.frr import FrrLogParser, FrrParseError, render_event, render_events
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
 from repro.hbr.inference import InferenceEngine
-from repro.net.addr import Prefix
 from repro.repair.provenance import ProvenanceTracer
 from repro.scenarios.fig2 import Fig2Scenario
 from repro.scenarios.paper_net import P

@@ -13,7 +13,7 @@ from repro.hbr.inference import (
 )
 from repro.hbr.rules import default_rules
 from repro.scenarios.fig1 import Fig1Scenario
-from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
+from repro.scenarios.fig2 import Fig2Scenario
 from repro.scenarios.paper_net import P, build_paper_network
 from repro.testkit.oracles import PatternMiner, naive_graph, pattern_graph
 

@@ -2,9 +2,6 @@
 networks: simulator -> capture -> inference -> snapshot -> verify ->
 provenance -> repair."""
 
-import pytest
-
-from repro.capture.io_events import IOKind
 from repro.core.pipeline import IntegratedControlPlane, PipelineMode
 from repro.hbr.inference import InferenceEngine, score_inference
 from repro.scenarios.generators import (

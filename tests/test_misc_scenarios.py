@@ -1,12 +1,9 @@
 """Additional cross-cutting scenarios: mixed vendors, batched log
 shipping, per-router delay profiles, and larger-topology stress."""
 
-import pytest
-
 from repro.capture.io_events import IOKind
 from repro.capture.logger import BufferingSink, RouterLogger
 from repro.net.simulator import DelayModel
-from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.generators import (
     build_random_network,
     churn_workload,

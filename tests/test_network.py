@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.config import RouterConfig
-from repro.net.topology import Router, Topology, paper_topology
+from repro.net.topology import paper_topology
 from repro.protocols.network import Network, NetworkError
 from repro.scenarios.paper_net import P, build_paper_network
 

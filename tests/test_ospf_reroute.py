@@ -1,7 +1,5 @@
 """End-to-end OSPF scenarios: cost changes, multihop iBGP, provenance."""
 
-import pytest
-
 from repro.capture.io_events import IOKind
 from repro.hbr.inference import InferenceEngine
 from repro.net.addr import Prefix, parse_ip

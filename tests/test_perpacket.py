@@ -3,7 +3,6 @@
 import pytest
 
 from repro.capture.io_events import IOEvent, IOKind, RouteAction
-from repro.net.addr import Prefix
 from repro.net.topology import paper_topology
 from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.paper_net import P

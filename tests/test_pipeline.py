@@ -1,12 +1,6 @@
 """Tests for the integrated Fig. 3 pipeline."""
 
-import pytest
-
-from repro.core.pipeline import (
-    IntegratedControlPlane,
-    PipelineIncident,
-    PipelineMode,
-)
+from repro.core.pipeline import IntegratedControlPlane, PipelineMode
 from repro.net.config import ConfigChange, local_pref_map
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
 from repro.scenarios.paper_net import P, paper_policy

@@ -1,7 +1,5 @@
 """Pipeline robustness under degraded capture conditions."""
 
-import pytest
-
 from repro.core.pipeline import IntegratedControlPlane, PipelineMode
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
 from repro.scenarios.paper_net import P, build_paper_network, paper_policy

@@ -1,8 +1,6 @@
 """Tests for route redistribution into BGP (§4.1's cross-protocol HBRs)."""
 
-import pytest
-
-from repro.capture.io_events import IOKind, RouteAction
+from repro.capture.io_events import IOKind
 from repro.hbr.inference import InferenceEngine
 from repro.net.addr import Prefix
 from repro.net.config import (
@@ -13,7 +11,7 @@ from repro.net.config import (
     RouterConfig,
 )
 from repro.net.simulator import DelayModel
-from repro.net.topology import Router, Topology, line_topology
+from repro.net.topology import Router, line_topology
 from repro.protocols.network import Network
 
 DP = Prefix.parse("172.16.0.0/16")

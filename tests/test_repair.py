@@ -1,7 +1,5 @@
 """Tests for root-cause rollback and the blocking baseline."""
 
-import pytest
-
 from repro.capture.io_events import IOKind
 from repro.hbr.inference import InferenceEngine
 from repro.repair.blocking import BlockingRepair
@@ -9,8 +7,6 @@ from repro.repair.provenance import ProvenanceTracer
 from repro.repair.rollback import RepairEngine
 from repro.scenarios.fig2 import Fig2Scenario, bad_lp_change
 from repro.scenarios.paper_net import P, paper_policy
-from repro.snapshot.base import DataPlaneSnapshot
-from repro.verify.policy import LoopFreedomPolicy
 from repro.verify.verifier import DataPlaneVerifier
 
 

@@ -1,7 +1,5 @@
 """Tests for RIB layers (repro.protocols.rib) and route records."""
 
-import pytest
-
 from repro.net.addr import Prefix
 from repro.protocols.rib import BgpRib, OspfRib
 from repro.protocols.routes import BgpRoute, ConnectedRoute, OspfRoute, Origin

@@ -1,11 +1,7 @@
 """Tests for the paper's scenario library (Figs. 1, 2, 5)."""
 
-import pytest
-
 from repro.capture.io_events import IOKind, RouteAction
-from repro.net.simulator import DelayModel
-from repro.scenarios.fig1 import Fig1Scenario
-from repro.scenarios.fig2 import BAD_LOCAL_PREF, Fig2Scenario, bad_lp_change
+from repro.scenarios.fig2 import BAD_LOCAL_PREF, bad_lp_change
 from repro.scenarios.fig5 import FIG5_LOCAL_PREF, Fig5Scenario, fig5_change
 from repro.scenarios.paper_net import (
     P,

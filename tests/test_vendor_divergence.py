@@ -1,7 +1,5 @@
 """Tests for the vendor-divergence scenario (§2's model-gap motivation)."""
 
-import pytest
-
 from repro.scenarios.vendor import (
     FIRST_PEER,
     SECOND_PEER,

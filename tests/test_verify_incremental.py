@@ -43,7 +43,7 @@ from repro.scenarios.generators import (
     churn_workload,
     external_prefixes,
 )
-from repro.scenarios.paper_net import P
+from repro.scenarios.paper_net import P, paper_policy
 from repro.snapshot.base import DataPlaneSnapshot, SnapshotEntry, VerifierView
 from repro.snapshot.consistent import ConsistentSnapshotter
 from repro.verify.incremental import IncrementalVerifier, incremental_engine
@@ -390,6 +390,95 @@ class TestWhatIf:
         assert self._observable(verifier) == before
 
 
+class TestPerSourceVerdicts:
+    """A delta re-judges only the sources whose trace it dropped; the
+    three ways such a cache can go stale, each against the batch path
+    after every delta."""
+
+    def _stepper(self, verifier, streaming, topology, policies):
+        fed = []
+
+        def step(event):
+            streaming.observe(event)
+            fed.append(event)
+            found = _assert_matches_batch(
+                verifier, fed, ("R1", "R2", "R3"), topology, policies,
+                event.prefix,
+            )
+            # The ledger's per-delta slice is the same list, narrowed.
+            assert verifier._violations_within(P8) == [
+                v for v in found if P8.contains_address(v.prefix.address)
+            ]
+            return found
+
+        return step
+
+    def test_first_policy_to_retrace_does_not_hide_stale_sources(
+        self, paper_network
+    ):
+        """Loop-freedom re-traces first and refills the shared memo;
+        blackhole-freedom must still re-judge those sources."""
+        topology = paper_network.topology
+        policies = (LoopFreedomPolicy(), BlackholeFreedomPolicy())
+        verifier, streaming = _verifier(topology, policies)
+        step = self._stepper(verifier, streaming, topology, policies)
+        step(_fib("R1", P8, 1.0))
+        step(_fib("R2", P8, 1.1, next_hop="R1"))
+        assert step(_fib("R3", P8, 1.2, next_hop="R2")) == []
+        # R1 keeps its (now empty) table: every path ends in its hole.
+        found = step(_fib("R1", P8, 2.0, action=RouteAction.WITHDRAW))
+        assert [(v.policy, v.router) for v in found] == [
+            ("blackhole-freedom", "R2"),
+            ("blackhole-freedom", "R3"),
+        ]
+        assert step(_fib("R1", P8, 3.0)) == []
+
+    def test_what_if_then_a_delta_under_the_same_path(self, paper_network):
+        """A what-if at R2 leaves R2's and R3's traces un-memoised (both
+        paths visit R2) behind verdicts that are still right; a later
+        delta at R1 changes both sources' outcome."""
+        topology = paper_network.topology
+        policies = (LoopFreedomPolicy(), BlackholeFreedomPolicy())
+        verifier, streaming = _verifier(topology, policies)
+        step = self._stepper(verifier, streaming, topology, policies)
+        step(_fib("R1", P8, 1.0))
+        step(_fib("R2", P8, 1.1, next_hop="R1"))
+        step(_fib("R3", P8, 1.2, next_hop="R2"))
+        looping = SnapshotEntry("R2", P8, "R3", None, "bgp", False, 0, 1.5)
+        introduced = verifier.what_if("R2", P8, looping)
+        assert {(v.policy, v.router) for v in introduced} == {
+            ("loop-freedom", "R2"),
+            ("loop-freedom", "R3"),
+        }
+        assert verifier.violations() == []
+        found = step(_fib("R1", P8, 2.0, next_hop="R3"))
+        assert {(v.policy, v.router) for v in found} == {
+            ("loop-freedom", "R1"),
+            ("loop-freedom", "R2"),
+            ("loop-freedom", "R3"),
+        }
+
+    def test_preferred_exit_follows_the_uplink_not_just_the_fib(
+        self, paper_network
+    ):
+        """The preferred uplink goes down with no FIB change at R1,
+        which already exits via the fallback: its verdict flips all
+        the same, on the next delta for the prefix."""
+        topology = paper_network.topology
+        policies = (paper_policy(),)
+        verifier, streaming = _verifier(topology, policies)
+        step = self._stepper(verifier, streaming, topology, policies)
+        step(_fib("R2", P, 1.0, next_hop="Ext2"))
+        step(_fib("R3", P, 1.1, next_hop="R2"))
+        found = step(_fib("R1", P, 1.2, next_hop="Ext1"))
+        assert [v.router for v in found] == ["R1"]
+        topology.link_between("R2", "Ext2").up = False
+        # R3 moves to the fallback; R1's FIB does not change, but it
+        # now complies and R2 does not.
+        found = step(_fib("R3", P, 2.0, next_hop="R1"))
+        assert [v.router for v in found] == ["R2"]
+
+
 class TestDeltaCostIsLocal:
     """The per-delta re-probe reads the snapshot's maintained state.
 
@@ -434,6 +523,49 @@ class TestDeltaCostIsLocal:
             )
             assert calls["longest_match"] <= inside, prefix
         assert calls["items"] == 0
+
+    def test_one_delta_retraces_exactly_the_paths_through_its_router(
+        self, paper_network, monkeypatch
+    ):
+        """A delta at (router, prefix) re-walks a source's trace to an
+        address under the prefix iff the source's previous path visits
+        the router: the other traces read none of the changed rows."""
+        verifier, _streaming, clock = self._warm(paper_network)
+        snapshot = verifier.snapshot
+        probed = snapshot.first_addresses()
+        walked = []
+        original = DataPlaneSnapshot.trace
+
+        def spied(self, source, address, *args):
+            if source not in self.traced_sources(address):
+                walked.append((address, source))
+            return original(self, source, address, *args)
+
+        monkeypatch.setattr(DataPlaneSnapshot, "trace", spied)
+        # R2's /8 moves to R3 (R2's /8 path grows to R2->R3->R1), then
+        # R3's /8 moves to R2 (now both /8 paths visit R3, the /24's
+        # only R3's own), then R1's /16 changes under every source.
+        for router, prefix, next_hop in (
+            ("R2", P8, "R3"),
+            ("R3", P8, "R2"),
+            ("R1", Q16, None),
+        ):
+            paths = {
+                (address, source): snapshot.trace(source, address)[0]
+                for address in probed
+                for source in ("R1", "R2", "R3")
+            }
+            expected = sorted(
+                key
+                for key, path in paths.items()
+                if prefix.contains_address(key[0]) and router in path
+            )
+            walked.clear()
+            verifier.apply(
+                _fib(router, prefix, float(next(clock)), next_hop=next_hop)
+            )
+            assert sorted(walked) == expected, (router, prefix)
+        assert expected == [(Q16.first_address(), r) for r in ("R1", "R2", "R3")]
 
     def test_memo_is_bounded_by_addresses_not_deltas(self, paper_network):
         verifier, streaming, clock = self._warm(paper_network)

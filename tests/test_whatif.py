@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.scenarios.fig1 import Fig1Scenario
 from repro.scenarios.fig2 import bad_lp_change
 from repro.scenarios.paper_net import P, paper_policy
 from repro.whatif.engine import (
     WhatIfEngine,
-    config_change,
     link_failure,
     link_recovery,
     route_announcement,
